@@ -166,7 +166,7 @@ def classify_labels(prog: Program) -> ClassLabels:
     rules = prog.rules
     normal = all(r.is_normal for r in rules)
     positive = all(r.is_positive for r in rules)
-    dual_normal = all(r.is_constraint or len(r.body_pos) <= 1 for r in rules)
+    dual_normal = all(r.is_dual_normal for r in rules)
     dual_horn = all(r.is_dual_horn for r in rules)
     return ClassLabels(
         horn=normal and positive,

@@ -19,7 +19,7 @@ from .core import AtomTable, Program
 from .dualhorn import answer_sets_dn, elimination_fixpoint, pmm
 from .oracle import answer_sets_bf, equivalent_as
 from .satenc import answer_sets_via_sat, base_var, program_cnf
-from .seue import SEPair, _ue_disagreement_dn, se_models, se_properties, ue_models, program_from_se_set, program_from_ue_set
+from .seue import _ue_disagreement_dn, se_models, se_properties, ue_models, program_from_se_set, program_from_ue_set
 from .reductions import parse_cnf3, parse_qbf, qbf_to_program, unsat_to_singular
 from .textio import (
     ParseError,
@@ -52,8 +52,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--budget", type=int, default=None, metavar="N",
                         help="max universe size for exhaustive operations")
     parser.add_argument("--json", action="store_true", help="JSON output where applicable")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved for randomized helpers; accepted and unused")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="print the class labels of a program")
@@ -132,14 +130,8 @@ def _se_set_json(se_set) -> list[dict]:
     ]
 
 
-def _pair_line(table, pair: SEPair) -> str:
-    return render_se_pair(pair, table)
-
-
 def _run(args, out: TextIO, err: TextIO) -> int:
-    budget = OracleBudget() if args.budget is None else OracleBudget(
-        max_atoms=args.budget, max_subsets=1 << max(args.budget, 1)
-    )
+    budget = OracleBudget() if args.budget is None else OracleBudget(max_atoms=args.budget)
 
     if args.command == "classify":
         prog = _load_program(args.file)
@@ -196,10 +188,11 @@ def _run(args, out: TextIO, err: TextIO) -> int:
         return EXIT_POSITIVE
 
     if args.command == "equiv":
+        if args.dn_fast and args.mode != "uniform":
+            raise _UsageError("--dn-fast requires --mode uniform")
         table = AtomTable()
         p = _load_program(args.file1, table)
         q = _load_program(args.file2, table)
-        joint = p.atom_ids | q.atom_ids
         if args.mode == "as":
             if equivalent_as(p, q, budget):
                 return EXIT_POSITIVE
@@ -209,32 +202,22 @@ def _run(args, out: TextIO, err: TextIO) -> int:
             )
             out.write(" ".join(diff[0]) + "\n")
             return EXIT_NEGATIVE
-        if args.mode == "strong":
-            sp = se_models(p, universe=joint, budget=budget)
-            sq = se_models(q, universe=joint, budget=budget)
-            if sp.pairs == sq.pairs:
-                return EXIT_POSITIVE
-            witness = min(
-                sp.pairs ^ sq.pairs,
-                key=lambda pr: (_names_key(table, pr.there), _names_key(table, pr.here)),
-            )
-            out.write(_pair_line(table, witness) + "\n")
-            return EXIT_NEGATIVE
         if args.dn_fast:
             witness = _ue_disagreement_dn(p, q, budget)
-            if witness is None:
-                return EXIT_POSITIVE
-            out.write(_pair_line(table, witness) + "\n")
-            return EXIT_NEGATIVE
-        up = ue_models(se_models(p, universe=joint, budget=budget))
-        uq = ue_models(se_models(q, universe=joint, budget=budget))
-        if up.pairs == uq.pairs:
+        else:
+            joint = p.atom_ids | q.atom_ids
+            model_sets = []
+            for prog in (p, q):
+                se_set = se_models(prog, universe=joint, budget=budget)
+                model_sets.append(ue_models(se_set) if args.mode == "uniform" else se_set)
+            witness = min(
+                model_sets[0].pairs ^ model_sets[1].pairs,
+                key=lambda pr: (_names_key(table, pr.there), _names_key(table, pr.here)),
+                default=None,
+            )
+        if witness is None:
             return EXIT_POSITIVE
-        witness = min(
-            up.pairs ^ uq.pairs,
-            key=lambda pr: (_names_key(table, pr.there), _names_key(table, pr.here)),
-        )
-        out.write(_pair_line(table, witness) + "\n")
+        out.write(render_se_pair(witness, table) + "\n")
         return EXIT_NEGATIVE
 
     if args.command == "reduce":

@@ -22,10 +22,9 @@ class OracleBudget:
     """Caps for brute-force enumeration (these operations are exponential)."""
 
     max_atoms: int = 22
-    max_subsets: int = 1 << 22
 
     def check(self, universe_size: int, what: str = "enumeration") -> None:
-        if universe_size > self.max_atoms or (1 << universe_size) > self.max_subsets:
+        if universe_size > self.max_atoms:
             raise BudgetExceededError(
                 f"{what} over {universe_size} atoms exceeds the budget "
                 f"(max_atoms={self.max_atoms})"

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+from .common import ProgramClassError
 
 RESERVED_PREFIX = "__"
 
@@ -119,6 +121,11 @@ class Rule:
     @property
     def is_positive(self) -> bool:
         return not self.body_neg
+
+    @property
+    def is_dual_normal(self) -> bool:
+        """A constraint, or a proper rule with at most one positive body atom."""
+        return not self.head or len(self.body_pos) <= 1
 
     @property
     def is_dual_horn(self) -> bool:
@@ -232,12 +239,30 @@ def split(prog: Program) -> tuple[Program, Program]:
     return Program.of(prog.table, proper), Program.of(prog.table, constraints)
 
 
-def proper_part(prog: Program) -> Program:
-    return split(prog)[0]
+def require_dual_normal(prog: Program) -> None:
+    """Reject a program with a proper rule of more than one positive body atom."""
+    if not all(r.is_dual_normal for r in prog.rules):
+        raise ProgramClassError(
+            "program is not dual-normal (a proper rule has more than one positive body atom)"
+        )
 
 
-def constraint_part(prog: Program) -> Program:
-    return split(prog)[1]
+def mask_to_set(atoms: Sequence[int], mask: int) -> frozenset[int]:
+    """The atoms at the set bit positions of ``mask`` (bit i is ``atoms[i]``)."""
+    return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+
+
+def submasks_ascending(mask: int) -> list[int]:
+    """Every submask of ``mask``, in ascending numeric order."""
+    subs = []
+    sub = mask
+    while True:
+        subs.append(sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+    subs.reverse()
+    return subs
 
 
 def remap(prog: Program, table: AtomTable) -> Program:

@@ -1,7 +1,7 @@
 """Seeded random generators for test corpora.
 
 Everything here takes an explicit ``random.Random`` so corpora are
-reproducible; the CLI's ``--seed`` flag feeds the same machinery.
+reproducible.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import random
 import string
 from typing import Iterator, Optional
 
-from .core import AtomTable, Program, Rule
+from .core import AtomTable, Program, Rule, mask_to_set
 
 
 def atom_names(n: int) -> list[str]:
@@ -125,12 +125,11 @@ def random_se_pairs(
     pairs = set()
     n = len(atoms)
     for ymask in range(1 << n):
-        y = frozenset(a for i, a in enumerate(atoms) if ymask >> i & 1)
+        y = mask_to_set(atoms, ymask)
         sub = ymask
         while True:
             if rng.random() < density:
-                x = frozenset(a for i, a in enumerate(atoms) if sub >> i & 1)
-                pairs.add((x, y))
+                pairs.add((mask_to_set(atoms, sub), y))
             if sub == 0:
                 break
             sub = (sub - 1) & ymask

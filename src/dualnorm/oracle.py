@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, ensure_shared, is_model
+from .core import Program, ensure_shared, is_model, mask_to_set, split
 from .dualhorn import pmm
 
 # Re-exported here because the budget is part of the oracle's contract.
@@ -65,10 +65,6 @@ def _satisfies_reduct(compiled, m_for_reduct: int, candidate: int) -> bool:
     return True
 
 
-def _to_sets(masks, atoms) -> list[frozenset[int]]:
-    return [frozenset(a for i, a in enumerate(atoms) if m >> i & 1) for m in masks]
-
-
 def _universe_list(prog: Program, universe: Optional[frozenset[int]]) -> list[int]:
     return sorted(prog.atom_ids if universe is None else universe)
 
@@ -82,7 +78,7 @@ def models(
     atoms = _universe_list(prog, universe)
     budget.check(len(atoms), "model enumeration")
     compiled = _compile_masks(prog, atoms)
-    return _to_sets(_mask_models(compiled, len(atoms)), atoms)
+    return [mask_to_set(atoms, m) for m in _mask_models(compiled, len(atoms))]
 
 
 def minimal_models(
@@ -97,7 +93,7 @@ def minimal_models(
     minimal = [
         m for m in all_masks if not any(o != m and o & m == o for o in all_masks)
     ]
-    return _to_sets(minimal, atoms)
+    return [mask_to_set(atoms, m) for m in minimal]
 
 
 def answer_sets_bf(
@@ -130,11 +126,10 @@ def answer_sets_bf(
                 sub = (sub - 1) & m
         if minimal:
             result_masks.append(m)
-    result = _to_sets(result_masks, atoms)
+    result = [mask_to_set(atoms, m) for m in result_masks]
 
     if _check_decomposition:
-        proper = prog.with_rules(r for r in prog.rules if r.head)
-        constraints = prog.with_rules(r for r in prog.rules if not r.head)
+        proper, constraints = split(prog)
         if constraints.rules:
             via_split = [
                 m
@@ -169,29 +164,28 @@ def equivalent_as(
     return set(answer_sets_bf(p, budget)) == set(answer_sets_bf(q, budget))
 
 
+def _joint_model_sets_agree(p: Program, q: Program, budget: OracleBudget, uniform: bool) -> bool:
+    """SE-model (with ``uniform``, UE-model) sets over the joint universe coincide."""
+    from .seue import se_models, ue_models
+
+    p, q = ensure_shared(p, q)
+    joint = p.atom_ids | q.atom_ids
+    sp = se_models(p, universe=joint, budget=budget)
+    sq = se_models(q, universe=joint, budget=budget)
+    if uniform:
+        sp, sq = ue_models(sp), ue_models(sq)
+    return sp.pairs == sq.pairs
+
+
 def strongly_equivalent_bf(
     p: Program, q: Program, budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
     """SE-model sets over the joint universe coincide."""
-    from .seue import se_models
-
-    p, q = ensure_shared(p, q)
-    joint = p.atom_ids | q.atom_ids
-    return (
-        se_models(p, universe=joint, budget=budget).pairs
-        == se_models(q, universe=joint, budget=budget).pairs
-    )
+    return _joint_model_sets_agree(p, q, budget, uniform=False)
 
 
 def uniformly_equivalent_bf(
     p: Program, q: Program, budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
     """UE-model sets over the joint universe coincide."""
-    from .seue import se_models, ue_models
-
-    p, q = ensure_shared(p, q)
-    joint = p.atom_ids | q.atom_ids
-    return (
-        ue_models(se_models(p, universe=joint, budget=budget)).pairs
-        == ue_models(se_models(q, universe=joint, budget=budget)).pairs
-    )
+    return _joint_model_sets_agree(p, q, budget, uniform=True)

@@ -22,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .common import BudgetExceededError, ProgramClassError
+from .common import BudgetExceededError
 from .core import Program, Rule
+# Bound under private names: perfbench/tracing.py pins the code, names included,
+# of functions here that call them.
+from .core import require_dual_normal as _require_dual_normal
 
 # ---------------------------------------------------------------------------
 # Variables
@@ -195,14 +198,6 @@ def eval_formula(f: Formula, assignment: dict[Var, bool]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Encoding
-
-
-def _require_dual_normal(prog: Program) -> None:
-    for r in prog.rules:
-        if r.head and len(r.body_pos) > 1:
-            raise ProgramClassError(
-                "the encoding is defined for dual-normal programs only"
-            )
 
 
 def rules_with_pos_body(prog: Program, body: Iterable[int]) -> tuple[Rule, ...]:

@@ -31,8 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Iterator, Optional
 
-from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError, SynthesisPreconditionError
+from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
 from .core import AtomTable, Program, Rule, ensure_shared, is_model, reduct, split
+# Bound under private names: perfbench/tracing.py pins the code, names included,
+# of functions here that call them.
+from .core import mask_to_set as _masked
+from .core import require_dual_normal as _require_dual_normal
+from .core import submasks_ascending as _subset_masks_ascending
 from .dualhorn import max_model_dual_horn
 
 
@@ -105,18 +110,6 @@ def se_satisfies(pair: SEPair, rule: Rule) -> bool:
     return any(a in y for a in rule.head) and any(b not in x for b in rule.body_pos)
 
 
-def _subset_masks_ascending(mask: int) -> list[int]:
-    subs = []
-    sub = mask
-    while True:
-        subs.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    subs.reverse()
-    return subs
-
-
 def se_models(
     prog: Program,
     universe: Optional[frozenset[int]] = None,
@@ -133,11 +126,11 @@ def se_models(
     budget.check(len(atoms), "SE-model enumeration")
     pairs = []
     for ymask in range(1 << len(atoms)):
-        y = frozenset(a for i, a in enumerate(atoms) if ymask >> i & 1)
+        y = _masked(atoms, ymask)
         y_models = is_model(y, prog)
         red = reduct(prog, y)
         for xmask in _subset_masks_ascending(ymask):
-            x = frozenset(a for i, a in enumerate(atoms) if xmask >> i & 1)
+            x = _masked(atoms, xmask)
             pair = SEPair(x, y)
             direct = y_models and is_model(x, red)
             via_conditions = all(se_satisfies(pair, r) for r in prog.rules)
@@ -238,10 +231,6 @@ def se_properties(se_set: SESet) -> SEProperties:
     )
 
 
-def _masked(atoms: list[int], mask: int) -> frozenset[int]:
-    return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-
-
 def program_from_se_set(se_set: SESet) -> Program:
     """Synthesize a dual-normal program whose SE-models over the universe are
     exactly the given set.
@@ -300,7 +289,7 @@ def program_from_se_set(se_set: SESet) -> Program:
             rules.append(Rule.of(head, body, nbody))
 
     prog = Program.of(se_set.table, rules)
-    assert all(r.is_constraint or len(r.body_pos) <= 1 for r in prog.rules)
+    assert all(r.is_dual_normal for r in prog.rules)
     return prog
 
 
@@ -328,14 +317,6 @@ def program_from_ue_set(se_set: SESet) -> Program:
     closed_props = se_properties(closed)
     assert closed_props.complete and closed_props.closed_here_union
     return program_from_se_set(closed)
-
-
-def _require_dual_normal(prog: Program) -> None:
-    for r in prog.rules:
-        if r.head and len(r.body_pos) > 1:
-            raise ProgramClassError(
-                "program is not dual-normal (a proper rule has more than one positive body atom)"
-            )
 
 
 def is_ue_model_dn(

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, Rule, is_model, reduct, split
+from .core import Program, Rule, is_model, mask_to_set, reduct, split
 from .oracle import answer_sets_bf, minimal_models
 
 
@@ -172,7 +172,7 @@ def _translated_answer_sets(
     atoms = sorted(prog.atom_ids)
     out: set[frozenset[int]] = set()
     for mask in range(1 << len(atoms)):
-        m = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+        m = mask_to_set(atoms, mask)
         lifted = mp_of(prog, m)
         for n in _seeded_minimal_models(prog, m, star, budget):
             candidate = lifted | n
@@ -197,7 +197,7 @@ def check_trans2(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     negs = frozenset(neg_atom(prog, x) for x in atoms)
 
     for mask in range(1 << len(atoms)):
-        m = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+        m = mask_to_set(atoms, mask)
         lifted = mp_of(prog, m)
         members = [
             (lifted | n) in as_q for n in _seeded_minimal_models(prog, m, False, budget)

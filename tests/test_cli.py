@@ -114,6 +114,12 @@ def test_equiv_modes_and_witnesses(files):
     assert code == 0
 
 
+def test_dn_fast_needs_uniform_mode(files):
+    for mode in ("as", "strong"):
+        code, out, err = invoke("equiv", files["dual3.lp"], files["ab.lp"], "--mode", mode, "--dn-fast")
+        assert code == 2 and out == "" and "--dn-fast requires --mode uniform" in err
+
+
 def test_translate_round_trip_solvable(files, tmp_path):
     code, out, _ = invoke("translate", files["ab.lp"], "--to", "normal")
     assert code == 0
@@ -164,6 +170,7 @@ def test_usage_errors(files):
     assert invoke("bogus")[0] == 2
     assert invoke("solve", files["ab.lp"], "--method", "magic")[0] == 2
     assert invoke("solve", "no_such_file.lp")[0] == 2
+    assert invoke("--seed", "1", "solve", files["ab.lp"])[0] == 2
 
 
 def test_budget_exit(files):

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from dualnorm.common import ProgramClassError
 from dualnorm.core import AtomTable, Program, Rule, is_model, p_t_transform, reduct, satisfies, split
+from dualnorm.dualhorn import answer_sets_dn, is_answer_set_dn
 from dualnorm.gen import random_program
+from dualnorm.satenc import answer_sets_via_sat, build_f
+from dualnorm.seue import SEPair, is_ue_model_dn, uniformly_equivalent_dn
 from dualnorm.textio import parse_program
 
 from conftest import ids_of
@@ -163,3 +167,27 @@ def test_canonical_fingerprint_ignores_ids():
     p = parse_program("a :- b.\nc.")
     q = parse_program("c.\na :- b.")  # different id assignment order
     assert p.canonical() == q.canonical()
+
+
+def test_rule_is_dual_normal():
+    p = parse_program("a :- b, c.\n:- b, c.\na | b :- c, not d.\na.")
+    assert [r.is_dual_normal for r in p.rules] == [False, True, True, True]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        answer_sets_dn,
+        lambda p: is_answer_set_dn(p, frozenset()),
+        answer_sets_via_sat,
+        build_f,
+        lambda p: is_ue_model_dn(p, SEPair(frozenset(), frozenset())),
+        lambda p: uniformly_equivalent_dn(p, p),
+    ],
+    ids=["answer_sets_dn", "is_answer_set_dn", "answer_sets_via_sat", "build_f", "is_ue_model_dn",
+         "uniformly_equivalent_dn"],
+)
+def test_dual_normal_guard_is_shared(call):
+    with pytest.raises(ProgramClassError) as exc:
+        call(parse_program("a :- b, c."))
+    assert str(exc.value) == "program is not dual-normal (a proper rule has more than one positive body atom)"

@@ -117,7 +117,7 @@ def test_decomposed_answer_sets_against_brute_force():
     # the per-owner decomposition must agree with plain enumeration; small
     # inputs keep the translated program within brute-force reach
     rng = random.Random(15)
-    big = OracleBudget(max_atoms=24, max_subsets=1 << 24)
+    big = OracleBudget(max_atoms=24)
     for _ in range(60):
         p = random_program(rng, rng.randint(1, 2), 4)
         for star in (False, True):
