@@ -17,7 +17,8 @@ from .classify import classify_labels
 from .common import BudgetExceededError, OracleBudget, ProgramClassError, SynthesisPreconditionError
 from .core import AtomTable, Program
 from .dualhorn import answer_sets_dn, elimination_fixpoint, pmm
-from .oracle import answer_sets_bf, equivalent_as
+# equivalent_as is unused here, but perfbench/tracing.py swaps this name on cli.
+from .oracle import answer_sets_bf, equivalent_as  # noqa: F401
 from .satenc import answer_sets_via_sat, base_var, program_cnf
 from .seue import _ue_disagreement_dn, se_models, se_properties, ue_models, program_from_se_set, program_from_ue_set
 from .reductions import parse_cnf3, parse_qbf, qbf_to_program, unsat_to_singular
@@ -194,13 +195,10 @@ def _run(args, out: TextIO, err: TextIO) -> int:
         p = _load_program(args.file1, table)
         q = _load_program(args.file2, table)
         if args.mode == "as":
-            if equivalent_as(p, q, budget):
+            diff = set(answer_sets_bf(p, budget)) ^ set(answer_sets_bf(q, budget))
+            if not diff:
                 return EXIT_POSITIVE
-            diff = sorted(
-                _names_key(table, m)
-                for m in set(answer_sets_bf(p, budget)) ^ set(answer_sets_bf(q, budget))
-            )
-            out.write(" ".join(diff[0]) + "\n")
+            out.write(" ".join(min(_names_key(table, m) for m in diff)) + "\n")
             return EXIT_NEGATIVE
         if args.dn_fast:
             witness = _ue_disagreement_dn(p, q, budget)

@@ -20,10 +20,6 @@ RESERVED_PREFIX = "__"
 Interpretation = frozenset  # atom-id sets; universes are passed explicitly
 
 
-class ReservedNameError(ValueError):
-    """An atom name uses the reserved generated-atom prefix."""
-
-
 class AtomTable:
     """Append-only bijection between atom names and small integer ids.
 
@@ -131,10 +127,6 @@ class Rule:
     def is_dual_horn(self) -> bool:
         return len(self.body_pos) <= 1 and not self.body_neg
 
-    @property
-    def is_fact(self) -> bool:
-        return bool(self.head) and not self.body_pos and not self.body_neg
-
     def atom_ids(self) -> frozenset[int]:
         return frozenset(self.head) | frozenset(self.body_pos) | frozenset(self.body_neg)
 
@@ -171,6 +163,14 @@ class Program:
             out.update(r.body_pos)
             out.update(r.body_neg)
         return frozenset(out)
+
+    @cached_property
+    def rules_by_pos_body(self) -> dict[tuple[int, ...], tuple[Rule, ...]]:
+        """The rules grouped by positive body, each group in program order."""
+        out: dict[tuple[int, ...], list[Rule]] = {}
+        for r in self.rules:
+            out.setdefault(r.body_pos, []).append(r)
+        return {body: tuple(rules) for body, rules in out.items()}
 
     def atom_names(self) -> list[str]:
         return self.table.names_of(self.atom_ids)
@@ -218,6 +218,35 @@ def reduct(prog: Program, interp: frozenset[int]) -> Program:
         if not any(a in interp for a in r.body_neg)
     ]
     return Program.of(prog.table, kept)
+
+
+def compile_masks(prog: Program, atoms: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Rules as (head, pos, neg) bitmasks over the atom order (bit i is
+    ``atoms[i]``).
+
+    Rules with a positive-body atom outside the universe are satisfied by
+    every subset of the universe and are dropped; head/negative atoms outside
+    the universe cannot contribute and are masked away.
+    """
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    compiled = []
+    for r in prog.rules:
+        if any(a not in bit for a in r.body_pos):
+            continue
+        hmask = sum(bit[a] for a in r.head if a in bit)
+        pmask = sum(bit[a] for a in r.body_pos)
+        nmask = sum(bit[a] for a in r.body_neg if a in bit)
+        compiled.append((hmask, pmask, nmask))
+    return compiled
+
+
+def satisfies_reduct(compiled: list[tuple[int, int, int]], y: int, x: int) -> bool:
+    """The mask ``x`` is a model of the reduct of the compiled rules w.r.t.
+    the mask ``y``; with ``x == y``, ``y`` is a classical model."""
+    for h, p, n in compiled:
+        if not (n & y or h & x or p & ~x):
+            return False
+    return True
 
 
 def p_t_transform(prog: Program, t: int) -> Program:

@@ -2,9 +2,9 @@
 
 A dual-Horn program (at most one positive body atom per rule, no negation)
 either has no models or a unique inclusion-maximal one.  The maximal model
-is computed by an elimination fixpoint: after padding every empty positive
-body with a fresh atom ``t``, grow the set of atoms that cannot belong to
-any model::
+is computed by an elimination fixpoint: reading every empty positive body
+as a fresh atom ``t``, grow the set of atoms that cannot belong to any
+model::
 
     E_0 = {},   E_i = { b | (H <- b) a rule, H a subset of E_{i-1} }
 
@@ -12,6 +12,9 @@ The complement of the fixpoint (within the atoms plus ``t``) is the maximal
 model, and the program is unsatisfiable exactly when ``t`` gets eliminated.
 The loop runs as counter-based unit propagation on the reversed definite
 rules ``b <- H`` (the Dowling-Gallier scheme), linear in the program size.
+The trace keeps each eliminated atom once, with the level boundaries, so it
+is linear too; the levels E_i, whose total size can be quadratic, are built
+only on request.
 
 On top of this sits the answer-set check for dual-normal programs: ``M`` is
 an answer set iff ``M`` is a model and, for every ``m`` in ``M``, the
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError
-from .core import Program, Rule, is_model, p_t_transform, reduct, split
+from .core import Program, Rule, is_model, reduct, split
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import require_dual_normal as _require_dual_normal
@@ -33,12 +36,22 @@ from .core import require_dual_normal as _require_dual_normal
 
 @dataclass(frozen=True)
 class EliminationTrace:
-    """The chain E_0, E_1, ... up to its fixpoint, over at(P) plus ``t``."""
+    """The chain E_0, E_1, ... up to its fixpoint, over at(P) plus ``t``.
 
-    levels: tuple[frozenset[int], ...]
+    Each eliminated atom is stored once, in level order, with the level
+    boundaries; the levels themselves are built only when asked for.
+    """
+
+    eliminated: tuple[int, ...]
+    bounds: tuple[int, ...]
     max_model: frozenset[int]
     t_atom: int
     t_eliminated: bool
+
+    @property
+    def levels(self) -> tuple[frozenset[int], ...]:
+        """E_i is the first ``bounds[i]`` eliminated atoms."""
+        return tuple(frozenset(self.eliminated[:b]) for b in self.bounds)
 
     def to_dict(self, table) -> dict:
         return {
@@ -68,10 +81,11 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
     t = table.generated(("t", t_stem), t_stem)
     if t in prog.atom_ids:
         t = table.fresh(t_stem)
-    padded = p_t_transform(prog, t)
 
-    # Reversed rule b <- H: counter tracks head atoms not yet eliminated.
-    rules = padded.rules
+    # Reversed rule b <- H, an empty positive body read as t: the counter
+    # tracks head atoms not yet eliminated.
+    rules = prog.rules
+    bodies = [r.body_pos[0] if r.body_pos else t for r in rules]
     counters = [len(r.head) for r in rules]
     occurs: dict[int, list[int]] = {}
     for idx, r in enumerate(rules):
@@ -79,14 +93,16 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
             occurs.setdefault(h, []).append(idx)
 
     eliminated: set[int] = set()
-    levels = [frozenset()]
+    order: list[int] = []
+    bounds = [0]
     ready = [idx for idx, c in enumerate(counters) if c == 0]
     while True:
-        new_atoms = sorted({rules[idx].body_pos[0] for idx in ready} - eliminated)
+        new_atoms = {bodies[idx] for idx in ready} - eliminated
         if not new_atoms:
             break
         eliminated.update(new_atoms)
-        levels.append(frozenset(eliminated))
+        order.extend(new_atoms)
+        bounds.append(len(order))
         ready = []
         for a in new_atoms:
             for idx in occurs.get(a, ()):
@@ -96,7 +112,8 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
 
     universe = prog.atom_ids | {t}
     return EliminationTrace(
-        levels=tuple(levels),
+        eliminated=tuple(order),
+        bounds=tuple(bounds),
         max_model=frozenset(universe - eliminated),
         t_atom=t,
         t_eliminated=t in eliminated,
@@ -134,10 +151,7 @@ def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
     rules = list(reduct(proper, interp).rules)
     rules.extend(Rule.of((), (b,)) for b in sorted(prog.atom_ids - interp))
     rules.append(Rule.of((), (m,)))
-    out = Program.of(prog.table, rules)
-    if all(r.is_dual_normal for r in prog.rules):
-        assert all(r.is_dual_horn for r in out.rules)
-    return out
+    return Program.of(prog.table, rules)
 
 
 def is_answer_set_dn(prog: Program, interp: frozenset[int]) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, ensure_shared, is_model, mask_to_set, split
+from .core import Program, compile_masks, ensure_shared, is_model, mask_to_set, satisfies_reduct
 from .dualhorn import pmm
 
 # Re-exported here because the budget is part of the oracle's contract.
@@ -27,42 +27,8 @@ __all__ = [
 ]
 
 
-def _compile_masks(prog: Program, atoms: list[int]) -> list[tuple[int, int, int, int]]:
-    """Rules as (head|neg, head, pos, neg) masks over the atom order.
-
-    Rules with a positive-body atom outside the universe are satisfied by
-    every subset of the universe and are dropped; head/negative atoms outside
-    the universe cannot contribute and are masked away.
-    """
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    compiled = []
-    for r in prog.rules:
-        if any(a not in bit for a in r.body_pos):
-            continue
-        hmask = sum(bit[a] for a in r.head if a in bit)
-        pmask = sum(bit[a] for a in r.body_pos)
-        nmask = sum(bit[a] for a in r.body_neg if a in bit)
-        compiled.append((hmask | nmask, hmask, pmask, nmask))
-    return compiled
-
-
 def _mask_models(compiled, nbits: int) -> list[int]:
-    out = []
-    for m in range(1 << nbits):
-        if all(hn & m or p & ~m for hn, _, p, _ in compiled):
-            out.append(m)
-    return out
-
-
-def _satisfies_reduct(compiled, m_for_reduct: int, candidate: int) -> bool:
-    """candidate satisfies the reduct taken w.r.t. m_for_reduct."""
-    for _, h, p, n in compiled:
-        if n & m_for_reduct:
-            continue
-        if h & candidate or p & ~candidate:
-            continue
-        return False
-    return True
+    return [m for m in range(1 << nbits) if satisfies_reduct(compiled, m, m)]
 
 
 def _universe_list(prog: Program, universe: Optional[frozenset[int]]) -> list[int]:
@@ -77,7 +43,7 @@ def models(
     """All classical models within the universe, in subset-lex order."""
     atoms = _universe_list(prog, universe)
     budget.check(len(atoms), "model enumeration")
-    compiled = _compile_masks(prog, atoms)
+    compiled = compile_masks(prog, atoms)
     return [mask_to_set(atoms, m) for m in _mask_models(compiled, len(atoms))]
 
 
@@ -89,7 +55,7 @@ def minimal_models(
     """Inclusion-minimal classical models."""
     atoms = _universe_list(prog, universe)
     budget.check(len(atoms), "minimal-model enumeration")
-    all_masks = _mask_models(_compile_masks(prog, atoms), len(atoms))
+    all_masks = _mask_models(compile_masks(prog, atoms), len(atoms))
     minimal = [
         m for m in all_masks if not any(o != m and o & m == o for o in all_masks)
     ]
@@ -99,44 +65,28 @@ def minimal_models(
 def answer_sets_bf(
     prog: Program,
     budget: OracleBudget = DEFAULT_BUDGET,
-    _check_decomposition: bool = True,
 ) -> list[frozenset[int]]:
-    """All answer sets, by definition: M a minimal model of the reduct P^M.
-
-    Also asserts the split characterization (answer sets = answer sets of the
-    proper part that satisfy the constraints) whenever constraints exist.
-    """
+    """All answer sets, by definition: M a minimal model of the reduct P^M."""
     atoms = sorted(prog.atom_ids)
     budget.check(len(atoms), "answer-set enumeration")
-    compiled = _compile_masks(prog, atoms)
-    result_masks = []
+    compiled = compile_masks(prog, atoms)
+    result = []
     for m in range(1 << len(atoms)):
-        if not all(hn & m or p & ~m for hn, _, p, _ in compiled):
+        if not satisfies_reduct(compiled, m, m):
             continue
         # minimality of m over the reduct w.r.t. m: no proper subset models it
         minimal = True
         if m:
             sub = (m - 1) & m
             while True:
-                if _satisfies_reduct(compiled, m, sub):
+                if satisfies_reduct(compiled, m, sub):
                     minimal = False
                     break
                 if sub == 0:
                     break
                 sub = (sub - 1) & m
         if minimal:
-            result_masks.append(m)
-    result = [mask_to_set(atoms, m) for m in result_masks]
-
-    if _check_decomposition:
-        proper, constraints = split(prog)
-        if constraints.rules:
-            via_split = [
-                m
-                for m in answer_sets_bf(proper, budget, _check_decomposition=False)
-                if is_model(m, constraints)
-            ]
-            assert set(via_split) == set(result), "split characterization violated"
+            result.append(mask_to_set(atoms, m))
     return result
 
 

@@ -128,7 +128,7 @@ def is_complexity_sensitive(
 
     ``count="literals"`` counts distinct universal literals per term, which
     is exactly what bounds the positive bodies of the witness rules, so a
-    positive verdict guarantees a dual-normal program (asserted).  The
+    positive verdict guarantees a dual-normal program.  The
     looser ``count="atoms"`` counts distinct universal atoms, letting a term
     mention both polarities of one universal variable; such terms still
     produce two-atom positive bodies.
@@ -141,10 +141,6 @@ def is_complexity_sensitive(
             seen = {(v, pos) for v, pos in term if v in universal}
         if len(seen) > 1:
             return False
-    if count == "literals":
-        from .classify import classify_labels
-
-        assert classify_labels(qbf_to_program(qbf)).dual_normal
     return True
 
 
@@ -171,12 +167,7 @@ def unsat_to_singular(cnf: Cnf3, table: AtomTable | None = None) -> Program:
     for clause in cnf.clauses:
         neg = [atom[lit] if lit > 0 else comp[-lit] for lit in clause]
         rules.append(Rule.of((), (), neg))
-    prog = Program.of(table, rules)
-
-    from .classify import classify_labels
-
-    assert classify_labels(prog).singular
-    return prog
+    return Program.of(table, rules)
 
 
 # ---------------------------------------------------------------------------

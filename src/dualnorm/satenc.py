@@ -202,8 +202,7 @@ def eval_formula(f: Formula, assignment: dict[Var, bool]) -> bool:
 
 def rules_with_pos_body(prog: Program, body: Iterable[int]) -> tuple[Rule, ...]:
     """The rules whose positive body equals the given atom set."""
-    wanted = frozenset(body)
-    return tuple(r for r in prog.rules if frozenset(r.body_pos) == wanted)
+    return prog.rules_by_pos_body.get(tuple(sorted(set(body))), ())
 
 
 def build_f0(prog: Program, m: int) -> Formula:
@@ -218,12 +217,15 @@ def build_f0(prog: Program, m: int) -> Formula:
     return FAnd(tuple(parts))
 
 
-def _survival(prog_proper: Program, m: int, i: int, body: frozenset[int]) -> Formula:
-    """No rule with this positive body eliminates its body atom at level i:
-    each such rule keeps a head atom at the previous level or is discarded by
-    the reduct (a negative body atom holds in the candidate model)."""
+def _survival(prog: Program, m: int, i: int, body: Iterable[int]) -> Formula:
+    """No proper rule with this positive body eliminates its body atom at
+    level i: each such rule keeps a head atom at the previous level or is
+    discarded by the reduct (a negative body atom holds in the candidate
+    model)."""
     parts = []
-    for r in rules_with_pos_body(prog_proper, body):
+    for r in rules_with_pos_body(prog, body):
+        if not r.head:
+            continue
         lits: list[Formula] = [FVar(level_var(h, m, i - 1)) for h in r.head]
         lits.extend(FVar(base_var(b)) for b in r.body_neg)
         parts.append(disj(lits))
@@ -237,14 +239,13 @@ def build_fi(prog: Program, m: int, i: int) -> Formula:
     p = len(prog.atom_ids)
     if not 1 <= i <= p:
         raise ValueError(f"level {i} out of range 1..{p}")
-    proper = prog.with_rules(r for r in prog.rules if r.head)
     parts: list[Formula] = []
     for a in sorted(prog.atom_ids):
         if a == m:
             continue
-        cond = FAnd((FVar(level_var(a, m, i - 1)), _survival(proper, m, i, frozenset((a,)))))
+        cond = FAnd((FVar(level_var(a, m, i - 1)), _survival(prog, m, i, (a,))))
         parts.append(FIff(FVar(level_var(a, m, i)), cond))
-    t_cond = FAnd((FVar(level_var(None, m, i - 1)), _survival(proper, m, i, frozenset())))
+    t_cond = FAnd((FVar(level_var(None, m, i - 1)), _survival(prog, m, i, ())))
     parts.append(FIff(FVar(level_var(None, m, i)), t_cond))
     return FAnd(tuple(parts)) if len(parts) > 1 else parts[0]
 

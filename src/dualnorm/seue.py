@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Iterable, Iterator, Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
-from .core import AtomTable, Program, Rule, ensure_shared, is_model, reduct, split
+from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, is_model, reduct, satisfies_reduct, split
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import mask_to_set as _masked
@@ -76,9 +76,6 @@ class SESet:
     def with_pairs(self, pairs: Iterable[SEPair]) -> "SESet":
         return SESet(self.table, self.universe, frozenset(pairs))
 
-    def heres_for(self, there: frozenset[int]) -> set[frozenset[int]]:
-        return {p.here for p in self.pairs if p.there == there}
-
     def diagonal(self) -> set[frozenset[int]]:
         return {p.there for p in self.pairs if p.here == p.there}
 
@@ -115,28 +112,22 @@ def se_models(
     universe: Optional[frozenset[int]] = None,
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> SESet:
-    """All SE-models of the program over the universe (default: its atoms).
-
-    Every candidate pair is evaluated both by the definition (model of P,
-    model of the reduct) and by the rule-wise four-condition test; the two
-    must agree, which is asserted.
-    """
+    """All SE-models of the program over the universe (default: its atoms),
+    by the definition: Y a model of P, X a model of the reduct P^Y."""
     uni = frozenset(prog.atom_ids if universe is None else universe)
     atoms = sorted(uni)
     budget.check(len(atoms), "SE-model enumeration")
+    compiled = compile_masks(prog, atoms)
     pairs = []
     for ymask in range(1 << len(atoms)):
+        if not satisfies_reduct(compiled, ymask, ymask):
+            continue
         y = _masked(atoms, ymask)
-        y_models = is_model(y, prog)
-        red = reduct(prog, y)
-        for xmask in _subset_masks_ascending(ymask):
-            x = _masked(atoms, xmask)
-            pair = SEPair(x, y)
-            direct = y_models and is_model(x, red)
-            via_conditions = all(se_satisfies(pair, r) for r in prog.rules)
-            assert direct == via_conditions, "rule-wise SE test disagrees with the definition"
-            if direct:
-                pairs.append(pair)
+        pairs.extend(
+            SEPair(_masked(atoms, xmask), y)
+            for xmask in _subset_masks_ascending(ymask)
+            if satisfies_reduct(compiled, ymask, xmask)
+        )
     return SESet(table=prog.table, universe=uni, pairs=frozenset(pairs))
 
 
@@ -220,8 +211,6 @@ def se_properties(se_set: SESet) -> SEProperties:
         if not splittable:
             break
 
-    if ue_complete and splittable:
-        assert closed_uni, "splittable UE-complete set must be closed under here-union"
     return SEProperties(
         complete=complete,
         closed_here_intersection=closed_int,
@@ -288,9 +277,7 @@ def program_from_se_set(se_set: SESet) -> Program:
             nbody = {min(y - hat_y) for y in others}
             rules.append(Rule.of(head, body, nbody))
 
-    prog = Program.of(se_set.table, rules)
-    assert all(r.is_dual_normal for r in prog.rules)
-    return prog
+    return Program.of(se_set.table, rules)
 
 
 def se_closure(se_set: SESet) -> SESet:
@@ -313,10 +300,7 @@ def program_from_ue_set(se_set: SESet) -> Program:
         raise SynthesisPreconditionError(
             "UE-program synthesis needs a UE-complete, splittable set"
         )
-    closed = se_closure(se_set)
-    closed_props = se_properties(closed)
-    assert closed_props.complete and closed_props.closed_here_union
-    return program_from_se_set(closed)
+    return program_from_se_set(se_closure(se_set))
 
 
 def is_ue_model_dn(

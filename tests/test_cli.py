@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import dualnorm.cli as cli
+import dualnorm.oracle as oracle
 from dualnorm.cli import run
 
 from conftest import DISJ3, DISJ3_DUAL, DISJ3_NORMAL, UNSPLITTABLE
@@ -112,6 +114,23 @@ def test_equiv_modes_and_witnesses(files):
     assert code == 1 and out.strip()
     code, out, _ = invoke("equiv", files["ab.lp"], files["ab.lp"], "--mode", "as")
     assert code == 0
+
+
+def test_equiv_as_solves_each_program_once(files, tmp_path, monkeypatch):
+    solved = []
+    solve = oracle.answer_sets_bf
+
+    def counting(prog, *args):
+        solved.append(prog)
+        return solve(prog, *args)
+
+    monkeypatch.setattr(cli, "answer_sets_bf", counting)
+    monkeypatch.setattr(oracle, "answer_sets_bf", counting)
+    a = tmp_path / "a.lp"
+    a.write_text("a.\n")
+    code, out, _ = invoke("equiv", files["ab.lp"], str(a), "--mode", "as")
+    assert (code, out) == (1, "b\n")
+    assert len(solved) == 2
 
 
 def test_dn_fast_needs_uniform_mode(files):

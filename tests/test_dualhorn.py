@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -98,6 +99,22 @@ def test_monotone_chain_and_stabilization():
         assert len(tr.levels) <= len(dual_horn.atom_ids) + 2
 
 
+def test_elimination_trace_memory_is_linear():
+    # a chain eliminates one atom per level; storing every level as a set
+    # would hold about n^2 / 2 = 12.5M entries
+    n = 5000
+    table = AtomTable()
+    a = [table.intern(f"a{i}") for i in range(n + 1)]
+    chain = Program.of(table, [Rule.of((a[i],), (a[i + 1],)) for i in range(n)] + [Rule.of((), (a[0],))])
+    tracemalloc.start()
+    try:
+        assert max_model_dual_horn(chain) == frozenset()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_pmm_examples():
     p = parse_program("a | b.")
     out = pmm(p, ids_of(p, "a"), p.table.id_of("a"))
@@ -115,6 +132,17 @@ def test_pmm_examples():
 
     with pytest.raises(ValueError):
         pmm(p, ids_of(p, "a"), p.table.id_of("b"))
+
+
+def test_pmm_of_dual_normal_program_is_dual_horn():
+    rng = random.Random(12)
+    for _ in range(100):
+        p = random_dual_normal_program(rng, rng.randint(1, 5), 6)
+        atoms = sorted(p.atom_ids)
+        for mask in range(1 << len(atoms)):
+            interp = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+            for m in interp:
+                assert all(r.is_dual_horn for r in pmm(p, interp, m).rules)
 
 
 def test_pmm_matches_minimality_semantics():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from dualnorm.common import BudgetExceededError, OracleBudget
-from dualnorm.gen import random_program
+from dualnorm.core import is_model, split
+from dualnorm.gen import random_program, structured_corpus
 from dualnorm.oracle import (
     answer_sets_bf,
     equivalent_as,
@@ -58,6 +59,18 @@ def test_empty_program_answer_set():
 
     p = Program.of(AtomTable(), [])
     assert answer_sets_bf(p) == [frozenset()]
+
+
+def test_answer_sets_split_characterization():
+    # answer sets are the answer sets of the proper part that satisfy the
+    # constraints
+    with_constraints = 0
+    for prog in structured_corpus(seed=41, count=300, max_atoms=5, max_rules=7):
+        proper, constraints = split(prog)
+        with_constraints += bool(constraints.rules)
+        via_split = {m for m in answer_sets_bf(proper) if is_model(m, constraints)}
+        assert set(answer_sets_bf(prog)) == via_split
+    assert with_constraints > 50
 
 
 def test_is_answer_set_examples():

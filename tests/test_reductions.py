@@ -85,7 +85,7 @@ def test_complexity_sensitive_implies_dual_normal():
             for _ in range(rng.randint(1, 3))
         )
         f = Qbf2E(xs, ys, terms)
-        if is_complexity_sensitive(f):  # the call itself asserts dual-normality
+        if is_complexity_sensitive(f):
             hits += 1
             assert classify_labels(qbf_to_program(f)).dual_normal
     assert hits

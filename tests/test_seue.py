@@ -10,6 +10,7 @@ from dualnorm.gen import (
     random_dual_normal_program,
     random_normal_program,
     random_se_pairs,
+    structured_corpus,
 )
 from dualnorm.oracle import strongly_equivalent_bf, uniformly_equivalent_bf
 from dualnorm.seue import (
@@ -55,6 +56,23 @@ def test_se_models_fixtures():
     assert name_pairs(se_q) == name_pairs(se_p) | {((), ("a", "b", "c"))}
     se_r = se_models(parse_program(DISJ3_DUAL))
     assert name_pairs(se_r) == name_pairs(se_p) | {(("a", "b"), ("a", "b", "c"))}
+
+
+def test_se_models_agree_with_se_satisfies():
+    # the mask enumeration against the rule-wise four-condition test, over
+    # every pair of the program's atoms and of a universe one atom wider
+    for prog in structured_corpus(seed=42, count=120, max_atoms=4, max_rules=6):
+        wider = prog.atom_ids | {prog.table.intern("zz")}
+        for universe in (prog.atom_ids, wider):
+            se_set = se_models(prog, universe=universe)
+            atoms = sorted(universe)
+            for ymask in range(1 << len(atoms)):
+                y = frozenset(a for i, a in enumerate(atoms) if ymask >> i & 1)
+                for xmask in range(1 << len(atoms)):
+                    if xmask & ymask != xmask:
+                        continue
+                    pair = SEPair(frozenset(a for i, a in enumerate(atoms) if xmask >> i & 1), y)
+                    assert (pair in se_set) == all(se_satisfies(pair, r) for r in prog.rules)
 
 
 def test_ue_models_examples():
@@ -204,7 +222,7 @@ def test_dual_normal_ue_sets_ue_complete_and_splittable():
     for _ in range(150):
         p = random_dual_normal_program(rng, rng.randint(1, 5), 6)
         props = se_properties(ue_models(se_models(p)))
-        assert props.ue_complete and props.splittable
+        assert props.ue_complete and props.splittable and props.closed_here_union
 
 
 def test_normal_programs_here_intersection_closed():
@@ -238,6 +256,11 @@ def test_ue_round_trip_random():
         props = se_properties(s)
         if not (props.ue_complete and props.splittable):
             continue
+        # UE-complete and splittable implies here-union closed, and the
+        # closure handed to the SE synthesis meets its precondition
+        assert props.closed_here_union
+        closed = se_properties(se_closure(s))
+        assert closed.complete and closed.closed_here_union
         built = program_from_ue_set(s)
         assert classify_labels(built).dual_normal
         assert ue_models(se_models(built, universe=s.universe)).pairs == s.pairs

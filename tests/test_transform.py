@@ -123,7 +123,7 @@ def test_decomposed_answer_sets_against_brute_force():
         for star in (False, True):
             q = translate_star(p) if star else translate(p)
             fast = _translated_answer_sets(p, q, star=star, budget=big)
-            slow = set(answer_sets_bf(q, big, _check_decomposition=False))
+            slow = set(answer_sets_bf(q, big))
             assert fast == slow, (render_program(p), star)
 
 
