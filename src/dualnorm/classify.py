@@ -4,12 +4,12 @@ The head-cycle-free (HCF) and body-cycle-free (BCF) tests reduce the cycle
 condition to strongly connected components: a program fails HCF exactly when
 two distinct head atoms of one rule share an SCC of the positive dependency
 digraph, and fails BCF when two distinct positive-body atoms of one proper
-rule do.
+rule do.  It is tight exactly when no rule has a head atom and a positive-body
+atom in one SCC (a self-loop included).  One SCC pass yields all three.
 
 BCF deliberately ignores constraint bodies.  Including them would make some
 dual-normal programs non-BCF (take ``:- a, b.  a :- b.  b :- a.``), while
-dual-normal programs must all be body-cycle free; the stricter reading is
-available via ``include_constraints=True`` for sensitivity checks.
+dual-normal programs must all be body-cycle free.
 """
 
 from __future__ import annotations
@@ -111,48 +111,37 @@ def sccs(graph: DepGraph) -> list[tuple[int, ...]]:
     return components
 
 
-def _scc_ids(prog: Program) -> dict[int, int]:
-    ids: dict[int, int] = {}
+def _cycle_free(prog: Program) -> tuple[bool, bool, bool]:
+    """(hcf, bcf, tight) from one SCC pass; see the module docstring."""
+    scc_id: dict[int, int] = {}
     for k, comp in enumerate(sccs(dep_graph(prog))):
         for v in comp:
-            ids[v] = k
-    return ids
-
-
-def _two_in_one_scc(atoms: tuple[int, ...], scc_id: dict[int, int]) -> bool:
-    seen: set[int] = set()
-    for a in atoms:
-        k = scc_id[a]
-        if k in seen:
-            return True
-        seen.add(k)
-    return False
+            scc_id[v] = k
+    hcf = bcf = tight = True
+    for r in prog.rules:
+        heads = {scc_id[a] for a in r.head}
+        hcf = hcf and len(heads) == len(r.head)
+        if r.body_pos:
+            body = {scc_id[a] for a in r.body_pos}
+            bcf = bcf and (not r.head or len(body) == len(r.body_pos))
+            tight = tight and heads.isdisjoint(body)
+    return hcf, bcf, tight
 
 
 def is_hcf(prog: Program) -> bool:
     """Head-cycle free: no rule has two distinct head atoms in one SCC."""
-    scc_id = _scc_ids(prog)
-    return not any(_two_in_one_scc(r.head, scc_id) for r in prog.rules if len(r.head) > 1)
+    return _cycle_free(prog)[0]
 
 
-def is_bcf(prog: Program, include_constraints: bool = False) -> bool:
-    """Body-cycle free: no (proper) rule has two distinct positive-body atoms
+def is_bcf(prog: Program) -> bool:
+    """Body-cycle free: no proper rule has two distinct positive-body atoms
     in one SCC.  See the module docstring for the constraint-body choice."""
-    scc_id = _scc_ids(prog)
-    return not any(
-        _two_in_one_scc(r.body_pos, scc_id)
-        for r in prog.rules
-        if len(r.body_pos) > 1 and (include_constraints or r.head)
-    )
+    return _cycle_free(prog)[1]
 
 
 def is_tight(prog: Program) -> bool:
     """True when the positive dependency digraph is acyclic."""
-    graph = dep_graph(prog)
-    loops = {x for x, y in graph.edges if x == y}
-    if loops:
-        return False
-    return all(len(c) == 1 for c in sccs(graph))
+    return _cycle_free(prog)[2]
 
 
 def classify_labels(prog: Program) -> ClassLabels:
@@ -168,6 +157,7 @@ def classify_labels(prog: Program) -> ClassLabels:
     positive = all(r.is_positive for r in rules)
     dual_normal = all(r.is_dual_normal for r in rules)
     dual_horn = all(r.is_dual_horn for r in rules)
+    hcf, bcf, tight = _cycle_free(prog)
     return ClassLabels(
         horn=normal and positive,
         dual_horn=dual_horn,
@@ -177,7 +167,7 @@ def classify_labels(prog: Program) -> ClassLabels:
         positive=positive,
         definite=all(r.is_definite for r in rules),
         constraint_free=all(not r.is_constraint for r in rules),
-        hcf=is_hcf(prog),
-        bcf=is_bcf(prog),
-        tight=is_tight(prog),
+        hcf=hcf,
+        bcf=bcf,
+        tight=tight,
     )

@@ -61,8 +61,9 @@ class AtomTable:
     def atoms(self) -> list["Atom"]:
         return [Atom(i, name) for i, name in enumerate(self._names)]
 
-    def fresh(self, stem: str) -> int:
-        """Intern a new generated atom, uniquifying ``stem`` if taken."""
+    def unused_name(self, stem: str) -> str:
+        """A generated-atom name not in the table: ``stem`` with the reserved
+        prefix, uniquified if taken.  Nothing is interned."""
         if not stem.startswith(RESERVED_PREFIX):
             stem = RESERVED_PREFIX + stem
         name = stem
@@ -70,7 +71,11 @@ class AtomTable:
         while name in self._ids:
             k += 1
             name = f"{stem}_{k}"
-        return self.intern(name)
+        return name
+
+    def fresh(self, stem: str) -> int:
+        """Intern a new generated atom, named by :meth:`unused_name`."""
+        return self.intern(self.unused_name(stem))
 
     def generated(self, key: tuple, stem: str) -> int:
         """Stable generated atom: the same key always yields the same id."""

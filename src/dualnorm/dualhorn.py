@@ -34,6 +34,11 @@ from .core import Program, Rule, is_model, reduct, split
 from .core import require_dual_normal as _require_dual_normal
 
 
+# The id of the padding atom t.  An AtomTable hands out ids from 0 up and its
+# ``name_of`` raises IndexError on this one; -1 would silently name the last atom.
+_T_ATOM = -(1 << 62)
+
+
 @dataclass(frozen=True)
 class EliminationTrace:
     """The chain E_0, E_1, ... up to its fixpoint, over at(P) plus ``t``.
@@ -47,6 +52,7 @@ class EliminationTrace:
     max_model: frozenset[int]
     t_atom: int
     t_eliminated: bool
+    t_name: str
 
     @property
     def levels(self) -> tuple[frozenset[int], ...]:
@@ -54,11 +60,14 @@ class EliminationTrace:
         return tuple(frozenset(self.eliminated[:b]) for b in self.bounds)
 
     def to_dict(self, table) -> dict:
+        def names(atoms):
+            return sorted(self.t_name if a == self.t_atom else table.name_of(a) for a in atoms)
+
         return {
-            "t": table.name_of(self.t_atom),
+            "t": self.t_name,
             "t_eliminated": self.t_eliminated,
-            "levels": [table.names_of(level) for level in self.levels],
-            "max_model": table.names_of(self.max_model),
+            "levels": [names(level) for level in self.levels],
+            "max_model": names(self.max_model),
         }
 
 
@@ -73,14 +82,12 @@ def _require_dual_horn(prog: Program) -> None:
 def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace:
     """Run the elimination chain on a dual-Horn program to its fixpoint.
 
-    ``t_stem`` names the fresh padding atom (uniquified if taken).  The chain
-    is monotone and stabilizes within |at(P)| + 1 steps.
+    The padding atom ``t`` is not interned: its id is ``_T_ATOM``, and
+    ``t_stem`` gives it a display name that the table does not hold.  The
+    chain is monotone and stabilizes within |at(P)| + 1 steps.
     """
     _require_dual_horn(prog)
-    table = prog.table
-    t = table.generated(("t", t_stem), t_stem)
-    if t in prog.atom_ids:
-        t = table.fresh(t_stem)
+    t = _T_ATOM
 
     # Reversed rule b <- H, an empty positive body read as t: the counter
     # tracks head atoms not yet eliminated.
@@ -117,6 +124,7 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
         max_model=frozenset(universe - eliminated),
         t_atom=t,
         t_eliminated=t in eliminated,
+        t_name=prog.table.unused_name(t_stem),
     )
 
 

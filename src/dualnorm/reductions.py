@@ -20,6 +20,7 @@ from typing import Literal as LiteralKind
 
 from .common import DEFAULT_BUDGET, OracleBudget
 from .core import AtomTable, Program, Rule
+from .textio import _ATOM_NAME_RE, content_lines
 
 Literal = tuple[str, bool]  # (variable name, positive?)
 
@@ -181,8 +182,6 @@ def parse_qbf(text: str) -> Qbf2E:
         forall y1
         term x1 -y1 x2
     """
-    from .textio import _ATOM_NAME_RE
-
     def checked(names, lineno):
         for name in names:
             if not _ATOM_NAME_RE.match(name) or name.startswith("__"):
@@ -192,10 +191,7 @@ def parse_qbf(text: str) -> Qbf2E:
     exists: list[str] = []
     forall: list[str] = []
     terms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         kind, args = parts[0], parts[1:]
         if kind == "exists":
@@ -217,10 +213,7 @@ def parse_qbf(text: str) -> Qbf2E:
 def parse_cnf3(text: str) -> Cnf3:
     """Parse ``clause 1 -2 3`` lines into a 3-CNF."""
     clauses = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] != "clause":
             raise ValueError(f"line {lineno}: expected 'clause', found {parts[0]!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import RESERVED_PREFIX, AtomTable, Program, Rule
 
@@ -44,72 +44,31 @@ class ParseError(ValueError):
         self.message = message
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<atom>[a-z_][A-Za-z0-9_]*)
-  | (?P<punct>:-|[|,.])
-  """,
-    re.VERBOSE,
-)
+# One token per match; a match beginning with whitespace or ``%`` is skipped.
+# ``not`` matches as an atom and is told apart by the parser.
+_TOKEN_RE = re.compile(r"\s+|%[^\n]*|(?P<atom>[a-z_][A-Za-z0-9_]*)|:-|[|,.]")
 
 _ATOM_NAME_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, SourceSpan]]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(line, col))
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "atom" and value == "not":
-            kind = "not"
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, SourceSpan(line, col)))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    return tokens
+# Parser states; ``_RULE``, the start of a statement, is the only one a text
+# may end in.  ``_NEXT[state]`` maps a token ("atom", "not" or the
+# punctuation itself) to the next state; ``_EXPECTED[state]`` names what any
+# other token lacks.
+_RULE, _HEAD_MORE, _HEAD_ATOM, _BODY_LIT, _NEG_ATOM, _BODY_MORE = range(6)
+_NEXT = (
+    {"atom": _HEAD_MORE, ":-": _BODY_LIT},
+    {"|": _HEAD_ATOM, ":-": _BODY_LIT, ".": _RULE},
+    {"atom": _HEAD_MORE},
+    {"atom": _BODY_MORE, "not": _NEG_ATOM},
+    {"atom": _BODY_MORE},
+    {",": _BODY_LIT, ".": _RULE},
+)
+_EXPECTED = ("a rule", "'.'", "an atom after '|'", "a body literal", "an atom after 'not'", "'.'")
 
 
-class _TokenStream:
-    def __init__(self, tokens, end_span: SourceSpan):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_span = end_span
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("eof", "end of input", self.end_span)
-
-    def next(self):
-        tok = self.peek()
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
-        return tok
-
-
-def _check_atom_name(name: str, span: SourceSpan, allow_generated: bool) -> None:
-    if name.startswith(RESERVED_PREFIX) and not allow_generated:
-        raise ParseError(
-            f"atom {name!r} uses the reserved generated-atom prefix {RESERVED_PREFIX!r}", span
-        )
+def _span(text: str, offset: int) -> SourceSpan:
+    """Line and column (both from 1) of a character offset."""
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
 def parse_program(
@@ -118,49 +77,47 @@ def parse_program(
     """Parse a program from its text form.
 
     A fresh table is created unless one is supplied; supply a shared table
-    when several programs must agree on atom ids.
+    when several programs must agree on atom ids.  Tokens are read one at a
+    time and only their offsets kept; a :class:`ParseError` reports the
+    line:column of the first offending token, or of the end of the text.
     """
     if table is None:
         table = AtomTable()
-    end = SourceSpan(text.count("\n") + 1, 1)
-    stream = _TokenStream(_tokenize(text), end)
     rules = []
-
-    def parse_atom(what: str) -> int:
-        tok = stream.expect("atom", what)
-        _check_atom_name(tok[1], tok[2], allow_generated)
-        return table.intern(tok[1])
-
-    while stream.peek()[0] != "eof":
-        start = stream.peek()
-        head: list[int] = []
-        pos: list[int] = []
-        neg: list[int] = []
-        if start[0] == "atom":
-            head.append(parse_atom("an atom"))
-            while stream.peek()[:2] == ("punct", "|"):
-                stream.next()
-                head.append(parse_atom("an atom after '|'"))
-        elif start[:2] != ("punct", ":-"):
-            raise ParseError(f"expected a rule, found {start[1]!r}", start[2])
-        if stream.peek()[:2] == ("punct", ":-"):
-            stream.next()
-            while True:
-                if stream.peek()[0] == "not":
-                    stream.next()
-                    neg.append(parse_atom("an atom after 'not'"))
-                else:
-                    pos.append(parse_atom("a body literal"))
-                if stream.peek()[:2] == ("punct", ","):
-                    stream.next()
-                    continue
-                break
-        tok = stream.next()
-        if tok[:2] != ("punct", "."):
-            raise ParseError(f"expected '.', found {tok[1]!r}", tok[2])
-        if not head and not pos and not neg:
-            raise ParseError("empty rule (no head and no body)", start[2])
-        rules.append(Rule.of(head, pos, neg))
+    head: list[int] = []
+    pos: list[int] = []
+    neg: list[int] = []
+    state = _RULE
+    offset = 0
+    while offset < len(text):
+        m = _TOKEN_RE.match(text, offset)
+        if m is None:
+            raise ParseError(f"unexpected character {text[offset]!r}", _span(text, offset))
+        start, offset = offset, m.end()
+        token = m.group()
+        if m.lastgroup == "atom":
+            kind = "not" if token == "not" else "atom"
+        elif token[0] in ":|,.":
+            kind = token
+        else:
+            continue
+        following = _NEXT[state].get(kind)
+        if following is None:
+            raise ParseError(f"expected {_EXPECTED[state]}, found {token!r}", _span(text, start))
+        if kind == "atom":
+            if token.startswith(RESERVED_PREFIX) and not allow_generated:
+                raise ParseError(
+                    f"atom {token!r} uses the reserved generated-atom prefix {RESERVED_PREFIX!r}",
+                    _span(text, start),
+                )
+            target = head if following == _HEAD_MORE else neg if state == _NEG_ATOM else pos
+            target.append(table.intern(token))
+        elif following == _RULE:
+            rules.append(Rule.of(head, pos, neg))
+            head, pos, neg = [], [], []
+        state = following
+    if state != _RULE:
+        raise ParseError(f"expected {_EXPECTED[state]}, found 'end of input'", _span(text, len(text)))
     return Program.of(table, rules)
 
 
@@ -186,7 +143,17 @@ def render_program(prog: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SE-set files
+# Line-oriented formats: SE-set files here, QBF and 3-CNF in ``reductions``
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` for each line that is not blank once its ``%``
+    comment is cut and its ends stripped; lines count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].strip()
+        if line:
+            yield lineno, line
+
 
 
 def parse_se_set(text: str, table: Optional[AtomTable] = None):
@@ -206,10 +173,7 @@ def parse_se_set(text: str, table: Optional[AtomTable] = None):
 
     pairs = []
     universe: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("#"):
             parts = line.split()
             if parts[0] != "#universe":

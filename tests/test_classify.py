@@ -1,5 +1,6 @@
 import random
 
+from dualnorm import classify
 from dualnorm.classify import classify_labels, dep_graph, is_bcf, is_hcf, is_tight, sccs
 from dualnorm.gen import random_dual_normal_program
 from dualnorm.textio import parse_program
@@ -74,12 +75,11 @@ def test_is_bcf():
 
 
 def test_bcf_constraint_sensitivity():
-    # dual-normal, yet the constraint's body atoms share a cycle: the strict
-    # reading would reject it, the default keeps dual-normal within BCF
+    # dual-normal, yet the constraint's body atoms share a cycle: BCF ignores
+    # constraint bodies, which keeps dual-normal within BCF
     p = parse_program(":- a, b.\na :- b.\nb :- a.")
     assert classify_labels(p).dual_normal
     assert is_bcf(p)
-    assert not is_bcf(p, include_constraints=True)
 
 
 def test_is_tight():
@@ -99,3 +99,15 @@ def test_horn_implies_normal_positive():
         assert labels.singular == (labels.normal and labels.dual_normal)
         if labels.dual_horn:
             assert labels.dual_normal
+
+
+def test_classify_labels_runs_one_scc_pass(monkeypatch):
+    calls = []
+
+    def counting_sccs(graph):
+        calls.append(graph)
+        return sccs(graph)
+
+    monkeypatch.setattr(classify, "sccs", counting_sccs)
+    classify_labels(parse_program(DISJ3))
+    assert len(calls) == 1

@@ -20,14 +20,14 @@ from conftest import ids_of
 
 
 def levels_as_names(prog, trace):
-    return [prog.table.names_of(level) for level in trace.levels]
+    return trace.to_dict(prog.table)["levels"]
 
 
 def test_elimination_trace_cascade():
     p = parse_program("b | c :- a.\n:- b.\n:- c.")
     tr = elimination_fixpoint(p)
     assert levels_as_names(p, tr) == [[], ["b", "c"], ["a", "b", "c"]]
-    assert p.table.names_of(tr.max_model) == ["__t"]
+    assert tr.to_dict(p.table)["max_model"] == ["__t"]
     assert not tr.t_eliminated
     assert max_model_dual_horn(p) == frozenset()
 
@@ -38,6 +38,30 @@ def test_elimination_trace_unsatisfiable():
     assert levels_as_names(p, tr) == [[], ["a"], ["__t", "a"]]
     assert tr.t_eliminated
     assert max_model_dual_horn(p) is None
+
+
+def test_padding_atom_is_not_interned():
+    p = parse_program("a | b.\nc :- a.")
+    before = p.table.atoms()
+    answer_sets_dn(p)
+    is_answer_set_dn(p, ids_of(p, "a c"))
+    max_model_dual_horn(parse_program("c :- a.", p.table))
+    assert p.table.atoms() == before and len(p.table) == 3
+    tr = elimination_fixpoint(pmm(p, ids_of(p, "a c"), p.table.id_of("a")), t_stem="__t_a")
+    assert tr.t_name == "__t_a" and "__t_a" not in p.table
+    with pytest.raises(IndexError):
+        p.table.name_of(tr.t_atom)
+
+
+def test_padding_atom_name_avoids_program_atoms():
+    p = parse_program("__t :- a.", allow_generated=True)
+    tr = elimination_fixpoint(p)
+    assert tr.to_dict(p.table) == {
+        "t": "__t_2",
+        "t_eliminated": False,
+        "levels": [[]],
+        "max_model": ["__t", "__t_2", "a"],
+    }
 
 
 def test_elimination_trace_empty_program():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -65,6 +66,62 @@ def test_error_spans():
         parse_program("a.\nb | ; c.")
     assert exc.value.span.line == 2
     assert exc.value.span.column == 5
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("a ; b.", "unexpected character ';'", 1, 3),
+        ("A.", "unexpected character 'A'", 1, 1),
+        ("a.\nb :- c, $d.", "unexpected character '$'", 2, 9),
+        ("a.\n\tb | ;", "unexpected character ';'", 2, 6),
+        ("a.\r\nb :- ;", "unexpected character ';'", 2, 6),
+        (".", "expected a rule, found '.'", 1, 1),
+        ("not a.", "expected a rule, found 'not'", 1, 1),
+        (",", "expected a rule, found ','", 1, 1),
+        ("a b.", "expected '.', found 'b'", 1, 3),
+        ("a :- b c.", "expected '.', found 'c'", 1, 8),
+        ("a :- b\n", "expected '.', found 'end of input'", 2, 1),
+        ("a | .", "expected an atom after '|', found '.'", 1, 5),
+        ("a | not.", "expected an atom after '|', found 'not'", 1, 5),
+        ("a :- not .", "expected an atom after 'not', found '.'", 1, 10),
+        ("a :- not not b.", "expected an atom after 'not', found 'not'", 1, 10),
+        ("a :- , b.", "expected a body literal, found ','", 1, 6),
+        (":- a, .", "expected a body literal, found '.'", 1, 7),
+        # the empty rule: a bare ':-' already lacks its body literal
+        (":- .", "expected a body literal, found '.'", 1, 4),
+        (":-.", "expected a body literal, found '.'", 1, 3),
+        ("__x.", "atom '__x' uses the reserved generated-atom prefix '__'", 1, 1),
+        ("a :- b, __c.", "atom '__c' uses the reserved generated-atom prefix '__'", 1, 9),
+        ("a :- not __c.", "atom '__c' uses the reserved generated-atom prefix '__'", 1, 10),
+        # end of input is reported where the text ends (these read 1:1 and
+        # 2:1, the start of the last line, before the parser kept offsets)
+        ("a :- b", "expected '.', found 'end of input'", 1, 7),
+        ("a.\nb |", "expected an atom after '|', found 'end of input'", 2, 4),
+        ("a :-", "expected a body literal, found 'end of input'", 1, 5),
+        ("a :- not", "expected an atom after 'not', found 'end of input'", 1, 9),
+        # the first error in reading order is reported (this read "unexpected
+        # character '$'" at 2:1 when the whole text was tokenized first)
+        ("|.\n$", "expected a rule, found '|'", 1, 1),
+    ],
+)
+def test_error_table(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (exc.value.message, exc.value.span.line, exc.value.span.column) == (message, line, column)
+    assert str(exc.value) == f"{line}:{column}: {message}"
+
+
+def test_parse_memory_is_linear():
+    text = "".join(f"p{i} | q{i} :- p{i + 1}, not q{i + 2}.\n" for i in range(20_000))
+    tracemalloc.start()
+    try:
+        prog = parse_program(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prog.rules) == 20_000
+    assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_comments_and_whitespace():
