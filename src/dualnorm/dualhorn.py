@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError
-from .core import Program, Rule, is_model, reduct, split
+from .core import Program, Rule, is_model
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import require_dual_normal as _require_dual_normal
@@ -155,8 +155,11 @@ def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
     """
     if m not in interp:
         raise ValueError(f"atom {prog.table.name_of(m)!r} is not in the interpretation")
-    proper, _ = split(prog)
-    rules = list(reduct(proper, interp).rules)
+    rules = [
+        Rule(r.head, r.body_pos, ())
+        for r in prog.rules
+        if r.head and not any(a in interp for a in r.body_neg)
+    ]
     rules.extend(Rule.of((), (b,)) for b in sorted(prog.atom_ids - interp))
     rules.append(Rule.of((), (m,)))
     return Program.of(prog.table, rules)

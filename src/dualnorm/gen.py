@@ -11,6 +11,7 @@ import string
 from typing import Iterator, Optional
 
 from .core import AtomTable, Program, Rule, mask_to_set
+from .seue import SEPair, SESet, se_closure
 
 
 def atom_names(n: int) -> list[str]:
@@ -139,28 +140,9 @@ def random_se_pairs(
 def close_complete_here_union(
     pairs: set[tuple[frozenset[int], frozenset[int]]]
 ) -> set[tuple[frozenset[int], frozenset[int]]]:
-    """Close a raw pair set under completeness and here-union (fixpoint)."""
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(closed):
-            if (y, y) not in closed:
-                closed.add((y, y))
-                changed = True
-        diagonal = [y for x, y in closed if x == y]
-        for x, y in list(closed):
-            for z in diagonal:
-                if y <= z and (x, z) not in closed:
-                    closed.add((x, z))
-                    changed = True
-        by_there: dict[frozenset[int], set[frozenset[int]]] = {}
-        for x, y in closed:
-            by_there.setdefault(y, set()).add(x)
-        for y, xs in by_there.items():
-            for x1 in xs:
-                for x2 in xs:
-                    if (x1 | x2, y) not in closed:
-                        closed.add((x1 | x2, y))
-                        changed = True
-    return closed
+    """Close a raw pair set under completeness and here-union: pair every
+    there-component with itself, then take the SE closure."""
+    padded = set(pairs) | {(y, y) for _, y in pairs}
+    universe = frozenset().union(*(y for _, y in padded))
+    se_set = SESet(AtomTable(), universe, frozenset(SEPair(x, y) for x, y in padded))
+    return {(p.here, p.there) for p in se_closure(se_set)}

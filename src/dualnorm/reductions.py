@@ -16,7 +16,6 @@ Two constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal as LiteralKind
 
 from .common import DEFAULT_BUDGET, OracleBudget
 from .core import AtomTable, Program, Rule
@@ -122,27 +121,19 @@ def qbf_to_program(qbf: Qbf2E, table: AtomTable | None = None) -> Program:
     return Program.of(table, rules)
 
 
-def is_complexity_sensitive(
-    qbf: Qbf2E, count: LiteralKind["literals", "atoms"] = "literals"
-) -> bool:
+def is_complexity_sensitive(qbf: Qbf2E) -> bool:
     """Does every term confine itself to (at most) one universal body literal?
 
-    ``count="literals"`` counts distinct universal literals per term, which
-    is exactly what bounds the positive bodies of the witness rules, so a
-    positive verdict guarantees a dual-normal program.  The
-    looser ``count="atoms"`` counts distinct universal atoms, letting a term
-    mention both polarities of one universal variable; such terms still
-    produce two-atom positive bodies.
+    Distinct universal literals are counted, not atoms: the literals are
+    exactly what bounds the positive bodies of the witness rules, so a
+    positive verdict guarantees a dual-normal program.  Counting atoms would
+    pass a term with both polarities of one universal variable, which still
+    produces a two-atom positive body.
     """
     universal = set(qbf.forall_vars)
-    for term in qbf.terms:
-        if count == "atoms":
-            seen = {v for v, _ in term if v in universal}
-        else:
-            seen = {(v, pos) for v, pos in term if v in universal}
-        if len(seen) > 1:
-            return False
-    return True
+    return all(
+        len({(v, pos) for v, pos in term if v in universal}) <= 1 for term in qbf.terms
+    )
 
 
 def unsat_to_singular(cnf: Cnf3, table: AtomTable | None = None) -> Program:

@@ -55,9 +55,6 @@ def level_var(atom: Optional[int], owner: int, level: int) -> Var:
     return Var("level", atom, owner, level)
 
 
-_KIND_RANK = {"base": 0, "pad": 1, "level": 2}
-
-
 def var_sort_key(v: Var) -> tuple:
     """Documented variable order: base atoms by id, then t, then level
     variables lexicographically by (owner, level, atom) with t last."""

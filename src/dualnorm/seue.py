@@ -19,11 +19,18 @@ The closure vocabulary on sets of SE-interpretations:
 * splittable: unions of here-components below a diagonal member Z either
   appear at Z or fit under some intermediate (Z', Z) in the set.
 
+Each flag is one predicate over the grouped view of a set: the heres of
+each there-component, and the diagonal.  The union closure below each
+diagonal member is built once per call and serves both splittability and
+``se_closure``.
+
 Sets of SE-models of dual-normal programs are exactly the complete,
 here-union-closed sets; their UE-model sets are exactly the UE-complete,
 splittable ones.  Both directions of those characterizations are
 constructive here: ``program_from_se_set`` and ``program_from_ue_set``
-synthesize dual-normal programs realizing a given set.
+synthesize dual-normal programs realizing a given set.  Each checks only
+its own precondition; the UE synthesis runs the SE one on the closure it
+has built, which is complete and here-union-closed by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Iterable, Iterator, Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
-from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, is_model, reduct, satisfies_reduct, split
+from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, is_model, reduct, satisfies_reduct
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import mask_to_set as _masked
@@ -75,9 +82,6 @@ class SESet:
 
     def with_pairs(self, pairs: Iterable[SEPair]) -> "SESet":
         return SESet(self.table, self.universe, frozenset(pairs))
-
-    def diagonal(self) -> set[frozenset[int]]:
-        return {p.there for p in self.pairs if p.here == p.there}
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,23 @@ def se_models(
     return SESet(table=prog.table, universe=uni, pairs=frozenset(pairs))
 
 
+# The heres of each there-component of an SE-set.
+_ByThere = dict[frozenset[int], set[frozenset[int]]]
+
+
+def _grouped(se_set: SESet) -> tuple[_ByThere, set[frozenset[int]]]:
+    """The grouped view of an SE-set: the heres of each there-component, and
+    the diagonal members (the there-components paired with themselves)."""
+    by_there: _ByThere = {}
+    for p in se_set.pairs:
+        by_there.setdefault(p.there, set()).add(p.here)
+    return by_there, {y for y, xs in by_there.items() if y in xs}
+
+
 def ue_models(se_set: SESet) -> SESet:
     """Filter an SE-set to its UE-pairs: (X, Y) stays when every (X', Y) in
     the set with X properly below X' already has X' = Y."""
-    by_there: dict[frozenset[int], list[frozenset[int]]] = {}
-    for p in se_set.pairs:
-        by_there.setdefault(p.there, []).append(p.here)
+    by_there, _ = _grouped(se_set)
     kept = [
         p
         for p in se_set.pairs
@@ -147,46 +162,43 @@ def ue_models(se_set: SESet) -> SESet:
 
 def union_closure(sets: Iterable[frozenset[int]]) -> set[frozenset[int]]:
     """Closure under (non-empty, finite) unions."""
-    closed = set(sets)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in list(closed):
-                w = u | v
-                if w not in closed:
-                    closed.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    closed: set[frozenset[int]] = set()
+    for s in sets:
+        if s not in closed:  # else its unions with members are members already
+            closed |= {s | c for c in closed}
+            closed.add(s)
     return closed
 
 
-def se_properties(se_set: SESet) -> SEProperties:
-    """Evaluate the five closure flags for a set of SE-interpretations."""
-    pairs = {(p.here, p.there) for p in se_set.pairs}
-    diagonal = {y for x, y in pairs if x == y}
-    by_there: dict[frozenset[int], set[frozenset[int]]] = {}
-    for x, y in pairs:
-        by_there.setdefault(y, set()).add(x)
-
-    complete = all(y in diagonal for y in by_there) and all(
-        (x, z) in pairs
-        for x, y in pairs
+def _union_closures(by_there: _ByThere, diagonal: set[frozenset[int]]) -> _ByThere:
+    """Each diagonal member Z mapped to the union closure of the heres of
+    every there-component below Z."""
+    return {
+        z: union_closure(x for y, xs in by_there.items() if y <= z for x in xs)
         for z in diagonal
-        if y <= z
-    )
-    closed_int = all(
-        x & x2 in xs for xs in by_there.values() for x in xs for x2 in xs
-    )
-    closed_uni = all(
-        x | x2 in xs for xs in by_there.values() for x in xs for x2 in xs
+    }
+
+
+def _complete(by_there: _ByThere, diagonal: set[frozenset[int]]) -> bool:
+    return by_there.keys() <= diagonal and all(
+        xs <= by_there[z] for y, xs in by_there.items() for z in diagonal if y <= z
     )
 
-    ue_complete = (
-        all(y in diagonal for y in by_there)
+
+def _closed_here_intersection(by_there: _ByThere) -> bool:
+    return all(x & x2 in xs for xs in by_there.values() for x in xs for x2 in xs)
+
+
+def _closed_here_union(by_there: _ByThere) -> bool:
+    return all(x | x2 in xs for xs in by_there.values() for x in xs for x2 in xs)
+
+
+def _ue_complete(by_there: _ByThere, diagonal: set[frozenset[int]]) -> bool:
+    return (
+        by_there.keys() <= diagonal
         and all(
-            any(y <= mid < z for mid in by_there.get(z, ()))
-            for _, y in pairs
+            any(y <= mid < z for mid in by_there[z])
+            for y in by_there
             for z in diagonal
             if y < z
         )
@@ -198,25 +210,24 @@ def se_properties(se_set: SESet) -> SEProperties:
         )
     )
 
-    splittable = True
-    for z in diagonal:
-        below = {x for x, y in pairs if y <= z}
-        for u in union_closure(below):
-            if (u, z) in pairs:
-                continue
-            if any(u <= z2 < z for z2 in by_there.get(z, ())):
-                continue
-            splittable = False
-            break
-        if not splittable:
-            break
 
+def _splittable(by_there: _ByThere, closures: _ByThere) -> bool:
+    return all(
+        u in by_there[z] or any(u <= z2 < z for z2 in by_there[z])
+        for z, unions in closures.items()
+        for u in unions
+    )
+
+
+def se_properties(se_set: SESet) -> SEProperties:
+    """Evaluate the five closure flags for a set of SE-interpretations."""
+    by_there, diagonal = _grouped(se_set)
     return SEProperties(
-        complete=complete,
-        closed_here_intersection=closed_int,
-        closed_here_union=closed_uni,
-        ue_complete=ue_complete,
-        splittable=splittable,
+        complete=_complete(by_there, diagonal),
+        closed_here_intersection=_closed_here_intersection(by_there),
+        closed_here_union=_closed_here_union(by_there),
+        ue_complete=_ue_complete(by_there, diagonal),
+        splittable=_splittable(by_there, _union_closures(by_there, diagonal)),
     )
 
 
@@ -229,52 +240,48 @@ def program_from_se_set(se_set: SESet) -> Program:
     pair by a proper rule with at most one positive body atom.  Witness atoms
     are always the smallest candidate id, so output is reproducible.
     """
-    props = se_properties(se_set)
-    if not (props.complete and props.closed_here_union):
+    by_there, diagonal = _grouped(se_set)
+    if not (_complete(by_there, diagonal) and _closed_here_union(by_there)):
         raise SynthesisPreconditionError(
             "SE-program synthesis needs a complete, here-union-closed set"
         )
-    atoms = sorted(se_set.universe)
-    pairs = {(p.here, p.there) for p in se_set.pairs}
-    diagonal = sorted(
-        {y for x, y in pairs if x == y}, key=lambda s: sum(1 << atoms.index(a) for a in s)
-    )
-    theres = {y for _, y in pairs}
-    rules = []
+    return _synthesize(se_set, by_there)
 
+
+def _synthesize(se_set: SESet, by_there: _ByThere) -> Program:
+    """The rules of ``program_from_se_set`` for the grouped view of a
+    complete, here-union-closed set (every there-component is diagonal)."""
+    atoms = sorted(se_set.universe)
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    theres = by_there.keys()
+
+    def escape(hat_y):
+        # one atom outside hat_y from each there-component not below it: as
+        # a negative body it leaves the pairs at those components alone
+        return {min(y - hat_y) for y in theres if y - hat_y}
+
+    rules = []
     for ymask in range(1 << len(atoms)):
         hat_y = _masked(atoms, ymask)
-        if (hat_y, hat_y) in pairs:
+        if hat_y in theres:
             continue
-        inside = [y for y in theres if y <= hat_y]
-        outside = [y for y in theres if y - hat_y]
-        body = {min(hat_y - y) for y in inside}
-        nbody = {min(y - hat_y) for y in outside}
-        rules.append(Rule.of((), body, nbody))
+        body = {min(hat_y - y) for y in theres if y <= hat_y}
+        rules.append(Rule.of((), body, escape(hat_y)))
 
-    for hat_y in diagonal:
-        heres = {x for x, y in pairs if y == hat_y}
-        ymask = sum(1 << atoms.index(a) for a in hat_y)
-        for xmask in _subset_masks_ascending(ymask):
-            if xmask == ymask:
-                continue
+    for ymask in sorted(sum(bit[a] for a in y) for y in theres):
+        hat_y = _masked(atoms, ymask)
+        heres = by_there[hat_y]
+        nbody = escape(hat_y)
+        for xmask in _subset_masks_ascending(ymask)[:-1]:  # proper subsets
             hat_x = _masked(atoms, xmask)
-            if (hat_x, hat_y) in pairs:
+            if hat_x in heres:
                 continue
             inside = [x for x in heres if x <= hat_x]
             excess = [x for x in heres if x - hat_x]
-            if inside:
-                x0 = frozenset().union(*inside)
-                assert x0 < hat_x, "here-union closure guarantees a proper union"
-                body = {min(hat_x - x0)}
-            else:
-                body = set()
-            if excess:
-                head = {min(x - hat_x) for x in excess}
-            else:
-                head = {min(hat_y - hat_x)}
-            others = [y for y in theres if y != hat_y and y - hat_y]
-            nbody = {min(y - hat_y) for y in others}
+            # here-union closure puts the union of ``inside`` among the
+            # heres, so it sits properly below hat_x
+            body = {min(hat_x - frozenset().union(*inside))} if inside else set()
+            head = {min(x - hat_x) for x in excess} if excess else {min(hat_y - hat_x)}
             rules.append(Rule.of(head, body, nbody))
 
     return Program.of(se_set.table, rules)
@@ -283,24 +290,24 @@ def program_from_se_set(se_set: SESet) -> Program:
 def se_closure(se_set: SESet) -> SESet:
     """Close a set of SE-interpretations: for each diagonal member Z, pair Z
     with every union of here-components lying below Z."""
-    pairs = {(p.here, p.there) for p in se_set.pairs}
-    out = set()
-    for z in {y for x, y in pairs if x == y}:
-        below = {x for x, y in pairs if y <= z}
-        for x in union_closure(below):
-            out.add(SEPair(x, z))
-    return se_set.with_pairs(out)
+    closures = _union_closures(*_grouped(se_set))
+    return se_set.with_pairs(SEPair(x, z) for z, xs in closures.items() for x in xs)
 
 
 def program_from_ue_set(se_set: SESet) -> Program:
     """Synthesize a dual-normal program whose UE-models over the universe are
-    exactly the given set (which must be UE-complete and splittable)."""
-    props = se_properties(se_set)
-    if not (props.ue_complete and props.splittable):
+    exactly the given set (which must be UE-complete and splittable).
+
+    The SE synthesis runs on the closure of the set, which is complete and
+    here-union-closed by construction, so its precondition is not checked.
+    """
+    by_there, diagonal = _grouped(se_set)
+    closures = _union_closures(by_there, diagonal)
+    if not (_ue_complete(by_there, diagonal) and _splittable(by_there, closures)):
         raise SynthesisPreconditionError(
             "UE-program synthesis needs a UE-complete, splittable set"
         )
-    return program_from_se_set(se_closure(se_set))
+    return _synthesize(se_set, closures)
 
 
 def is_ue_model_dn(
@@ -326,10 +333,10 @@ def is_ue_model_dn(
         return False
     if x == y:
         return True
-    if not is_model(x, reduct(prog, y)):
+    red = reduct(prog, y)
+    if not is_model(x, red):
         return False
-    proper, _ = split(prog)
-    base_rules = list(reduct(proper, y).rules)
+    base_rules = [r for r in red.rules if r.head]
     base_rules.extend(Rule.of((a,)) for a in sorted(x))
     base_rules.extend(Rule.of((), (z,)) for z in sorted(uni - y))
     for atom in sorted(y - x):

@@ -290,7 +290,7 @@ def test_criterion_11_splittability_gate():
         atoms = [table.intern(ch) for ch in "abc"[: rng.randint(1, 3)]]
         raw = random_se_pairs(rng, atoms, rng.uniform(0.1, 0.6))
         candidate = SESet(table, frozenset(atoms), frozenset(SEPair(x, y) for x, y in raw))
-        props = se_properties(candidate)  # asserts the implication internally
+        props = se_properties(candidate)
         if props.ue_complete and props.splittable:
             assert props.closed_here_union
             confirmed += 1

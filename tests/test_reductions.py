@@ -69,7 +69,6 @@ def test_is_complexity_sensitive():
 
     mixed_polarity = Qbf2E(("x",), ("y",), (lits(("y", True), ("y", False), ("x", True)),))
     # one distinct universal atom, but two universal body literals
-    assert is_complexity_sensitive(mixed_polarity, count="atoms")
     assert not is_complexity_sensitive(mixed_polarity)
     assert not classify_labels(qbf_to_program(mixed_polarity)).dual_normal
 

@@ -12,6 +12,7 @@ from dualnorm.gen import (
     random_se_pairs,
     structured_corpus,
 )
+from dualnorm import seue
 from dualnorm.oracle import strongly_equivalent_bf, uniformly_equivalent_bf
 from dualnorm.seue import (
     SEPair,
@@ -186,6 +187,19 @@ def test_program_from_ue_set_examples():
 
     with pytest.raises(SynthesisPreconditionError):
         program_from_ue_set(parse_se_set(UNSPLITTABLE))
+
+
+def test_synthesis_checks_only_its_precondition(monkeypatch):
+    # the SE synthesis needs no union closure; the UE synthesis builds one per
+    # diagonal member (DISJ3_DUAL has one) and reuses it for the closure
+    calls = []
+    real = seue.union_closure
+    monkeypatch.setattr(seue, "union_closure", lambda sets: calls.append(1) or real(sets))
+    se_r = se_models(parse_program(DISJ3_DUAL))
+    program_from_se_set(se_r)
+    assert len(calls) == 0
+    program_from_ue_set(ue_models(se_r))
+    assert len(calls) == 1
 
 
 def test_is_ue_model_dn_examples():
