@@ -13,14 +13,16 @@ are exactly the answer sets.
 
 The formula is clausified by a projection-faithful Tseitin transform (full
 biconditional definitions, constants folded away first) and solved by a
-small iterative DPLL with unit propagation, first-unassigned branching
-(false first), and blocking clauses over the projection variables.
+small iterative DPLL with unit propagation that branches on the projection
+variables first (false first).  One search per enumeration finds each
+projection once: after a model it backtracks past the last projection
+decision, with no restarts and no blocking clauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .common import BudgetExceededError
 from .core import Program, Rule
@@ -443,38 +445,44 @@ def program_cnf(prog: Program) -> CnfInstance:
 
 
 class _Dpll:
-    """Iterative DPLL with two-watched literals and chronological backtracking.
+    """Iterative DPLL with two-watched literals and chronological backtracking
+    that finds each distinct projection of the models of a clause set once.
 
-    No clause learning; branching picks the lowest-index unassigned variable
-    and tries false first, so enumeration order is deterministic.
+    No clause learning.  Branching picks the first unassigned variable in a
+    fixed order, the projection variables ascending and then the rest
+    ascending, and tries false first, so enumeration order is deterministic.
+    Every projection variable has a value before any other variable is
+    decided, so all models below the last projection decision share the
+    projection of the first one found there: the search skips that subtree
+    instead of adding a blocking clause (Gebser, Kaufmann & Schaub, CPAIOR
+    2009).
     """
 
-    def __init__(self, num_vars: int, clauses: Iterable[tuple[int, ...]]):
-        self.nv = num_vars
+    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]], project: Iterable[int]):
+        self.project = sorted(set(project))
+        for v in self.project:
+            if not 1 <= v <= num_vars:
+                raise ValueError(f"projection variable {v} is outside 1..{num_vars}")
+        self.projected = set(self.project)
+        self.order = self.project + [v for v in range(1, num_vars + 1) if v not in self.projected]
         self.assign: dict[int, bool] = {}
         self.trail: list[int] = []
         self.marks: list[tuple[int, int, bool]] = []  # (trail length, var, tried true)
         self.qhead = 0
-        self.watches: dict[int, list[int]] = {}
-        self.clauses: list[tuple[int, ...]] = []
-        self.units: list[int] = []
+        # a clause of two or more literals is one list, watched at positions 0 and 1
+        self.watches: dict[int, list[list[int]]] = {}
         self.unsat = False
         self.steps = 0
-        for c in clauses:
-            self.add_clause(c)
-
-    def add_clause(self, c: tuple[int, ...]) -> None:
-        c = tuple(dict.fromkeys(c))
-        if not c:
-            self.unsat = True
-            return
-        if len(c) == 1:
-            self.units.append(c[0])
-            return
-        idx = len(self.clauses)
-        self.clauses.append(c)
-        self.watches.setdefault(c[0], []).append(idx)
-        self.watches.setdefault(c[1], []).append(idx)
+        for clause in clauses:
+            c = list(dict.fromkeys(clause))
+            if c and (0 in c or max(c) > num_vars or -min(c) > num_vars):
+                bad = next(lit for lit in c if not 0 < abs(lit) <= num_vars)
+                raise ValueError(f"clause literal {bad} is outside variables 1..{num_vars}")
+            if len(c) > 1:
+                self.watches.setdefault(c[0], []).append(c)
+                self.watches.setdefault(c[1], []).append(c)
+            elif not c or not self._enqueue(c[0]):
+                self.unsat = True
 
     def value(self, lit: int) -> Optional[bool]:
         v = self.assign.get(abs(lit))
@@ -500,69 +508,63 @@ class _Dpll:
             watching = self.watches.get(falsified, [])
             i = 0
             while i < len(watching):
-                idx = watching[i]
-                clause = self.clauses[idx]
-                # normalize: watched literals sit at positions 0 and 1
-                c = list(clause)
+                c = watching[i]
                 if c[0] == falsified:
                     c[0], c[1] = c[1], c[0]
                 if self.value(c[0]) is True:
                     i += 1
                     continue
-                moved = False
                 for j in range(2, len(c)):
                     if self.value(c[j]) is not False:
                         c[1], c[j] = c[j], c[1]
-                        self.clauses[idx] = tuple(c)
                         watching[i] = watching[-1]
                         watching.pop()
-                        self.watches.setdefault(c[1], []).append(idx)
-                        moved = True
+                        self.watches.setdefault(c[1], []).append(c)
                         break
-                if moved:
-                    continue
-                self.clauses[idx] = tuple(c)
-                if not self._enqueue(c[0]):
-                    return False
-                i += 1
+                else:
+                    if not self._enqueue(c[0]):
+                        return False
+                    i += 1
         return True
 
     def _backtrack(self) -> bool:
+        """Undo to the latest decision still untried true and flip it; False
+        when every decision has been tried both ways."""
         while self.marks:
             trail_len, var, tried_true = self.marks.pop()
             while len(self.trail) > trail_len:
-                dead = self.trail.pop()
-                del self.assign[abs(dead)]
+                del self.assign[abs(self.trail.pop())]
             self.qhead = trail_len
             if not tried_true:
                 self.marks.append((trail_len, var, True))
-                ok = self._enqueue(var)
-                assert ok
+                self._enqueue(var)
                 return True
         return False
 
-    def next_model(self, max_steps: int) -> Optional[dict[int, bool]]:
-        """Resume search for the next total model; None when exhausted."""
+    def projections(self, max_steps: int) -> Iterator[frozenset[int]]:
+        """Yield the true projection variables of each distinct projection
+        of a model; more than ``max_steps`` propagated literals in all raise
+        BudgetExceededError."""
         if self.unsat:
-            return None
-        for lit in self.units:
-            if not self._enqueue(lit):
-                self.unsat = True
-                return None
-        self.units = []
+            return
         while True:
             if self.steps > max_steps:
                 raise BudgetExceededError("DPLL step limit exceeded")
             if not self._propagate():
                 if not self._backtrack():
-                    self.unsat = True
-                    return None
+                    return
                 continue
-            if len(self.assign) == self.nv:
-                return dict(self.assign)
-            var = next(v for v in range(1, self.nv + 1) if v not in self.assign)
-            self.marks.append((len(self.trail), var, False))
-            self._enqueue(-var)
+            var = next((v for v in self.order if v not in self.assign), None)
+            if var is not None:
+                self.marks.append((len(self.trail), var, False))
+                self._enqueue(-var)
+                continue
+            yield frozenset(v for v in self.project if self.assign[v])
+            # skip the rest of the subtree below the last projection decision
+            while self.marks and self.marks[-1][1] not in self.projected:
+                self.marks.pop()
+            if not self._backtrack():
+                return
 
 
 def enumerate_models(
@@ -570,25 +572,12 @@ def enumerate_models(
     project: Iterable[int],
     max_steps: int = 50_000_000,
 ) -> list[frozenset[int]]:
-    """All distinct models projected to the given variables, in discovery
-    order (deterministic).  Each found model is excluded by a blocking clause
-    over the projection; search then restarts on the grown clause set."""
-    proj = sorted(set(project))
-    found: list[frozenset[int]] = []
-    blocking: list[tuple[int, ...]] = []
-    spent = 0
-    while True:
-        solver = _Dpll(cnf.num_vars, list(cnf.clauses) + blocking)
-        model = solver.next_model(max_steps - spent)
-        spent += solver.steps
-        if model is None:
-            return found
-        trues = frozenset(v for v in proj if model.get(v))
-        found.append(trues)
-        clause = tuple(-v if v in trues else v for v in proj)
-        if not clause:
-            return found
-        blocking.append(clause)
+    """All distinct models projected to the given variables, each once, in
+    discovery order (deterministic).  One search finds them all, and
+    ``max_steps`` caps its total steps.  A projection variable or clause
+    literal outside ``1..cnf.num_vars`` raises ValueError; ``cnf`` is not
+    modified."""
+    return list(_Dpll(cnf.num_vars, cnf.clauses, project).projections(max_steps))
 
 
 def interpret_model(cnf: CnfInstance, prog: Program, true_vars: frozenset[int]) -> frozenset[int]:

@@ -48,7 +48,8 @@ class ParseError(ValueError):
 # ``not`` matches as an atom and is told apart by the parser.
 _TOKEN_RE = re.compile(r"\s+|%[^\n]*|(?P<atom>[a-z_][A-Za-z0-9_]*)|:-|[|,.]")
 
-_ATOM_NAME_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
+# A whole atom name, for the line-oriented readers; the keyword ``not`` is none.
+_ATOM_NAME_RE = re.compile(r"(?!not\Z)[a-z_][A-Za-z0-9_]*\Z")
 
 # Parser states; ``_RULE``, the start of a statement, is the only one a text
 # may end in.  ``_NEXT[state]`` maps a token ("atom", "not" or the

@@ -131,11 +131,12 @@ def decode_as(prog: Program, interp: frozenset[int]) -> frozenset[int]:
 # Verification harness for the answer-set correspondences
 
 
-def _component(prog: Program, m: frozenset[int], x: int, star: bool) -> Program:
+def _component(prog: Program, px: Program, m: frozenset[int], x: int, star: bool) -> Program:
     """Owner-x slice of the translated program's reduct w.r.t. a base guess:
-    the reversed rules surviving the reduct, the owner's seed facts when the
-    owner is guessed in, and the saturation rules for the starred variant."""
-    rules = list(reduct(build_px(prog, x), m).rules)
+    the reversed rules ``px`` (from :func:`build_px`) surviving the reduct,
+    the owner's seed facts when the owner is guessed in, and the saturation
+    rules for the starred variant."""
+    rules = list(reduct(px, m).rules)
     if x in m:
         rules.append(Rule.of((copy_atom(prog, x, x),)))
         rules.extend(Rule.of((copy_atom(prog, z, x),)) for z in sorted(prog.atom_ids - m))
@@ -145,22 +146,29 @@ def _component(prog: Program, m: frozenset[int], x: int, star: bool) -> Program:
 
 
 def _seeded_minimal_models(
-    prog: Program, m: frozenset[int], star: bool, budget: OracleBudget
-) -> list[frozenset[int]]:
-    """Minimal models of the union of the seeded owner components (owners in
-    the guess).  The components share no atoms, so minimal models are unions
-    of per-component minimal models."""
-    factor_lists = []
-    for x in sorted(m):
-        comp = _component(prog, m, x, star)
-        factor_lists.append(minimal_models(comp, budget=budget))
-    return [frozenset().union(*combo) for combo in product(*factor_lists)]
+    prog: Program, star: bool, budget: OracleBudget
+) -> dict[frozenset[int], list[frozenset[int]]]:
+    """For every base guess M, the minimal models of the union of the seeded
+    owner components (owners in M).  The components share no atoms, so
+    minimal models are unions of per-component minimal models."""
+    atoms = sorted(prog.atom_ids)
+    reversals = {x: build_px(prog, x) for x in atoms}
+    out = {}
+    for mask in range(1 << len(atoms)):
+        m = mask_to_set(atoms, mask)
+        factor_lists = [
+            minimal_models(_component(prog, reversals[x], m, x, star), budget=budget)
+            for x in sorted(m)
+        ]
+        out[m] = [frozenset().union(*combo) for combo in product(*factor_lists)]
+    return out
 
 
 def _translated_answer_sets(
-    prog: Program, translated: Program, star: bool, budget: OracleBudget
+    prog: Program, translated: Program, seeded: dict[frozenset[int], list[frozenset[int]]]
 ) -> set[frozenset[int]]:
-    """Answer sets of the translated program, computed per base guess.
+    """Answer sets of the translated program, computed per base guess from
+    its :func:`_seeded_minimal_models`.
 
     The complement rules force every answer set to decide each base atom one
     way; the reduct then splits into facts plus atom-disjoint owner
@@ -169,12 +177,10 @@ def _translated_answer_sets(
     finally filtered by classical satisfaction of the whole translation.
     Cross-validated against brute force on small inputs in the test suite.
     """
-    atoms = sorted(prog.atom_ids)
     out: set[frozenset[int]] = set()
-    for mask in range(1 << len(atoms)):
-        m = mask_to_set(atoms, mask)
+    for m, models in seeded.items():
         lifted = mp_of(prog, m)
-        for n in _seeded_minimal_models(prog, m, star, budget):
+        for n in models:
             candidate = lifted | n
             if is_model(candidate, translated):
                 out.add(candidate)
@@ -191,26 +197,21 @@ def check_trans2(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     """
     translated = translate(prog)
     as_p = set(answer_sets_bf(prog, budget))
-    as_q = _translated_answer_sets(prog, translated, star=False, budget=budget)
-    atoms = sorted(prog.atom_ids)
+    seeded = _seeded_minimal_models(prog, False, budget)
+    as_q = _translated_answer_sets(prog, translated, seeded)
     base = prog.atom_ids
-    negs = frozenset(neg_atom(prog, x) for x in atoms)
+    negs = frozenset(neg_atom(prog, x) for x in base)
 
-    for mask in range(1 << len(atoms)):
-        m = mask_to_set(atoms, mask)
+    for m, models in seeded.items():
         lifted = mp_of(prog, m)
-        members = [
-            (lifted | n) in as_q for n in _seeded_minimal_models(prog, m, False, budget)
-        ]
-        if (m in as_p) != all(members):
+        if (m in as_p) != all((lifted | n) in as_q for n in models):
             return False
 
     for a in as_q:
         m = a & base
         if a & (base | negs) != mp_of(prog, m):
             return False
-        n = a - base - negs
-        if n not in _seeded_minimal_models(prog, m, False, budget):
+        if a - base - negs not in seeded[m]:
             return False
     return True
 
@@ -221,7 +222,7 @@ def check_trans3(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     full saturations of the input's answer sets."""
     starred = translate_star(prog)
     as_p = answer_sets_bf(prog, budget)
-    as_q = _translated_answer_sets(prog, starred, star=True, budget=budget)
+    as_q = _translated_answer_sets(prog, starred, _seeded_minimal_models(prog, True, budget))
     atoms = sorted(prog.atom_ids)
     expected = set()
     for m in as_p:

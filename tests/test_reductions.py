@@ -134,6 +134,8 @@ def test_parse_qbf():
         parse_qbf("exists x\nforall x\nterm x x x")
     with pytest.raises(ValueError):
         parse_qbf("exists x\nterm x x y")
+    with pytest.raises(ValueError, match="invalid variable name 'not'"):
+        parse_qbf("exists not")
 
 
 def test_parse_cnf3():

@@ -180,6 +180,47 @@ def test_enumerate_models_examples():
     assert len(enumerate_models(cnf, proj)) == 2
 
 
+def test_enumerate_models_rejects_out_of_range_variables():
+    from dualnorm.satenc import CnfInstance
+
+    with pytest.raises(ValueError, match="projection variable 2 "):
+        enumerate_models(CnfInstance(1, [(1,)], {}, {}), [2])
+    with pytest.raises(ValueError, match="projection variable 0 "):
+        enumerate_models(CnfInstance(1, [(1,)], {}, {}), [0])
+    with pytest.raises(ValueError, match="clause literal 2 "):
+        enumerate_models(CnfInstance(1, [(2,)], {}, {}), [1])
+    with pytest.raises(ValueError, match="clause literal -3 "):
+        enumerate_models(CnfInstance(2, [(1, -3)], {}, {}), [1])
+    with pytest.raises(ValueError, match="clause literal 0 "):
+        enumerate_models(CnfInstance(2, [(1, 0)], {}, {}), [1])
+
+
+def test_enumeration_builds_one_solver(monkeypatch):
+    import dualnorm.satenc as satenc
+
+    built = []
+
+    class Counting(satenc._Dpll):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(satenc, "_Dpll", Counting)
+    p = parse_program("a | b.")
+    assert len(answer_sets_via_sat(p)) == 2
+    assert len(built) == 1
+
+
+def test_enumerate_models_leaves_cnf_unchanged():
+    from dualnorm.textio import write_dimacs
+
+    cnf = program_cnf(parse_program("a | b.\nc :- a.\nd :- not c."))
+    clauses, dimacs = list(cnf.clauses), write_dimacs(cnf)
+    enumerate_models(cnf, range(1, 5))
+    assert cnf.clauses == clauses
+    assert write_dimacs(cnf) == dimacs
+
+
 def test_enumerate_models_step_cap():
     p = parse_program("a | b.\nc :- a.\nd :- not c.\ne | f :- d.")
     cnf = program_cnf(p)
@@ -270,7 +311,9 @@ def test_dpll_against_truth_table():
             clauses.append(tuple(rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(width)))
         proj = sorted(rng.sample(range(1, nv + 1), rng.randint(1, nv)))
         cnf = CnfInstance(nv, clauses, {}, {})
-        got = set(enumerate_models(cnf, proj))
+        listed = enumerate_models(cnf, proj)
+        got = set(listed)
+        assert len(got) == len(listed)
         expected = set()
         for mask in range(1 << nv):
             value = lambda lit: bool(mask >> (abs(lit) - 1) & 1) == (lit > 0)

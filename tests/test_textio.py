@@ -159,6 +159,8 @@ def test_parse_se_set_examples():
 
     with pytest.raises(ParseError):
         parse_se_set("a b ; a")
+    with pytest.raises(ParseError, match="invalid atom name 'not'"):
+        parse_se_set("not ; not")
 
 
 def test_se_set_universe_directive_and_round_trip():
