@@ -15,7 +15,7 @@ from typing import Optional, TextIO
 
 from .classify import classify_labels
 from .common import BudgetExceededError, OracleBudget, ProgramClassError, SynthesisPreconditionError
-from .core import AtomTable, Program
+from .core import AtomTable, Program, require_dual_normal
 from .dualhorn import answer_sets_dn, elimination_fixpoint, pmm
 # equivalent_as is unused here, but perfbench/tracing.py swaps this name on cli.
 from .oracle import answer_sets_bf, equivalent_as  # noqa: F401
@@ -146,6 +146,10 @@ def _run(args, out: TextIO, err: TextIO) -> int:
         elif args.method == "dn":
             result = answer_sets_dn(prog, budget)
         else:
+            if args.budget is not None:
+                # the class error comes first, as with --method dn
+                require_dual_normal(prog)
+                budget.check(len(prog.atom_ids), "SAT enumeration")
             result = answer_sets_via_sat(prog)
         return _print_answer_sets(prog, result, out, args.json)
 

@@ -13,15 +13,17 @@ are exactly the answer sets.
 
 The formula is clausified by a projection-faithful Tseitin transform (full
 biconditional definitions, constants folded away first) and solved by a
-small iterative DPLL with unit propagation that branches on the projection
-variables first (false first).  One search per enumeration finds each
-projection once: after a model it backtracks past the last projection
-decision, with no restarts and no blocking clauses.
+small CDCL core (two watched literals, first-UIP learning, backjumping)
+that branches on the projection variables first (false first).  One search
+per enumeration finds each projection once: after a model it adds the
+clause over the negated projection decisions, which is asserting one level
+below the last of them, and goes on with no restart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .common import BudgetExceededError
@@ -441,21 +443,31 @@ def program_cnf(prog: Program) -> CnfInstance:
 
 
 # ---------------------------------------------------------------------------
-# DPLL model enumeration
+# CDCL model enumeration
 
 
 class _Dpll:
-    """Iterative DPLL with two-watched literals and chronological backtracking
-    that finds each distinct projection of the models of a clause set once.
+    """Conflict-driven clause learning over two-watched literals that finds
+    each distinct projection of the models of a clause set once.
 
-    No clause learning.  Branching picks the first unassigned variable in a
-    fixed order, the projection variables ascending and then the rest
-    ascending, and tries false first, so enumeration order is deterministic.
-    Every projection variable has a value before any other variable is
-    decided, so all models below the last projection decision share the
-    projection of the first one found there: the search skips that subtree
-    instead of adding a blocking clause (Gebser, Kaufmann & Schaub, CPAIOR
-    2009).
+    Branching takes the next unassigned variable in a fixed order, the
+    projection variables ascending and then the rest ascending, and tries
+    false first; a pointer into the order resumes where the last decision
+    was taken, and a backjump moves it back to the first decision undone.
+    A conflict is analysed to its first unique implication point, and the
+    learnt clause is asserted after a non-chronological backjump (GRASP:
+    Marques-Silva & Sakallah 1999; MiniSat: Eén & Sörensson 2003).  Every
+    projection variable has a value before any other variable is decided,
+    so after a model the clause over the negated projection decisions
+    removes exactly the models that share its projection.  That clause is
+    asserting one level below the last projection decision, and the same
+    search goes on from there: no restarts, so enumeration order is
+    deterministic (Gebser, Kaufmann & Schaub, CPAIOR 2009).
+
+    Values and watch lists are lists indexed by the signed literal (``-v``
+    lands at ``len - v``, past every positive index); levels and reasons are
+    indexed by variable.  A clause that implies a literal keeps it at
+    position 0.
     """
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]], project: Iterable[int]):
@@ -465,81 +477,144 @@ class _Dpll:
                 raise ValueError(f"projection variable {v} is outside 1..{num_vars}")
         self.projected = set(self.project)
         self.order = self.project + [v for v in range(1, num_vars + 1) if v not in self.projected]
-        self.assign: dict[int, bool] = {}
+        self.pos = [0] * (num_vars + 1)
+        for i, v in enumerate(self.order):
+            self.pos[v] = i
+        self.next = 0  # every variable before order[next] is assigned
+        self.value: list[Optional[bool]] = [None] * (2 * num_vars + 1)
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
+        self.level = [0] * (num_vars + 1)
+        self.reason: list[Optional[list[int]]] = [None] * (num_vars + 1)
+        self.seen = [False] * (num_vars + 1)
         self.trail: list[int] = []
-        self.marks: list[tuple[int, int, bool]] = []  # (trail length, var, tried true)
+        self.trail_lim: list[int] = []  # trail length at each decision
         self.qhead = 0
-        # a clause of two or more literals is one list, watched at positions 0 and 1
-        self.watches: dict[int, list[list[int]]] = {}
         self.unsat = False
         self.steps = 0
+        clauses = list(clauses)
+        literals = set(chain.from_iterable(clauses))
+        if literals and (0 in literals or max(literals) > num_vars or -min(literals) > num_vars):
+            bad = next(lit for clause in clauses for lit in clause if not 0 < abs(lit) <= num_vars)
+            raise ValueError(f"clause literal {bad} is outside variables 1..{num_vars}")
         for clause in clauses:
-            c = list(dict.fromkeys(clause))
-            if c and (0 in c or max(c) > num_vars or -min(c) > num_vars):
-                bad = next(lit for lit in c if not 0 < abs(lit) <= num_vars)
-                raise ValueError(f"clause literal {bad} is outside variables 1..{num_vars}")
+            c = list(clause)
+            if len(set(c)) < len(c):  # the two watches must differ
+                c = list(dict.fromkeys(c))
             if len(c) > 1:
-                self.watches.setdefault(c[0], []).append(c)
-                self.watches.setdefault(c[1], []).append(c)
-            elif not c or not self._enqueue(c[0]):
+                self.watches[c[0]].append(c)
+                self.watches[c[1]].append(c)
+            elif not c or self.value[c[0]] is False:
                 self.unsat = True
+            elif self.value[c[0]] is None:
+                self._assign(c[0], None)
 
-    def value(self, lit: int) -> Optional[bool]:
-        v = self.assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+    def _assign(self, lit: int, reason: Optional[list[int]]) -> None:
+        self.value[lit] = True
+        self.value[-lit] = False
+        self.level[abs(lit)] = len(self.trail_lim)
+        self.reason[abs(lit)] = reason
+        self.trail.append(lit)
 
-    def _enqueue(self, lit: int) -> bool:
-        v = self.value(lit)
-        if v is False:
-            return False
-        if v is None:
-            self.assign[abs(lit)] = lit > 0
-            self.trail.append(lit)
-        return True
-
-    def _propagate(self) -> bool:
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
+    def _propagate(self) -> Optional[list[int]]:
+        """Unit propagation of the trail from the queue head: a falsified
+        clause, or None at the fixpoint."""
+        value, watches, trail, level, reason = self.value, self.watches, self.trail, self.level, self.reason
+        lvl = len(self.trail_lim)
+        while self.qhead < len(trail):
+            false_lit = -trail[self.qhead]
             self.qhead += 1
             self.steps += 1
-            falsified = -lit
-            watching = self.watches.get(falsified, [])
-            i = 0
-            while i < len(watching):
-                c = watching[i]
-                if c[0] == falsified:
-                    c[0], c[1] = c[1], c[0]
-                if self.value(c[0]) is True:
-                    i += 1
+            ws = watches[false_lit]
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                c = ws[i]
+                i += 1
+                if c[0] == false_lit:
+                    c[0] = c[1]
+                    c[1] = false_lit
+                first = c[0]
+                if value[first]:
+                    ws[j] = c
+                    j += 1
                     continue
-                for j in range(2, len(c)):
-                    if self.value(c[j]) is not False:
-                        c[1], c[j] = c[j], c[1]
-                        watching[i] = watching[-1]
-                        watching.pop()
-                        self.watches.setdefault(c[1], []).append(c)
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if value[lit] is not False:
+                        c[1] = lit
+                        c[k] = false_lit
+                        watches[lit].append(c)
                         break
                 else:
-                    if not self._enqueue(c[0]):
-                        return False
-                    i += 1
-        return True
+                    ws[j] = c
+                    j += 1
+                    if value[first] is False:
+                        ws[j:] = ws[i:]
+                        return c
+                    value[first] = True
+                    value[-first] = False
+                    var = first if first > 0 else -first
+                    level[var] = lvl
+                    reason[var] = c
+                    trail.append(first)
+            del ws[j:]
+        return None
 
-    def _backtrack(self) -> bool:
-        """Undo to the latest decision still untried true and flip it; False
-        when every decision has been tried both ways."""
-        while self.marks:
-            trail_len, var, tried_true = self.marks.pop()
-            while len(self.trail) > trail_len:
-                del self.assign[abs(self.trail.pop())]
-            self.qhead = trail_len
-            if not tried_true:
-                self.marks.append((trail_len, var, True))
-                self._enqueue(var)
-                return True
-        return False
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """First-UIP learning: the learnt clause, with the negated UIP first
+        and a literal of the backjump level second, and that level."""
+        seen, level, reason, trail = self.seen, self.level, self.reason, self.trail
+        lvl = len(self.trail_lim)
+        learnt = [0]
+        marked = []
+        pending = 0
+        idx = len(trail)
+        clause = conflict
+        while True:
+            for q in clause:
+                v = abs(q)
+                if not seen[v] and level[v] > 0:
+                    seen[v] = True
+                    marked.append(v)
+                    if level[v] == lvl:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            idx -= 1
+            while not seen[abs(trail[idx])]:
+                idx -= 1
+            uip = trail[idx]
+            pending -= 1
+            if not pending:
+                break
+            clause = reason[abs(uip)]
+        for v in marked:
+            seen[v] = False
+        learnt[0] = -uip
+        if len(learnt) == 1:
+            return learnt, 0
+        second = max(range(1, len(learnt)), key=lambda k: level[abs(learnt[k])])
+        learnt[1], learnt[second] = learnt[second], learnt[1]
+        return learnt, level[abs(learnt[1])]
+
+    def _backjump(self, lvl: int) -> None:
+        """Undo every level above ``lvl``."""
+        start = self.trail_lim[lvl]
+        self.next = self.pos[abs(self.trail[start])]
+        value = self.value
+        for lit in self.trail[start:]:
+            value[lit] = value[-lit] = None
+        del self.trail[start:]
+        del self.trail_lim[lvl:]
+        self.qhead = start
+
+    def _add_asserting(self, clause: list[int]) -> None:
+        """Add a clause whose first literal is unassigned and whose others
+        are false, and assign that literal."""
+        if len(clause) > 1:
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
+        self._assign(clause[0], clause)
 
     def projections(self, max_steps: int) -> Iterator[frozenset[int]]:
         """Yield the true projection variables of each distinct projection
@@ -547,24 +622,33 @@ class _Dpll:
         BudgetExceededError."""
         if self.unsat:
             return
+        order, value, trail = self.order, self.value, self.trail
         while True:
             if self.steps > max_steps:
-                raise BudgetExceededError("DPLL step limit exceeded")
-            if not self._propagate():
-                if not self._backtrack():
+                raise BudgetExceededError("SAT search step limit exceeded")
+            conflict = self._propagate()
+            if conflict is not None:
+                if not self.trail_lim:
                     return
+                learnt, lvl = self._analyze(conflict)
+                self._backjump(lvl)
+                self._add_asserting(learnt)
                 continue
-            var = next((v for v in self.order if v not in self.assign), None)
-            if var is not None:
-                self.marks.append((len(self.trail), var, False))
-                self._enqueue(-var)
+            nxt = self.next
+            while nxt < len(order) and value[order[nxt]] is not None:
+                nxt += 1
+            self.next = nxt
+            if nxt < len(order):
+                self.trail_lim.append(len(trail))
+                self._assign(-order[nxt], None)
                 continue
-            yield frozenset(v for v in self.project if self.assign[v])
-            # skip the rest of the subtree below the last projection decision
-            while self.marks and self.marks[-1][1] not in self.projected:
-                self.marks.pop()
-            if not self._backtrack():
+            yield frozenset(v for v in self.project if value[v])
+            # the projection decisions are the first levels; block them
+            blocking = [-trail[i] for i in reversed(self.trail_lim) if abs(trail[i]) in self.projected]
+            if not blocking:
                 return
+            self._backjump(len(blocking) - 1)
+            self._add_asserting(blocking)
 
 
 def enumerate_models(

@@ -64,6 +64,8 @@ def test_solve_dn_requires_dual_normal(files):
     assert code == 2 and "dual-normal" in err
     code, _, err = invoke("solve", files["disj3.lp"], "--method", "sat")
     assert code == 2
+    code, _, err = invoke("--budget", "1", "solve", files["disj3.lp"], "--method", "sat")
+    assert code == 2 and "dual-normal" in err
 
 
 def test_se_ue_listing(files):
@@ -195,6 +197,9 @@ def test_usage_errors(files):
 def test_budget_exit(files):
     code, _, err = invoke("--budget", "1", "solve", files["disj3.lp"], "--method", "brute")
     assert code == 3 and "budget" in err
+    for method in ("dn", "sat"):
+        code, _, err = invoke("--budget", "1", "solve", files["dual3.lp"], "--method", method)
+        assert code == 3 and "budget" in err
 
 
 def test_deterministic_output(files):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -228,6 +229,15 @@ def test_enumerate_models_step_cap():
         enumerate_models(cnf, [1], max_steps=3)
 
 
+def test_enumeration_learns_an_unsat_core_once():
+    # the core over 13-15 is refuted below every projection branch unless the
+    # solver learns from it; the budget leaves room for a few refutations only
+    from dualnorm.satenc import CnfInstance
+
+    core = [(13 * a, 14 * b, 15 * c) for a, b, c in itertools.product((1, -1), repeat=3)]
+    assert enumerate_models(CnfInstance(15, core, {}, {}), range(1, 13), max_steps=2000) == []
+
+
 def test_answer_sets_via_sat_examples():
     assert answer_sets_via_sat(parse_program("a :- not a.")) == []
     dual = parse_program("a | b.\n:- not c.\na :- c.\nb :- c.")
@@ -300,8 +310,6 @@ def test_level_chain_matches_elimination_engine():
 
 def test_dpll_against_truth_table():
     # the enumerator must find exactly the projected satisfying assignments
-    from dualnorm.satenc import CnfInstance
-
     rng = random.Random(31)
     for _ in range(120):
         nv = rng.randint(1, 8)
@@ -310,16 +318,39 @@ def test_dpll_against_truth_table():
             width = rng.randint(1, 3)
             clauses.append(tuple(rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(width)))
         proj = sorted(rng.sample(range(1, nv + 1), rng.randint(1, nv)))
-        cnf = CnfInstance(nv, clauses, {}, {})
-        listed = enumerate_models(cnf, proj)
-        got = set(listed)
-        assert len(got) == len(listed)
-        expected = set()
-        for mask in range(1 << nv):
-            value = lambda lit: bool(mask >> (abs(lit) - 1) & 1) == (lit > 0)
-            if all(any(value(l) for l in c) for c in clauses):
-                expected.add(frozenset(v for v in proj if mask >> (v - 1) & 1))
-        assert got == expected
+        _check_against_truth_table(nv, clauses, proj)
+    # conflict-heavy 3-CNFs near the threshold, projected to scattered
+    # variables: learning, backjumping and the blocking clause together
+    for _ in range(60):
+        nv = rng.randint(10, 12)
+        clauses = [
+            tuple(rng.choice([-1, 1]) * v for v in rng.sample(range(1, nv + 1), 3))
+            for _ in range(round(4.2 * nv))
+        ]
+        proj = rng.sample(range(1, nv + 1), rng.randint(2, nv - 2))
+        _check_against_truth_table(nv, clauses, proj)
+
+
+def _check_against_truth_table(nv, clauses, proj):
+    from dualnorm.satenc import CnfInstance
+
+    cnf = CnfInstance(nv, clauses, {}, {})
+    before = list(clauses)
+    listed = enumerate_models(cnf, proj)
+    got = set(listed)
+    assert len(got) == len(listed)
+    assert cnf.clauses == before
+    # clause c holds under the assignment mask when mask meets its positive
+    # literals or misses one of its negative ones
+    signed = [
+        (sum(1 << (l - 1) for l in set(c) if l > 0), sum(1 << (-l - 1) for l in set(c) if l < 0))
+        for c in clauses
+    ]
+    expected = set()
+    for mask in range(1 << nv):
+        if all(mask & pos or ~mask & neg for pos, neg in signed):
+            expected.add(frozenset(v for v in proj if mask >> (v - 1) & 1))
+    assert got == expected
 
 
 def _random_formula(rng, leaves, depth):
