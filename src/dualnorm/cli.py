@@ -8,6 +8,7 @@ stdout carries data; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,9 +49,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first ``run`` of the process:
+    parsing keeps no state in it between calls."""
     parser = _Parser(prog="dualnorm", description=__doc__)
-    parser.add_argument("--budget", type=int, default=None, metavar="N",
+    parser.add_argument("--budget", type=non_negative_int, default=None, metavar="N",
                         help="max universe size for exhaustive operations")
     parser.add_argument("--json", action="store_true", help="JSON output where applicable")
     sub = parser.add_subparsers(dest="command", required=True)

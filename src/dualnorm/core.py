@@ -170,6 +170,17 @@ class Program:
         return frozenset(out)
 
     @cached_property
+    def reduct_view(self) -> "ReductView":
+        """What every reduct of this program is built from, computed once."""
+        proper = tuple(
+            (r.body_neg, Rule(r.head, r.body_pos, ()) if r.body_neg else r)
+            for r in self.rules
+            if r.head
+        )
+        forbid = {a: Rule((), (a,), ()) for a in sorted(self.atom_ids)}
+        return ReductView(proper, forbid, all(r.is_dual_normal for r in self.rules))
+
+    @cached_property
     def rules_by_pos_body(self) -> dict[tuple[int, ...], tuple[Rule, ...]]:
         """The rules grouped by positive body, each group in program order."""
         out: dict[tuple[int, ...], list[Rule]] = {}
@@ -200,6 +211,32 @@ class Program:
         return Program.of(self.table, rules)
 
 
+@dataclass(frozen=True)
+class ReductView:
+    """Per-program data for reducts and minimality witnesses.
+
+    ``proper`` pairs each proper rule's negative body with the rule stripped
+    of it (the rule itself when that body is empty), in program order: the
+    proper part of the reduct w.r.t. I keeps the stripped rules whose
+    negative body misses I.  ``forbid`` maps each atom, in ascending order,
+    to the constraint ``:- a.``.
+    """
+
+    proper: tuple[tuple[tuple[int, ...], Rule], ...]
+    forbid: dict[int, Rule]
+    dual_normal: bool
+
+    def reduct_proper(self, interp: frozenset[int]) -> list[Rule]:
+        """The proper rules of the reduct w.r.t. ``interp``, deduplicated,
+        in program order."""
+        return list(dict.fromkeys(r for neg, r in self.proper if interp.isdisjoint(neg)))
+
+    def forbidding(self, atom: int) -> Rule:
+        """The constraint ``:- atom.``; an atom outside the program gets a
+        new one."""
+        return self.forbid.get(atom) or Rule((), (atom,), ())
+
+
 def satisfies(interp: frozenset[int], rule: Rule) -> bool:
     """Classical satisfaction: some head or negative-body atom is in the
     interpretation, or some positive-body atom is missing from it."""
@@ -211,7 +248,11 @@ def satisfies(interp: frozenset[int], rule: Rule) -> bool:
 
 
 def is_model(interp: frozenset[int], prog: Program) -> bool:
-    return all(satisfies(interp, r) for r in prog.rules)
+    """Every rule of the program is classically satisfied."""
+    for r in prog.rules:
+        if interp.issuperset(r.body_pos) and interp.isdisjoint(r.head) and interp.isdisjoint(r.body_neg):
+            return False
+    return True
 
 
 def reduct(prog: Program, interp: frozenset[int]) -> Program:
@@ -275,7 +316,7 @@ def split(prog: Program) -> tuple[Program, Program]:
 
 def require_dual_normal(prog: Program) -> None:
     """Reject a program with a proper rule of more than one positive body atom."""
-    if not all(r.is_dual_normal for r in prog.rules):
+    if not prog.reduct_view.dual_normal:
         raise ProgramClassError(
             "program is not dual-normal (a proper rule has more than one positive body atom)"
         )

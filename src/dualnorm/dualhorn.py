@@ -19,7 +19,11 @@ only on request.
 On top of this sits the answer-set check for dual-normal programs: ``M`` is
 an answer set iff ``M`` is a model and, for every ``m`` in ``M``, the
 minimality witness program ``pmm(P, M, m)`` (which is dual-Horn) eliminates
-its ``t``.
+its ``t``.  ``pmm`` takes its rules from the program's cached reduct view
+(``Program.reduct_view``): the proper rules with their negative bodies
+stripped and the constraint ``:- a.`` of every atom are built once per
+program, and each call only filters them by ``M``.  Each check still builds
+one witness program and runs one elimination per member of ``M``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError
-from .core import Program, Rule, is_model
+from .core import Program, is_model
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import require_dual_normal as _require_dual_normal
@@ -71,14 +75,6 @@ class EliminationTrace:
         }
 
 
-def _require_dual_horn(prog: Program) -> None:
-    for r in prog.rules:
-        if not r.is_dual_horn:
-            raise ProgramClassError(
-                f"rule '{r}' is not dual-Horn (needs |body_pos| <= 1 and no negation)"
-            )
-
-
 def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace:
     """Run the elimination chain on a dual-Horn program to its fixpoint.
 
@@ -86,23 +82,31 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
     ``t_stem`` gives it a display name that the table does not hold.  The
     chain is monotone and stabilizes within |at(P)| + 1 steps.
     """
-    _require_dual_horn(prog)
     t = _T_ATOM
 
     # Reversed rule b <- H, an empty positive body read as t: the counter
-    # tracks head atoms not yet eliminated.
-    rules = prog.rules
-    bodies = [r.body_pos[0] if r.body_pos else t for r in rules]
-    counters = [len(r.head) for r in rules]
+    # tracks head atoms not yet eliminated.  One pass sets these up and
+    # rejects the first rule that is not dual-Horn.
+    bodies: list[int] = []
+    counters: list[int] = []
     occurs: dict[int, list[int]] = {}
-    for idx, r in enumerate(rules):
+    ready: list[int] = []
+    for idx, r in enumerate(prog.rules):
+        pos = r.body_pos
+        if len(pos) > 1 or r.body_neg:
+            raise ProgramClassError(
+                f"rule '{r}' is not dual-Horn (needs |body_pos| <= 1 and no negation)"
+            )
+        bodies.append(pos[0] if pos else t)
+        counters.append(len(r.head))
+        if not r.head:
+            ready.append(idx)
         for h in r.head:
             occurs.setdefault(h, []).append(idx)
 
     eliminated: set[int] = set()
     order: list[int] = []
     bounds = [0]
-    ready = [idx for idx, c in enumerate(counters) if c == 0]
     while True:
         new_atoms = {bodies[idx] for idx in ready} - eliminated
         if not new_atoms:
@@ -117,7 +121,9 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
                 if counters[idx] == 0:
                     ready.append(idx)
 
-    universe = prog.atom_ids | {t}
+    # no negative bodies: the atoms are the heads and the positive bodies
+    universe = occurs.keys() | bodies
+    universe.add(t)
     return EliminationTrace(
         eliminated=tuple(order),
         bounds=tuple(bounds),
@@ -155,14 +161,11 @@ def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
     """
     if m not in interp:
         raise ValueError(f"atom {prog.table.name_of(m)!r} is not in the interpretation")
-    rules = [
-        Rule(r.head, r.body_pos, ())
-        for r in prog.rules
-        if r.head and not any(a in interp for a in r.body_neg)
-    ]
-    rules.extend(Rule.of((), (b,)) for b in sorted(prog.atom_ids - interp))
-    rules.append(Rule.of((), (m,)))
-    return Program.of(prog.table, rules)
+    view = prog.reduct_view
+    rules = view.reduct_proper(interp)
+    rules.extend(c for a, c in view.forbid.items() if a not in interp)
+    rules.append(view.forbidding(m))
+    return Program(prog.table, tuple(rules))
 
 
 def is_answer_set_dn(prog: Program, interp: frozenset[int]) -> bool:

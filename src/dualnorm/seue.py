@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Iterable, Iterator, Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
-from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, is_model, reduct, satisfies_reduct
+from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, is_model, satisfies_reduct
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import mask_to_set as _masked
@@ -333,14 +333,17 @@ def is_ue_model_dn(
         return False
     if x == y:
         return True
-    red = reduct(prog, y)
-    if not is_model(x, red):
+    view = prog.reduct_view
+    rules = view.reduct_proper(y)
+    if not is_model(x, Program(prog.table, tuple(rules))):
         return False
-    base_rules = [r for r in red.rules if r.head]
-    base_rules.extend(Rule.of((a,)) for a in sorted(x))
-    base_rules.extend(Rule.of((), (z,)) for z in sorted(uni - y))
+    rules.extend(Rule((a,), (), ()) for a in sorted(x))
+    rules.extend(view.forbidding(z) for z in sorted(uni - y))
+    base = tuple(dict.fromkeys(rules))
     for atom in sorted(y - x):
-        theory = Program.of(prog.table, base_rules + [Rule.of((), (atom,))])
+        # ":- atom." is not in base: atom is in Y, and base forbids only
+        # atoms outside Y
+        theory = Program(prog.table, (*base, view.forbidding(atom)))
         maximal = max_model_dual_horn(theory, universe=uni)
         if maximal != x:
             return False

@@ -192,6 +192,24 @@ def test_usage_errors(files):
     assert invoke("solve", files["ab.lp"], "--method", "magic")[0] == 2
     assert invoke("solve", "no_such_file.lp")[0] == 2
     assert invoke("--seed", "1", "solve", files["ab.lp"])[0] == 2
+    assert invoke("--budget", "-1", "solve", files["ab.lp"])[0] == 2
+
+
+def test_parser_is_built_once(files):
+    cli._build_parser.cache_clear()
+    assert invoke("solve", files["ab.lp"])[0] == 0
+    assert invoke("classify", files["ab.lp"])[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_shared_parser_keeps_no_state(files):
+    bad = invoke("solve", files["ab.lp"], "--method", "magic")
+    good = invoke("solve", files["ab.lp"])
+    again = invoke("solve", files["ab.lp"], "--method", "magic")
+    assert (bad[0], good[0], again[0]) == (2, 0, 2)
+    assert again == bad
+    assert good == (0, "a\nb\n", "")
 
 
 def test_budget_exit(files):

@@ -5,7 +5,7 @@ import pytest
 from dualnorm.common import ProgramClassError
 from dualnorm.core import AtomTable, Program, Rule, is_model, p_t_transform, reduct, satisfies, split
 from dualnorm.dualhorn import answer_sets_dn, is_answer_set_dn
-from dualnorm.gen import random_program
+from dualnorm.gen import random_program, structured_corpus
 from dualnorm.satenc import answer_sets_via_sat, build_f
 from dualnorm.seue import SEPair, is_ue_model_dn, uniformly_equivalent_dn
 from dualnorm.textio import parse_program
@@ -32,6 +32,19 @@ def test_is_model_examples(disj3):
     assert is_model(ids_of(ab, "a"), ab)
     assert not is_model(frozenset(), ab)
     assert is_model(ids_of(disj3, "a b c"), disj3)
+
+
+def test_is_model_agrees_with_satisfies():
+    rng = random.Random(31)
+    foreign = 100  # an id no program of the corpus uses
+    programs = [Program.of(AtomTable(), [])] + list(structured_corpus(31, 120, max_atoms=5, max_rules=7))
+    for p in programs:
+        atoms = sorted(p.atom_ids) + [foreign]
+        for _ in range(12):
+            interp = frozenset(a for a in atoms if rng.random() < 0.5)
+            expected = all(satisfies(interp, r) for r in p.rules)
+            assert is_model(interp, p) == expected
+            assert is_model(set(interp), p) == expected
 
 
 def test_reduct_examples():

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from dualnorm.common import ProgramClassError
-from dualnorm.core import AtomTable, Program, Rule, is_model
+from dualnorm.core import AtomTable, Program, Rule, is_model, reduct, split
 from dualnorm.dualhorn import (
     answer_sets_dn,
     elimination_fixpoint,
@@ -12,8 +12,8 @@ from dualnorm.dualhorn import (
     max_model_dual_horn,
     pmm,
 )
-from dualnorm.gen import random_dual_normal_program, random_program
-from dualnorm.oracle import answer_sets_bf, models
+from dualnorm.gen import random_dual_normal_program, random_program, structured_corpus
+from dualnorm.oracle import answer_sets_bf, is_answer_set, models
 from dualnorm.textio import parse_program
 
 from conftest import ids_of
@@ -156,6 +156,42 @@ def test_pmm_examples():
 
     with pytest.raises(ValueError):
         pmm(p, ids_of(p, "a"), p.table.id_of("b"))
+
+
+def test_pmm_is_reduct_of_proper_part_plus_forbidding_constraints():
+    for p in structured_corpus(seed=51, count=150, max_atoms=4, max_rules=6):
+        proper, _ = split(p)
+        atoms = sorted(p.atom_ids)
+        for mask in range(1 << len(atoms)):
+            interp = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+            for m in sorted(interp):
+                expected = list(reduct(proper, interp).rules)
+                expected.extend(Rule.of((), (b,)) for b in sorted(p.atom_ids - interp))
+                expected.append(Rule.of((), (m,)))
+                assert pmm(p, interp, m).rules == tuple(expected)
+
+
+def test_pmm_reuses_the_programs_reduct_rules():
+    # the kept rules come from one per-program view, not rebuilt per call
+    p = parse_program("a :- not b.\nb :- not a.\nc :- a.\nc | d :- not e.")
+    first = pmm(p, ids_of(p, "a c"), p.table.id_of("a"))
+    second = pmm(p, ids_of(p, "a c d"), p.table.id_of("d"))
+    kept = [r for r in first.rules if r.head]
+    assert len(kept) == 3
+    assert list(map(id, kept)) == [id(r) for r in second.rules if r.head]
+    assert kept[1] is p.rules[2]  # a rule without negation is kept as is
+
+
+def test_foreign_atoms_in_the_interpretation():
+    # an atom outside at(P) makes the interpretation non-minimal for the
+    # polynomial check; the oracle refuses it
+    p = parse_program("a.")
+    x = p.table.intern("x")
+    interp = frozenset({p.table.id_of("a"), x})
+    assert is_answer_set_dn(p, interp) is False
+    with pytest.raises(ValueError):
+        is_answer_set(p, interp)
+    assert pmm(p, interp, x).rules[-1] == Rule.of((), (x,))
 
 
 def test_pmm_of_dual_normal_program_is_dual_horn():
