@@ -269,7 +269,9 @@ def run(argv: list[str], out: TextIO = None, err: TextIO = None) -> int:
     except ParseError as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        if exc.filename is None:  # not a failed read: an error on the streams
+            raise
         err.write(f"cannot read {exc.filename}\n")
         return EXIT_USAGE
     except BudgetExceededError as exc:

@@ -105,7 +105,7 @@ class Rule:
 
     @staticmethod
     def of(head: Iterable[int], body_pos: Iterable[int] = (), body_neg: Iterable[int] = ()) -> "Rule":
-        return Rule(tuple(sorted(set(head))), tuple(sorted(set(body_pos))), tuple(sorted(set(body_neg))))
+        return Rule(_sorted_ids(head), _sorted_ids(body_pos), _sorted_ids(body_neg))
 
     @property
     def is_constraint(self) -> bool:
@@ -137,6 +137,14 @@ class Rule:
 
     def size(self) -> int:
         return len(self.head) + len(self.body_pos) + len(self.body_neg)
+
+
+def _sorted_ids(atoms: Iterable[int]) -> tuple[int, ...]:
+    """The distinct atoms in ascending order; a list or tuple of at most one
+    atom is already that."""
+    if isinstance(atoms, (list, tuple)) and len(atoms) < 2:
+        return tuple(atoms)
+    return tuple(sorted(set(atoms)))
 
 
 @dataclass(frozen=True, eq=False)

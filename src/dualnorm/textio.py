@@ -13,6 +13,11 @@ insignificant, ``%`` starts a line comment)::
 start with the reserved ``__`` prefix; parsing with ``allow_generated=True``
 lifts that restriction so rendered transformation outputs can be read back.
 
+A statement is read per regular-expression match, together with the blanks
+and comments before it.  A token loop reads any statement that match does
+not take: one with a comment inside, and every ill-formed one, so the loop
+reports every error.
+
 SE-set files are line oriented: each non-comment line ``x1 x2 ; y1 y2 y3``
 denotes the SE-interpretation (X, Y) with X a subset of Y.  The universe is
 the union of all Y components plus the atoms of an optional ``#universe``
@@ -44,12 +49,39 @@ class ParseError(ValueError):
         self.message = message
 
 
+_ATOM = r"[a-z_][A-Za-z0-9_]*"
+
 # One token per match; a match beginning with whitespace or ``%`` is skipped.
 # ``not`` matches as an atom and is told apart by the parser.
-_TOKEN_RE = re.compile(r"\s+|%[^\n]*|(?P<atom>[a-z_][A-Za-z0-9_]*)|:-|[|,.]")
+_TOKEN_RE = re.compile(rf"\s+|%[^\n]*|(?P<atom>{_ATOM})|:-|[|,.]")
 
 # A whole atom name, for the line-oriented readers; the keyword ``not`` is none.
-_ATOM_NAME_RE = re.compile(r"(?!not\Z)[a-z_][A-Za-z0-9_]*\Z")
+_ATOM_NAME_RE = re.compile(rf"(?!not\Z){_ATOM}\Z")
+
+
+def _statement_re(allow_generated: bool) -> re.Pattern:
+    """The blanks and comments at a statement start, then, if one follows, a
+    whole statement without a comment inside, its head and body captured.
+
+    It accepts only what the token loop reads the same way: its atoms exclude
+    the keyword ``not`` and, unless ``allow_generated``, the reserved prefix.
+    A comment must reach its line end, so no backtracking can read the rest
+    of its line as a statement.
+    """
+    atom = r"(?!not(?![A-Za-z0-9_]))" + ("" if allow_generated else "(?!__)") + _ATOM
+    literal = rf"(?:not\s+)?{atom}"
+    return re.compile(
+        r"(?:\s|%[^\n]*(?![^\n]))*"
+        rf"(?:(?:(?P<head>{atom}(?:\s*\|\s*{atom})*)\s*|(?=:-))"
+        rf"(?::-\s*(?P<body>{literal}(?:\s*,\s*{literal})*)\s*)?\.)?"
+    )
+
+
+_STATEMENT_RE = {flag: _statement_re(flag) for flag in (False, True)}
+# The atoms of a matched head, and the literals of a matched body as
+# ``(not-keyword or "", atom)``, in text order.
+_NAME_RE = re.compile(_ATOM)
+_LITERAL_RE = re.compile(rf"(not\s+)?({_ATOM})")
 
 # Parser states; ``_RULE``, the start of a statement, is the only one a text
 # may end in.  ``_NEXT[state]`` maps a token ("atom", "not" or the
@@ -78,18 +110,43 @@ def parse_program(
     """Parse a program from its text form.
 
     A fresh table is created unless one is supplied; supply a shared table
-    when several programs must agree on atom ids.  Tokens are read one at a
-    time and only their offsets kept; a :class:`ParseError` reports the
-    line:column of the first offending token, or of the end of the text.
+    when several programs must agree on atom ids; atoms are interned in text
+    order.  A statement is read per match of ``_STATEMENT_RE``; the token
+    loop of :func:`_parse_statement` reads one with a comment inside and
+    reports every error.  A :class:`ParseError` reports the line:column of
+    the first offending token, or of the end of the text.
     """
     if table is None:
         table = AtomTable()
+    intern = table.intern
+    match_statement = _STATEMENT_RE[allow_generated].match
     rules = []
+    offset = 0
+    while True:
+        m = match_statement(text, offset)
+        offset = m.end()
+        head, body = m.group("head", "body")
+        if head is None and body is None:
+            if offset == len(text):
+                return Program.of(table, rules)
+            rule, offset = _parse_statement(text, offset, table, allow_generated)
+        else:
+            heads = list(map(intern, _NAME_RE.findall(head))) if head else []
+            pos: list[int] = []
+            neg: list[int] = []
+            for keyword, name in _LITERAL_RE.findall(body) if body else ():
+                (neg if keyword else pos).append(intern(name))
+            rule = Rule.of(heads, pos, neg)
+        rules.append(rule)
+
+
+def _parse_statement(text: str, offset: int, table: AtomTable, allow_generated: bool) -> tuple[Rule, int]:
+    """Read one statement token by token from ``offset``; return its rule
+    and the offset after its ``.``, or raise the first error in it."""
     head: list[int] = []
     pos: list[int] = []
     neg: list[int] = []
     state = _RULE
-    offset = 0
     while offset < len(text):
         m = _TOKEN_RE.match(text, offset)
         if m is None:
@@ -114,12 +171,9 @@ def parse_program(
             target = head if following == _HEAD_MORE else neg if state == _NEG_ATOM else pos
             target.append(table.intern(token))
         elif following == _RULE:
-            rules.append(Rule.of(head, pos, neg))
-            head, pos, neg = [], [], []
+            return Rule.of(head, pos, neg), offset
         state = following
-    if state != _RULE:
-        raise ParseError(f"expected {_EXPECTED[state]}, found 'end of input'", _span(text, len(text)))
-    return Program.of(table, rules)
+    raise ParseError(f"expected {_EXPECTED[state]}, found 'end of input'", _span(text, len(text)))
 
 
 def render_rule(rule: Rule, table: AtomTable) -> str:

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,12 +191,23 @@ def test_trace(files):
     assert code == 2
 
 
-def test_usage_errors(files):
+def test_usage_errors(files, tmp_path):
     assert invoke("bogus")[0] == 2
     assert invoke("solve", files["ab.lp"], "--method", "magic")[0] == 2
-    assert invoke("solve", "no_such_file.lp")[0] == 2
+    assert invoke("solve", "no_such_file.lp") == (2, "", "cannot read no_such_file.lp\n")
+    assert invoke("classify", str(tmp_path)) == (2, "", f"cannot read {tmp_path}\n")
     assert invoke("--seed", "1", "solve", files["ab.lp"])[0] == 2
     assert invoke("--budget", "-1", "solve", files["ab.lp"])[0] == 2
+
+
+def test_python_dash_m(files):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "dualnorm", "classify", files["dual3.lp"]],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == invoke("classify", files["dual3.lp"])
 
 
 def test_parser_is_built_once(files):

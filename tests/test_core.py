@@ -204,3 +204,16 @@ def test_dual_normal_guard_is_shared(call):
     with pytest.raises(ProgramClassError) as exc:
         call(parse_program("a :- b, c."))
     assert str(exc.value) == "program is not dual-normal (a proper rule has more than one positive body atom)"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [list, tuple, set, lambda atoms: (a for a in atoms)],
+    ids=["list", "tuple", "set", "generator"],
+)
+@pytest.mark.parametrize("atoms", [(), (4,), (4, 4), (3, 1, 2), (2, 0, 2, 1, 0)])
+def test_rule_of_sorts_and_dedups(make, atoms):
+    expected = tuple(sorted(set(atoms)))
+    rule = Rule.of(make(atoms), make(atoms), make(atoms))
+    assert rule == Rule(expected, expected, expected)
+    assert all(type(part) is tuple for part in (rule.head, rule.body_pos, rule.body_neg))

@@ -1,10 +1,12 @@
 import random
+import re
 import tracemalloc
 
 import pytest
 
-from dualnorm.core import Rule
-from dualnorm.gen import random_program, structured_corpus
+from dualnorm import textio
+from dualnorm.core import AtomTable, Program, Rule
+from dualnorm.gen import random_program, random_rule, structured_corpus
 from dualnorm.satenc import answer_sets_via_sat, program_cnf
 from dualnorm.textio import (
     ParseError,
@@ -219,3 +221,82 @@ def test_parse_dimacs_model_lines():
 def test_corpus_round_trip_structured():
     for p in structured_corpus(9, 40):
         assert parse_program(render_program(p)).canonical() == p.canonical()
+
+
+def _outcome(text, allow_generated):
+    """The rules and table names of a parse, or its error text and the names
+    interned before the error."""
+    table = AtomTable()
+    try:
+        rules = parse_program(text, table, allow_generated).rules
+    except ParseError as exc:
+        rules = str(exc)
+    return rules, [atom.name for atom in table.atoms()]
+
+
+# A comment after each separator and ``not`` keyword, and before each ``.``,
+# keeps every statement from the statement match: the token loop reads it.
+_SEPARATOR_RE = re.compile(r":-|[|,]|(?<![A-Za-z0-9_])not(?= )")
+
+
+def _commented(text):
+    return _SEPARATOR_RE.sub(lambda m: m.group() + "% c\n", text).replace(".", " % c\n.")
+
+
+def test_statement_match_and_token_loop_agree():
+    for prog in structured_corpus(13, 300):
+        text = render_program(prog)
+        for allow_generated in (False, True):
+            assert _outcome(text, allow_generated) == _outcome(_commented(text), allow_generated)
+
+
+@pytest.mark.parametrize(
+    "text, allow_generated, expected",
+    [
+        ("a :- nota.", False, ["a :- nota."]),
+        ("a :- not_a, b.", False, ["a :- not_a, b."]),
+        ("a :- not%c\nb.", False, ["a :- not b."]),
+        ("a :- not\tb.", False, ["a :- not b."]),
+        ("__g.", False, "1:1: atom '__g' uses the reserved generated-atom prefix '__'"),
+        ("__g.", True, ["__g."]),
+        ("a :- not __g.", False, "1:10: atom '__g' uses the reserved generated-atom prefix '__'"),
+        ("a :- not __g.", True, ["a :- not __g."]),
+        ("a. % end", False, ["a."]),
+        ("a.%", False, ["a."]),
+        ("a. b", False, "1:5: expected '.', found 'end of input'"),
+        # all one comment: the statement match must not backtrack into it
+        ("%\ta.||$\n", False, []),
+        ("a.\n%\tb.\nc.", False, ["a.", "c."]),
+    ],
+)
+def test_statement_edge_cases(text, allow_generated, expected):
+    try:
+        got = render_program(parse_program(text, allow_generated=allow_generated)).splitlines()
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+def test_rendered_program_makes_no_token_matches(monkeypatch):
+    rng = random.Random(8)
+    table = AtomTable()
+    atoms = [table.intern(f"x{i}") for i in range(60)]
+    prog = Program.of(table, filter(None, (random_rule(rng, atoms) for _ in range(1_000))))
+    assert len(prog.rules) == 1_000
+    text = render_program(prog)
+    counter = _CountingPattern(textio._TOKEN_RE)
+    monkeypatch.setattr(textio, "_TOKEN_RE", counter)
+    assert parse_program(text).canonical() == prog.canonical()
+    assert counter.calls == 0
+    assert parse_program(_commented(text)).canonical() == prog.canonical()
+    assert counter.calls > 0
