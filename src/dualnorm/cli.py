@@ -61,49 +61,57 @@ def _build_parser() -> _Parser:
     """The argument parser, built on the first ``run`` of the process:
     parsing keeps no state in it between calls."""
     parser = _Parser(prog="dualnorm", description=__doc__)
-    parser.add_argument("--budget", type=non_negative_int, default=None, metavar="N",
-                        help="max universe size for exhaustive operations")
-    parser.add_argument("--json", action="store_true", help="JSON output where applicable")
+    # The global flags go before or after the subcommand.  The subcommands'
+    # copies default to SUPPRESS: a subparser's default would overwrite a
+    # value given before the subcommand.
+    flags = argparse.ArgumentParser(add_help=False)
+    suppress = argparse.SUPPRESS
+    for target, budget, as_json in ((parser, None, False), (flags, suppress, suppress)):
+        target.add_argument("--budget", type=non_negative_int, default=budget, metavar="N",
+                            help="max universe size for exhaustive operations")
+        target.add_argument("--json", action="store_true", default=as_json,
+                            help="JSON output where applicable")
     sub = parser.add_subparsers(dest="command", required=True)
+    sub_parser = functools.partial(sub.add_parser, parents=[flags])
 
-    p = sub.add_parser("classify", help="print the class labels of a program")
+    p = sub_parser("classify", help="print the class labels of a program")
     p.add_argument("file")
 
-    p = sub.add_parser("solve", help="print the answer sets, one per line")
+    p = sub_parser("solve", help="print the answer sets, one per line")
     p.add_argument("file")
     p.add_argument("--method", choices=["brute", "dn", "sat"], default="brute")
 
-    p = sub.add_parser("translate", help="translate a program")
+    p = sub_parser("translate", help="translate a program")
     p.add_argument("file")
     p.add_argument("--to", choices=["normal", "star", "dimacs"], required=True)
     p.add_argument("--project", action="store_true",
                    help="with --to dimacs: prepend a comment listing the atom variable indices")
 
-    p = sub.add_parser("se", help="print the SE-models of a program")
+    p = sub_parser("se", help="print the SE-models of a program")
     p.add_argument("file")
 
-    p = sub.add_parser("ue", help="print the UE-models of a program")
+    p = sub_parser("ue", help="print the UE-models of a program")
     p.add_argument("file")
 
-    p = sub.add_parser("props", help="print the closure properties of an SE-set file")
+    p = sub_parser("props", help="print the closure properties of an SE-set file")
     p.add_argument("file")
 
-    p = sub.add_parser("synth", help="synthesize a dual-normal program from an SE-set file")
+    p = sub_parser("synth", help="synthesize a dual-normal program from an SE-set file")
     p.add_argument("file")
     p.add_argument("--from", dest="source", choices=["se", "ue"], required=True)
 
-    p = sub.add_parser("equiv", help="decide equivalence of two programs")
+    p = sub_parser("equiv", help="decide equivalence of two programs")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--mode", choices=["as", "strong", "uniform"], required=True)
     p.add_argument("--dn-fast", action="store_true",
                    help="use the polynomial per-pair UE test (uniform mode, dual-normal inputs)")
 
-    p = sub.add_parser("reduce", help="generate a program from a QBF or CNF instance")
+    p = sub_parser("reduce", help="generate a program from a QBF or CNF instance")
     p.add_argument("kind", choices=["qbf", "unsat"])
     p.add_argument("file")
 
-    p = sub.add_parser("trace", help="elimination trace for a minimality witness program")
+    p = sub_parser("trace", help="elimination trace for a minimality witness program")
     p.add_argument("file")
     p.add_argument("--model", required=True, metavar="ATOMS", help="space-separated atom names")
     p.add_argument("--exclude", required=True, metavar="ATOM")

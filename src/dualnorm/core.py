@@ -5,13 +5,17 @@ integer id everywhere else.  Rules and programs are immutable once built;
 interpretations are plain ``frozenset`` objects of atom ids.  Atom names
 starting with ``__`` are reserved for generated atoms (fresh atoms introduced
 by transformations); user programs may not use that prefix.
+
+A :class:`Rule` is a named tuple of its three fields, so it is built, hashed
+and compared in C: its hash is the hash of its field tuple, and it compares
+equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .common import ProgramClassError
 
@@ -92,8 +96,7 @@ class Atom:
     name: str
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A ground disjunctive rule ``head <- body_pos, not body_neg``.
 
     Every field is a duplicate-free tuple of atom ids in ascending order.
@@ -105,7 +108,8 @@ class Rule:
 
     @staticmethod
     def of(head: Iterable[int], body_pos: Iterable[int] = (), body_neg: Iterable[int] = ()) -> "Rule":
-        return Rule(_sorted_ids(head), _sorted_ids(body_pos), _sorted_ids(body_neg))
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+        return tuple.__new__(Rule, (_sorted_ids(head), _sorted_ids(body_pos), _sorted_ids(body_neg)))
 
     @property
     def is_constraint(self) -> bool:
@@ -156,11 +160,7 @@ class Program:
 
     @staticmethod
     def of(table: AtomTable, rules: Iterable[Rule]) -> "Program":
-        seen: dict[Rule, None] = {}
-        for r in rules:
-            if r not in seen:
-                seen[r] = None
-        return Program(table, tuple(seen))
+        return Program(table, tuple(dict.fromkeys(rules)))
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)

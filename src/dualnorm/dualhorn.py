@@ -28,11 +28,12 @@ one witness program and runs one elimination per member of ``M``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError
-from .core import Program, is_model
+from .core import AtomTable, Program, is_model
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import require_dual_normal as _require_dual_normal
@@ -48,15 +49,32 @@ class EliminationTrace:
     """The chain E_0, E_1, ... up to its fixpoint, over at(P) plus ``t``.
 
     Each eliminated atom is stored once, in level order, with the level
-    boundaries; the levels themselves are built only when asked for.
+    boundaries; the levels themselves are built only when asked for.  The
+    maximal model and the display name of ``t`` are computed on first read
+    (the name against the table as it is then).
     """
 
     eliminated: tuple[int, ...]
     bounds: tuple[int, ...]
-    max_model: frozenset[int]
     t_atom: int
     t_eliminated: bool
-    t_name: str
+    _heads: dict[int, list[int]] = field(repr=False, compare=False)
+    _bodies: list[int] = field(repr=False, compare=False)
+    _table: AtomTable = field(repr=False, compare=False)
+    _t_stem: str = field(repr=False, compare=False)
+
+    @cached_property
+    def max_model(self) -> frozenset[int]:
+        """The head atoms, the positive bodies (``t`` for an empty one) and
+        ``t``, less the eliminated atoms: with no negative bodies, these are
+        the atoms of P plus ``t``."""
+        universe = self._heads.keys() | self._bodies
+        universe.add(self.t_atom)
+        return frozenset(universe.difference(self.eliminated))
+
+    @cached_property
+    def t_name(self) -> str:
+        return self._table.unused_name(self._t_stem)
 
     @property
     def levels(self) -> tuple[frozenset[int], ...]:
@@ -98,10 +116,11 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
                 f"rule '{r}' is not dual-Horn (needs |body_pos| <= 1 and no negation)"
             )
         bodies.append(pos[0] if pos else t)
-        counters.append(len(r.head))
-        if not r.head:
+        head = r.head
+        counters.append(len(head))
+        if not head:
             ready.append(idx)
-        for h in r.head:
+        for h in head:
             occurs.setdefault(h, []).append(idx)
 
     eliminated: set[int] = set()
@@ -121,17 +140,7 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
                 if counters[idx] == 0:
                     ready.append(idx)
 
-    # no negative bodies: the atoms are the heads and the positive bodies
-    universe = occurs.keys() | bodies
-    universe.add(t)
-    return EliminationTrace(
-        eliminated=tuple(order),
-        bounds=tuple(bounds),
-        max_model=frozenset(universe - eliminated),
-        t_atom=t,
-        t_eliminated=t in eliminated,
-        t_name=prog.table.unused_name(t_stem),
-    )
+    return EliminationTrace(tuple(order), tuple(bounds), t, t in eliminated, occurs, bodies, prog.table, t_stem)
 
 
 def max_model_dual_horn(

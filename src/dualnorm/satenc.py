@@ -18,13 +18,21 @@ that branches on the projection variables first (false first).  One search
 per enumeration finds each projection once: after a model it adds the
 clause over the negated projection decisions, which is asserting one level
 below the last of them, and goes on with no restart.
+
+Variables (``Var``) and formula nodes are immutable tuples, built, hashed
+and compared in C.  A variable's hash is the hash of its field tuple.  A
+formula node is the tuple of its class tag and its fields, so nodes of
+different classes never compare equal, and the clausifier dispatches on
+the tag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import BudgetExceededError
 from .core import Program, Rule
@@ -36,8 +44,7 @@ from .core import require_dual_normal as _require_dual_normal
 # Variables
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """kind 'base': a program atom; 'pad': the padding variable t itself;
     'level': atom (or t, encoded as atom=None) at elimination level i for
     owner m."""
@@ -51,12 +58,16 @@ class Var:
 PAD = Var("pad")
 
 
+# Builds a Var from its field tuple without the Python-level ``Var.__new__``.
+_new_var = partial(tuple.__new__, Var)
+
+
 def base_var(atom: int) -> Var:
-    return Var("base", atom)
+    return _new_var(("base", atom, None, None))
 
 
 def level_var(atom: Optional[int], owner: int, level: int) -> Var:
-    return Var("level", atom, owner, level)
+    return _new_var(("level", atom, owner, level))
 
 
 def var_sort_key(v: Var) -> tuple:
@@ -82,46 +93,85 @@ def var_display(v: Var, table) -> str:
 # ---------------------------------------------------------------------------
 # Formulas
 
+# The class tag at index 0 of every formula node.
+_VAR, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(7)
 
-class Formula:
+
+class Formula(tuple):
+    """A formula node: a tuple of its class tag and its fields, so nodes of
+    different classes never compare equal."""
+
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class FVar(Formula):
-    var: Var
+    __slots__ = ()
+    _fields = ("var",)
+    var = property(itemgetter(1))
+
+    def __new__(cls, var: Var) -> "FVar":
+        return tuple.__new__(cls, (_VAR, var))
 
 
-@dataclass(frozen=True)
 class FConst(Formula):
-    value: bool
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: bool) -> "FConst":
+        return tuple.__new__(cls, (_CONST, value))
 
 
-@dataclass(frozen=True)
 class FNot(Formula):
-    arg: Formula
+    __slots__ = ()
+    _fields = ("arg",)
+    arg = property(itemgetter(1))
+
+    def __new__(cls, arg: Formula) -> "FNot":
+        return tuple.__new__(cls, (_NOT, arg))
 
 
-@dataclass(frozen=True)
 class FAnd(Formula):
-    args: tuple[Formula, ...]
+    __slots__ = ()
+    _fields = ("args",)
+    args = property(itemgetter(1))
+
+    def __new__(cls, args: tuple[Formula, ...]) -> "FAnd":
+        return tuple.__new__(cls, (_AND, args))
 
 
-@dataclass(frozen=True)
 class FOr(Formula):
-    args: tuple[Formula, ...]
+    __slots__ = ()
+    _fields = ("args",)
+    args = property(itemgetter(1))
+
+    def __new__(cls, args: tuple[Formula, ...]) -> "FOr":
+        return tuple.__new__(cls, (_OR, args))
 
 
-@dataclass(frozen=True)
 class FImplies(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ()
+    _fields = ("lhs", "rhs")
+    lhs = property(itemgetter(1))
+    rhs = property(itemgetter(2))
+
+    def __new__(cls, lhs: Formula, rhs: Formula) -> "FImplies":
+        return tuple.__new__(cls, (_IMPLIES, lhs, rhs))
 
 
-@dataclass(frozen=True)
 class FIff(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ()
+    _fields = ("lhs", "rhs")
+    lhs = property(itemgetter(1))
+    rhs = property(itemgetter(2))
+
+    def __new__(cls, lhs: Formula, rhs: Formula) -> "FIff":
+        return tuple.__new__(cls, (_IFF, lhs, rhs))
 
 
 TRUE = FConst(True)
@@ -162,23 +212,6 @@ def node_count(f: Formula) -> int:
     return count
 
 
-def formula_vars(f: Formula) -> set[Var]:
-    out = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, FVar):
-            out.add(node.var)
-        elif isinstance(node, (FAnd, FOr)):
-            stack.extend(node.args)
-        elif isinstance(node, FNot):
-            stack.append(node.arg)
-        elif isinstance(node, (FImplies, FIff)):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-    return out
-
-
 def eval_formula(f: Formula, assignment: dict[Var, bool]) -> bool:
     if isinstance(f, FVar):
         return assignment[f.var]
@@ -201,11 +234,6 @@ def eval_formula(f: Formula, assignment: dict[Var, bool]) -> bool:
 # Encoding
 
 
-def rules_with_pos_body(prog: Program, body: Iterable[int]) -> tuple[Rule, ...]:
-    """The rules whose positive body equals the given atom set."""
-    return prog.rules_by_pos_body.get(tuple(sorted(set(body))), ())
-
-
 def build_f0(prog: Program, m: int) -> Formula:
     """Level 0: the owner atom is eliminated, t survives, every other atom
     survives exactly when the candidate model contains it."""
@@ -218,16 +246,16 @@ def build_f0(prog: Program, m: int) -> Formula:
     return FAnd(tuple(parts))
 
 
-def _survival(prog: Program, m: int, i: int, body: Iterable[int]) -> Formula:
-    """No proper rule with this positive body eliminates its body atom at
-    level i: each such rule keeps a head atom at the previous level or is
-    discarded by the reduct (a negative body atom holds in the candidate
-    model)."""
+def _survival(rules: Sequence[Rule], prev: dict[int, Formula]) -> Formula:
+    """No proper rule among these (the rules with one positive body)
+    eliminates its body atom at a level: each keeps a head atom at the
+    previous level, whose nodes ``prev`` maps, or is discarded by the reduct
+    (a negative body atom holds in the candidate model)."""
     parts = []
-    for r in rules_with_pos_body(prog, body):
+    for r in rules:
         if not r.head:
             continue
-        lits: list[Formula] = [FVar(level_var(h, m, i - 1)) for h in r.head]
+        lits: list[Formula] = [prev[h] for h in r.head]
         lits.extend(FVar(base_var(b)) for b in r.body_neg)
         parts.append(disj(lits))
     return conj(parts)
@@ -237,16 +265,18 @@ def build_fi(prog: Program, m: int, i: int) -> Formula:
     """Level i (1 <= i <= p): each survivor variable is the conjunction of
     its previous level and the survival condition of its elimination rules."""
     _require_dual_normal(prog)
-    p = len(prog.atom_ids)
-    if not 1 <= i <= p:
-        raise ValueError(f"level {i} out of range 1..{p}")
+    atoms = sorted(prog.atom_ids)
+    if not 1 <= i <= len(atoms):
+        raise ValueError(f"level {i} out of range 1..{len(atoms)}")
+    by_body = prog.rules_by_pos_body
+    prev = {a: FVar(level_var(a, m, i - 1)) for a in atoms}
     parts: list[Formula] = []
-    for a in sorted(prog.atom_ids):
+    for a in atoms:
         if a == m:
             continue
-        cond = FAnd((FVar(level_var(a, m, i - 1)), _survival(prog, m, i, (a,))))
+        cond = FAnd((prev[a], _survival(by_body.get((a,), ()), prev)))
         parts.append(FIff(FVar(level_var(a, m, i)), cond))
-    t_cond = FAnd((FVar(level_var(None, m, i - 1)), _survival(prog, m, i, ())))
+    t_cond = FAnd((FVar(level_var(None, m, i - 1)), _survival(by_body.get((), ()), prev)))
     parts.append(FIff(FVar(level_var(None, m, i)), t_cond))
     return FAnd(tuple(parts)) if len(parts) > 1 else parts[0]
 
@@ -303,44 +333,68 @@ class CnfInstance:
     var_names: dict[int, str]
 
 
-def _fold(f: Formula) -> Formula:
-    """Compile constants away; the result contains no FConst unless it is one."""
-    if isinstance(f, (FVar, FConst)):
+def _fold(f: Formula, found: list[Var]) -> Formula:
+    """Compile constants away; the result contains no FConst unless it is one.
+
+    Appends to ``found`` the variable of every FVar occurrence in the result
+    (what a pruned subtree appended is cut off again).  A node none of whose
+    children changed is returned as it is.
+    """
+    tag = f[0]
+    if tag == _VAR:
+        found.append(f[1])
         return f
-    if isinstance(f, FNot):
-        a = _fold(f.arg)
-        if isinstance(a, FConst):
-            return FConst(not a.value)
-        return FNot(a)
-    if isinstance(f, (FAnd, FOr)):
-        is_and = isinstance(f, FAnd)
+    if tag == _CONST:
+        return f
+    if tag == _NOT:
+        a = _fold(f[1], found)
+        if a[0] == _CONST:
+            return FALSE if a[1] else TRUE
+        return f if a is f[1] else FNot(a)
+    if tag == _AND or tag == _OR:
+        is_and = tag == _AND
+        mark = len(found)
         flat = []
-        for arg in f.args:
-            g = _fold(arg)
-            if isinstance(g, FConst):
-                if g.value != is_and:
+        same = True
+        for arg in f[1]:
+            g = _fold(arg, found)
+            if g[0] == _CONST:
+                if g[1] != is_and:
+                    del found[mark:]
                     return g
+                same = False
                 continue
+            same = same and g is arg
             flat.append(g)
-        if not flat:
-            return TRUE if is_and else FALSE
-        if len(flat) == 1:
+        if len(flat) > 1:
+            if same:
+                return f
+            return FAnd(tuple(flat)) if is_and else FOr(tuple(flat))
+        if flat:
             return flat[0]
-        return FAnd(tuple(flat)) if is_and else FOr(tuple(flat))
-    if isinstance(f, FImplies):
-        lhs, rhs = _fold(f.lhs), _fold(f.rhs)
-        if isinstance(lhs, FConst):
-            return rhs if lhs.value else TRUE
-        if isinstance(rhs, FConst):
-            return TRUE if rhs.value else _fold(FNot(lhs))
-        return FImplies(lhs, rhs)
-    if isinstance(f, FIff):
-        lhs, rhs = _fold(f.lhs), _fold(f.rhs)
-        if isinstance(lhs, FConst):
-            return rhs if lhs.value else _fold(FNot(rhs))
-        if isinstance(rhs, FConst):
-            return lhs if rhs.value else _fold(FNot(lhs))
-        return FIff(lhs, rhs)
+        return TRUE if is_and else FALSE
+    if tag == _IMPLIES or tag == _IFF:
+        mark = len(found)
+        lhs, rhs = _fold(f[1], found), _fold(f[2], found)
+        if lhs[0] != _CONST and rhs[0] != _CONST:
+            if lhs is f[1] and rhs is f[2]:
+                return f
+            return FImplies(lhs, rhs) if tag == _IMPLIES else FIff(lhs, rhs)
+        if tag == _IMPLIES:
+            if lhs[0] == _CONST:
+                if lhs[1]:
+                    return rhs
+                del found[mark:]
+                return TRUE
+            if rhs[1]:
+                del found[mark:]
+                return TRUE
+            return FNot(lhs)
+        if lhs[0] == _CONST:
+            lhs, rhs = rhs, lhs
+        if lhs[0] == _CONST:  # both constant
+            return TRUE if lhs[1] == rhs[1] else FALSE
+        return lhs if rhs[1] else FNot(lhs)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -357,73 +411,72 @@ def tseitin_cnf(
     remaining formula variables follow in the documented sort order, then
     definition auxiliaries.
     """
-    g = _fold(f)
+    found: list[Var] = []
+    g = _fold(f, found)
     var_index: dict[Var, int] = {}
     for v in ensure_vars or ():
         var_index.setdefault(v, len(var_index) + 1)
-    for v in sorted(formula_vars(g), key=var_sort_key):
-        var_index.setdefault(v, len(var_index) + 1)
+    for v in sorted(set(found).difference(var_index), key=var_sort_key):
+        var_index[v] = len(var_index) + 1
     names = {}
     if namer is not None:
         names = {idx: namer(v) for v, idx in var_index.items()}
     clauses: list[tuple[int, ...]] = []
     next_var = len(var_index)
 
-    if isinstance(g, FConst):
-        if not g.value:
+    if g[0] == _CONST:
+        if not g[1]:
             clauses.append(())
         return CnfInstance(next_var, clauses, var_index, names)
 
-    def fresh() -> int:
-        nonlocal next_var
-        next_var += 1
-        return next_var
-
     def encode(node: Formula) -> int:
-        if isinstance(node, FVar):
-            return var_index[node.var]
-        if isinstance(node, FNot):
-            return -encode(node.arg)
-        if isinstance(node, (FAnd, FOr)):
-            lits = [encode(a) for a in node.args]
-            aux = fresh()
-            if isinstance(node, FAnd):
+        nonlocal next_var
+        tag = node[0]
+        if tag == _VAR:
+            return var_index[node[1]]
+        if tag == _NOT:
+            return -encode(node[1])
+        if tag == _AND or tag == _OR:
+            lits = [encode(a) for a in node[1]]
+            next_var += 1
+            aux = next_var
+            if tag == _AND:
                 for lit in lits:
                     clauses.append((-aux, lit))
-                clauses.append(tuple([aux] + [-lit for lit in lits]))
+                clauses.append((aux, *[-lit for lit in lits]))
             else:
                 for lit in lits:
                     clauses.append((aux, -lit))
-                clauses.append(tuple([-aux] + lits))
+                clauses.append((-aux, *lits))
             return aux
-        if isinstance(node, FImplies):
-            a, b = encode(node.lhs), encode(node.rhs)
-            aux = fresh()
-            clauses.append((-aux, -a, b))
-            clauses.append((aux, a))
-            clauses.append((aux, -b))
-            return aux
-        if isinstance(node, FIff):
-            a, b = encode(node.lhs), encode(node.rhs)
-            aux = fresh()
-            clauses.append((-aux, -a, b))
-            clauses.append((-aux, a, -b))
-            clauses.append((aux, a, b))
-            clauses.append((aux, -a, -b))
+        if tag == _IMPLIES or tag == _IFF:
+            a, b = encode(node[1]), encode(node[2])
+            next_var += 1
+            aux = next_var
+            if tag == _IMPLIES:
+                clauses.append((-aux, -a, b))
+                clauses.append((aux, a))
+                clauses.append((aux, -b))
+            else:
+                clauses.append((-aux, -a, b))
+                clauses.append((-aux, a, -b))
+                clauses.append((aux, a, b))
+                clauses.append((aux, -a, -b))
             return aux
         raise TypeError(f"constants should have been folded away: {node!r}")
 
     def assert_node(node: Formula) -> None:
         # top-level conjunctive spine: no auxiliaries for flat structure
-        if isinstance(node, FAnd):
-            for arg in node.args:
+        tag = node[0]
+        if tag == _AND:
+            for arg in node[1]:
                 assert_node(arg)
-        elif isinstance(node, FOr):
-            clauses.append(tuple(encode(a) for a in node.args))
-        elif isinstance(node, FImplies):
-            clauses.append((-encode(node.lhs), encode(node.rhs)))
-        elif isinstance(node, FIff):
-            a, b = encode(node.lhs), encode(node.rhs)
+        elif tag == _OR:
+            clauses.append(tuple([encode(a) for a in node[1]]))
+        elif tag == _IMPLIES:
+            clauses.append((-encode(node[1]), encode(node[2])))
+        elif tag == _IFF:
+            a, b = encode(node[1]), encode(node[2])
             clauses.append((-a, b))
             clauses.append((a, -b))
         else:
@@ -492,20 +545,22 @@ class _Dpll:
         self.unsat = False
         self.steps = 0
         clauses = list(clauses)
-        literals = set(chain.from_iterable(clauses))
-        if literals and (0 in literals or max(literals) > num_vars or -min(literals) > num_vars):
-            bad = next(lit for clause in clauses for lit in clause if not 0 < abs(lit) <= num_vars)
+        literals = list(chain.from_iterable(clauses))
+        if literals and (not all(literals) or min(literals) < -num_vars or max(literals) > num_vars):
+            bad = next(lit for lit in literals if not 0 < abs(lit) <= num_vars)
             raise ValueError(f"clause literal {bad} is outside variables 1..{num_vars}")
+        watches, value = self.watches, self.value
         for clause in clauses:
             c = list(clause)
-            if len(set(c)) < len(c):  # the two watches must differ
+            n = len(c)
+            if n == 2 and c[0] == c[1] or n > 2 and len(set(c)) < n:  # the two watches must differ
                 c = list(dict.fromkeys(c))
             if len(c) > 1:
-                self.watches[c[0]].append(c)
-                self.watches[c[1]].append(c)
-            elif not c or self.value[c[0]] is False:
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+            elif not c or value[c[0]] is False:
                 self.unsat = True
-            elif self.value[c[0]] is None:
+            elif value[c[0]] is None:
                 self._assign(c[0], None)
 
     def _assign(self, lit: int, reason: Optional[list[int]]) -> None:

@@ -36,7 +36,7 @@ has built, which is complete and here-union-closed by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
 from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, is_model, satisfies_reduct
@@ -48,14 +48,21 @@ from .core import submasks_ascending as _subset_masks_ascending
 from .dualhorn import max_model_dual_horn
 
 
-@dataclass(frozen=True)
-class SEPair:
+class _SEPairFields(NamedTuple):
     here: frozenset[int]
     there: frozenset[int]
 
-    def __post_init__(self):
-        if not self.here <= self.there:
+
+class SEPair(_SEPairFields):
+    """An SE-interpretation (X, Y): a tuple ``(here, there)`` with X a subset
+    of Y, hashed as that tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, here: frozenset[int], there: frozenset[int]) -> "SEPair":
+        if not here <= there:
             raise ValueError("SE-interpretation requires X to be a subset of Y")
+        return tuple.__new__(cls, (here, there))
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,7 @@ def write_dimacs(cnf) -> str:
     for idx in sorted(cnf.var_names):
         out.append(f"c {idx} = {cnf.var_names[idx]}")
     out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    for clause in cnf.clauses:
-        out.append(" ".join(str(lit) for lit in clause) + " 0")
+    out.extend(" ".join(map(str, clause)) + " 0" for clause in cnf.clauses)
     return "\n".join(out) + "\n"
 
 

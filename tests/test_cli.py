@@ -250,3 +250,35 @@ def test_json_flag(files):
     code, out, _ = invoke("--json", "se", files["ab.lp"])
     pairs = json.loads(out)
     assert {"here": ["a"], "there": ["a"]} in pairs
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("solve", "disj3.lp", "--method", "brute"),
+        ("solve", "dual3.lp", "--method", "sat"),
+        ("solve", "ab.lp", "--method", "dn"),
+        ("se", "disj3.lp"),
+        ("se", "ab.lp"),
+        ("equiv", "disj3.lp", "normal3.lp", "--mode", "strong"),
+        ("equiv", "ab.lp", "ab.lp", "--mode", "uniform"),
+    ],
+)
+@pytest.mark.parametrize("flags", [("--json",), ("--budget", "1"), ("--budget", "3", "--json")])
+def test_global_flags_after_the_subcommand(files, command, flags):
+    argv = [files.get(arg, arg) for arg in command]
+    before = invoke(*flags, *argv)
+    after = invoke(*argv, *flags)
+    assert after == before
+    assert before[0] in (0, 1, 3)
+
+
+def test_global_flag_after_the_subcommand_overrides():
+    # a value after the subcommand is read last; a missing one keeps the
+    # value given before it
+    parse = cli._build_parser().parse_args
+    assert parse(["--budget", "9", "solve", "f", "--budget", "3"]).budget == 3
+    args = parse(["--budget", "9", "--json", "solve", "f"])
+    assert (args.budget, args.json) == (9, True)
+    args = parse(["solve", "f"])
+    assert (args.budget, args.json) == (None, False)

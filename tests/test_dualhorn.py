@@ -53,6 +53,20 @@ def test_padding_atom_is_not_interned():
         p.table.name_of(tr.t_atom)
 
 
+def test_answer_set_check_names_no_padding_atom(monkeypatch):
+    # the name of t and the maximal model are computed only when read
+    calls = []
+    unused_name = AtomTable.unused_name
+    monkeypatch.setattr(AtomTable, "unused_name", lambda self, stem: calls.append(stem) or unused_name(self, stem))
+    p = parse_program("a | b.\nc :- a.\nb :- not c.")
+    assert answer_sets_dn(p) == answer_sets_bf(p)
+    assert calls == []
+    tr = elimination_fixpoint(pmm(p, ids_of(p, "a c"), p.table.id_of("a")), t_stem="__t_a")
+    assert calls == []
+    assert tr.t_name == "__t_a" and tr.t_name == "__t_a"
+    assert calls == ["__t_a"]
+
+
 def test_padding_atom_name_avoids_program_atoms():
     p = parse_program("__t :- a.", allow_generated=True)
     tr = elimination_fixpoint(p)

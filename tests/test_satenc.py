@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,10 +10,12 @@ from dualnorm.dualhorn import elimination_fixpoint, pmm
 from dualnorm.gen import random_dual_normal_program
 from dualnorm.oracle import answer_sets_bf
 from dualnorm.core import is_model
+from dualnorm import satenc
 from dualnorm.satenc import (
     FAnd,
     FConst,
     FIff,
+    FImplies,
     FNot,
     FOr,
     FVar,
@@ -30,17 +33,15 @@ from dualnorm.satenc import (
     level_var,
     node_count,
     program_cnf,
-    rules_with_pos_body,
     tseitin_cnf,
+    var_sort_key,
 )
-from dualnorm.textio import parse_program
+from dualnorm.textio import parse_program, write_dimacs
 
 
 def test_rules_with_pos_body():
-    p = parse_program("a :- b.\nc.")
-    assert rules_with_pos_body(p, [p.table.id_of("b")]) == (p.rules[0],)
-    assert rules_with_pos_body(p, []) == (p.rules[1],)
-    assert rules_with_pos_body(p, [p.table.id_of("a")]) == ()
+    p = parse_program("a :- b.\nc.\nd :- b, not c.")
+    assert p.rules_by_pos_body == {(p.table.id_of("b"),): (p.rules[0], p.rules[2]), (): (p.rules[1],)}
 
 
 def test_build_f0_structure():
@@ -364,8 +365,6 @@ def _random_formula(rng, leaves, depth):
         return FOr(tuple(_random_formula(rng, leaves, depth - 1) for _ in range(rng.randint(2, 3))))
     left = _random_formula(rng, leaves, depth - 1)
     right = _random_formula(rng, leaves, depth - 1)
-    from dualnorm.satenc import FImplies
-
     return FIff(left, right) if kind == 2 else FImplies(left, right)
 
 
@@ -401,3 +400,89 @@ def test_size_bound_measured():
         ratios.append(worst)
     assert max(ratios) < 8.0
     assert max(ratios[-3:]) <= max(ratios[:3])
+
+
+# sha256 of write_dimacs(program_cnf(p)) for six random_dual_normal_program
+# draws of 8-12 atoms (the golden CLI corpus stops DIMACS at 4 atoms),
+# recorded before formula nodes and variables became tuples.
+DIMACS_SHA256 = [
+    (8, "08afda107e837097bd0ff30b05a06f7bf5aee4b990215d488df469c4fef24e24"),
+    (9, "fc82efc414462a29a24a697a0d3c4d8768085963bc34d41dd510ec40be39d0dc"),
+    (10, "2aee32a15c15bd6727cc79d80bf63cd43f3b46132ff3349427b44e635e9670dd"),
+    (12, "cb7553e0f557fba0d858056eabc104e6cc9eb3b449578c48800543110ba5db1a"),
+    (9, "4a528e9e244ac18d462fb3fcabd2a5e9d3073cd16e821466657dcc138a418d5d"),
+    (9, "afa3fd2ef7bdae438faa7a6540ee4dbd3367bdfbb70942e9e89b815d5876d376"),
+]
+
+
+def test_dimacs_bytes_of_larger_encodings():
+    rng = random.Random(14)
+    progs = []
+    while len(progs) < len(DIMACS_SHA256):
+        p = random_dual_normal_program(rng, rng.randint(8, 12), 24)
+        if len(p.atom_ids) >= 8:
+            progs.append(p)
+    got = [
+        (len(p.atom_ids), hashlib.sha256(write_dimacs(program_cnf(p)).encode()).hexdigest())
+        for p in progs
+    ]
+    assert got == DIMACS_SHA256
+
+
+@pytest.mark.parametrize(
+    "num_vars, clauses",
+    [
+        (3, [(3, 3)]),
+        (3, [(1, 2, 1)]),
+        (3, [(-2, -2, -2)]),
+        (3, [(3, 3), (1, 2, 1), (-2, -2, -2)]),
+        (3, [(-1, -1), (1, 2, 1), (-3, 2, -3, 2)]),
+        (2, [(1, -1, 1), (2, 2)]),
+        (2, [(1, 1), (-1, -1)]),
+        (4, [(-4, -4, 1), (4, 4), (2, 3, 2, 3), (-2, -3, -2)]),
+    ],
+)
+def test_repeated_literals_enumerate_like_their_deduplicated_form(num_vars, clauses):
+    from dualnorm.satenc import CnfInstance
+
+    def satisfied(true_vars, clause):
+        return any((lit > 0) == (abs(lit) in true_vars) for lit in clause)
+
+    project = range(1, num_vars)  # the last variable is projected away
+    truth = set()
+    for bits in itertools.product((False, True), repeat=num_vars):
+        true_vars = {v for v, b in zip(range(1, num_vars + 1), bits) if b}
+        if all(satisfied(true_vars, c) for c in clauses):
+            truth.add(frozenset(true_vars & set(project)))
+    deduped = [tuple(dict.fromkeys(c)) for c in clauses]
+    with_repeats = enumerate_models(CnfInstance(num_vars, clauses, {}, {}), project)
+    without = enumerate_models(CnfInstance(num_vars, deduped, {}, {}), project)
+    assert len(with_repeats) == len(set(with_repeats))
+    assert set(with_repeats) == set(without) == truth
+
+
+def _vars_of(f):
+    if isinstance(f, FVar):
+        return {f.var}
+    children = f.args if isinstance(f, (FAnd, FOr)) else (f.arg,) if isinstance(f, FNot) else ()
+    if isinstance(f, (FImplies, FIff)):
+        children = (f.lhs, f.rhs)
+    return set().union(*map(_vars_of, children))
+
+
+def test_tseitin_indexes_exactly_the_variables_left_after_folding():
+    rng = random.Random(7)
+    leaves = [FVar(base_var(a)) for a in range(4)] + [FConst(True), FConst(False)]
+    for _ in range(300):
+        f = _random_formula(rng, leaves, 3)
+        found = []
+        left = _vars_of(satenc._fold(f, found))
+        assert set(found) == left
+        cnf = tseitin_cnf(f)
+        assert list(cnf.var_index) == sorted(left, key=var_sort_key)
+        assert list(cnf.var_index.values()) == list(range(1, len(left) + 1))
+        models = set(enumerate_models(cnf, cnf.var_index.values()))
+        for mask in range(16):
+            assignment = {base_var(a): bool(mask >> a & 1) for a in range(4)}
+            true_idx = frozenset(i for v, i in cnf.var_index.items() if assignment[v])
+            assert (true_idx in models) == eval_formula(f, assignment)
