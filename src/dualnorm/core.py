@@ -13,9 +13,9 @@ equal to the plain tuple of its fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .common import ProgramClassError
 
@@ -219,7 +219,7 @@ class Program:
         return Program.of(self.table, rules)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ReductView:
     """Per-program data for reducts and minimality witnesses.
 
@@ -228,16 +228,24 @@ class ReductView:
     proper part of the reduct w.r.t. I keeps the stripped rules whose
     negative body misses I.  ``forbid`` maps each atom, in ascending order,
     to the constraint ``:- a.``.
+
+    Two one-entry memos hold what was derived for the last interpretation
+    asked about, each keyed by that interpretation and replaced when
+    another comes: ``witness_memo``, the first minimality witness for the
+    last M (``dualhorn.pmm``), and ``ue_memo``, the UE-test view for the
+    last (Y, universe) (``seue.is_ue_model_dn``).
     """
 
     proper: tuple[tuple[tuple[int, ...], Rule], ...]
     forbid: dict[int, Rule]
     dual_normal: bool
+    witness_memo: Any = field(default=None, repr=False)
+    ue_memo: Any = field(default=None, repr=False)
 
     def reduct_proper(self, interp: frozenset[int]) -> list[Rule]:
         """The proper rules of the reduct w.r.t. ``interp``, deduplicated,
         in program order."""
-        return list(dict.fromkeys(r for neg, r in self.proper if interp.isdisjoint(neg)))
+        return list(dict.fromkeys([r for neg, r in self.proper if interp.isdisjoint(neg)]))
 
     def forbidding(self, atom: int) -> Rule:
         """The constraint ``:- atom.``; an atom outside the program gets a

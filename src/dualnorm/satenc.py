@@ -28,7 +28,6 @@ the tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -325,12 +324,34 @@ def declared_vars(prog: Program) -> list[Var]:
 # Clausification
 
 
-@dataclass
 class CnfInstance:
-    num_vars: int
-    clauses: list[tuple[int, ...]]
-    var_index: dict[Var, int]
-    var_names: dict[int, str]
+    """A CNF over variables 1..``num_vars`` with its layout: ``var_index``
+    maps the structured variables to their indices, and ``var_names`` maps
+    indices to display names.  Given a ``namer`` in place of the names, the
+    names are filled on first read, so a search that never reads them never
+    builds them."""
+
+    def __init__(
+        self,
+        num_vars: int,
+        clauses: list[tuple[int, ...]],
+        var_index: dict[Var, int],
+        var_names: Optional[dict[int, str]] = None,
+        namer: Optional[Callable[[Var], str]] = None,
+    ) -> None:
+        self.num_vars = num_vars
+        self.clauses = clauses
+        self.var_index = var_index
+        self._var_names = var_names
+        self._namer = namer
+
+    @property
+    def var_names(self) -> dict[int, str]:
+        if self._var_names is None:
+            namer = self._namer
+            self._var_names = {} if namer is None else {idx: namer(v) for v, idx in self.var_index.items()}
+            self._namer = None
+        return self._var_names
 
 
 def _fold(f: Formula, found: list[Var]) -> Formula:
@@ -418,16 +439,13 @@ def tseitin_cnf(
         var_index.setdefault(v, len(var_index) + 1)
     for v in sorted(set(found).difference(var_index), key=var_sort_key):
         var_index[v] = len(var_index) + 1
-    names = {}
-    if namer is not None:
-        names = {idx: namer(v) for v, idx in var_index.items()}
     clauses: list[tuple[int, ...]] = []
     next_var = len(var_index)
 
     if g[0] == _CONST:
         if not g[1]:
             clauses.append(())
-        return CnfInstance(next_var, clauses, var_index, names)
+        return CnfInstance(next_var, clauses, var_index, namer=namer)
 
     def encode(node: Formula) -> int:
         nonlocal next_var
@@ -483,7 +501,7 @@ def tseitin_cnf(
             clauses.append((encode(node),))
 
     assert_node(g)
-    return CnfInstance(next_var, clauses, var_index, names)
+    return CnfInstance(next_var, clauses, var_index, namer=namer)
 
 
 def program_cnf(prog: Program) -> CnfInstance:

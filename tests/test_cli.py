@@ -191,6 +191,14 @@ def test_trace(files):
     assert code == 2
 
 
+def test_trace_names_the_rule_that_is_not_dual_horn(tmp_path):
+    p = tmp_path / "g.lp"
+    p.write_text("a :- b, c.\nb | c.\n")
+    code, out, err = invoke("trace", str(p), "--model", "a b c", "--exclude", "a")
+    assert (code, out) == (2, "")
+    assert err == "input error: rule 'a :- b, c.' is not dual-Horn (needs |body_pos| <= 1 and no negation)\n"
+
+
 def test_usage_errors(files, tmp_path):
     assert invoke("bogus")[0] == 2
     assert invoke("solve", files["ab.lp"], "--method", "magic")[0] == 2

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from dualnorm import dualhorn
 from dualnorm.common import ProgramClassError
 from dualnorm.core import AtomTable, Program, Rule, is_model, reduct, split
 from dualnorm.dualhorn import (
@@ -87,10 +88,18 @@ def test_elimination_trace_empty_program():
 
 
 def test_elimination_rejects_non_dual_horn():
-    with pytest.raises(ProgramClassError):
+    with pytest.raises(ProgramClassError, match=r"^rule 'a :- b, c\.' is not dual-Horn"):
         elimination_fixpoint(parse_program("a :- b, c."))
-    with pytest.raises(ProgramClassError):
-        elimination_fixpoint(parse_program("a :- not b."))
+    with pytest.raises(ProgramClassError, match=r"^rule 'a :- not b\.' is not dual-Horn"):
+        elimination_fixpoint(parse_program("c.\na :- not b."))
+    # pmm builds witnesses of any program (the oracle reads them); only the
+    # elimination rejects one, naming its first rule that is not dual-Horn
+    p = parse_program("a :- b, c.\nb | c.\nd :- a, b.")
+    m = ids_of(p, "a b c d")
+    witnesses = [pmm(p, m, a) for a in sorted(m)]
+    for w in witnesses:
+        with pytest.raises(ProgramClassError, match=r"^rule 'a :- b, c\.'"):
+            elimination_fixpoint(w)
 
 
 def test_max_model_examples():
@@ -194,6 +203,70 @@ def test_pmm_reuses_the_programs_reduct_rules():
     assert len(kept) == 3
     assert list(map(id, kept)) == [id(r) for r in second.rules if r.head]
     assert kept[1] is p.rules[2]  # a rule without negation is kept as is
+
+
+def trace_fields(tr, table):
+    return tr.eliminated, tr.bounds, tr.t_eliminated, tr.to_dict(table)
+
+
+def test_seeded_witness_elimination_matches_a_fresh_compile():
+    # a witness for an M seen before is compiled from the first witness for
+    # M; its trace must be the one of the same rules compiled from scratch,
+    # and eliminating a witness twice must not consume its view
+    rng = random.Random(13)
+    for _ in range(100):
+        p = random_dual_normal_program(rng, rng.randint(1, 6), 7)
+        atoms = sorted(p.atom_ids)
+        interps = [frozenset(a for i, a in enumerate(atoms) if mask >> i & 1) for mask in range(1, 1 << len(atoms))]
+        for interp in rng.sample(interps, min(6, len(interps))):
+            for m in sorted(interp):
+                witness = pmm(p, interp, m)
+                plain = Program(p.table, witness.rules)
+                stem = "__t_" + p.table.name_of(m)
+                expected = trace_fields(elimination_fixpoint(plain, t_stem=stem), p.table)
+                assert trace_fields(elimination_fixpoint(witness, t_stem=stem), p.table) == expected
+                assert trace_fields(elimination_fixpoint(witness, t_stem=stem), p.table) == expected
+
+
+def test_witnesses_do_not_depend_on_the_last_interpretation():
+    # witnesses for M1, M2, then M1 again (an equal set, not the same
+    # object) equal those of a fresh copy of the program
+    rng = random.Random(14)
+    for _ in range(100):
+        p = random_dual_normal_program(rng, rng.randint(1, 6), 7)
+        atoms = sorted(p.atom_ids)
+        if not atoms:
+            continue
+        m1 = frozenset(rng.sample(atoms, rng.randint(1, len(atoms))))
+        m2 = frozenset(rng.sample(atoms, rng.randint(1, len(atoms))))
+        for interp in (m1, m2, frozenset(set(m1))):
+            fresh = Program(p.table, p.rules)
+            for m in sorted(interp):
+                witness, reference = pmm(p, interp, m), pmm(fresh, interp, m)
+                assert witness.rules == reference.rules
+                assert trace_fields(elimination_fixpoint(witness), p.table) == trace_fields(
+                    elimination_fixpoint(reference), p.table
+                )
+            assert is_answer_set_dn(p, interp) == is_answer_set_dn(Program(p.table, p.rules), interp)
+
+
+def test_answer_set_check_compiles_each_witness_base_once(monkeypatch):
+    compiled = []
+    compile_elimination = dualhorn.compile_elimination
+    monkeypatch.setattr(
+        dualhorn, "compile_elimination", lambda rules: compiled.append(len(rules)) or compile_elimination(rules)
+    )
+    # the first witness for M is compiled by its own elimination, as any
+    # program is; the second compiles the base they share, and the other
+    # k - 2 compile nothing
+    p = parse_program("a | b.\nc :- a.\nd | e :- c.\nf :- not b.")
+    answer = ids_of(p, "a c d f")
+    assert is_answer_set_dn(p, answer)
+    assert len(compiled) == 2 and compiled[0] == compiled[1]
+    assert is_answer_set_dn(p, frozenset(answer))  # an equal M: nothing to compile
+    assert len(compiled) == 2
+    assert not is_answer_set_dn(p, ids_of(p, "a b c d f"))  # fails at its first witness
+    assert len(compiled) == 3
 
 
 def test_foreign_atoms_in_the_interpretation():

@@ -270,6 +270,19 @@ def test_declared_variable_layout():
     assert cnf.var_names[4] == "a^0_a"
 
 
+def test_variables_are_named_on_first_read(monkeypatch):
+    calls = []
+    var_display = satenc.var_display
+    monkeypatch.setattr(satenc, "var_display", lambda v, table: calls.append(v) or var_display(v, table))
+    p = parse_program("a | b.\nc :- a.\nd :- not c.")
+    assert len(answer_sets_via_sat(p)) == 2
+    cnf = program_cnf(p)
+    assert calls == []
+    names = cnf.var_names
+    assert len(calls) == len(cnf.var_index) and sorted(names) == sorted(cnf.var_index.values())
+    assert cnf.var_names is names and len(calls) == len(cnf.var_index)
+
+
 def test_interpret_model_round_trip():
     p = parse_program("a :- not b.\nb :- not a.")
     cnf = program_cnf(p)

@@ -4,7 +4,8 @@ import pytest
 
 from dualnorm.common import ProgramClassError, SynthesisPreconditionError
 from dualnorm.classify import classify_labels
-from dualnorm.core import AtomTable
+from dualnorm.core import AtomTable, Program, Rule, is_model, reduct, split
+from dualnorm.dualhorn import max_model_dual_horn
 from dualnorm.gen import (
     close_complete_here_union,
     random_dual_normal_program,
@@ -34,6 +35,33 @@ from conftest import DISJ3, DISJ3_DUAL, DISJ3_NORMAL, UNSPLITTABLE, ids_of, name
 
 def pair_of(prog, here, there):
     return SEPair(ids_of(prog, here) if here else frozenset(), ids_of(prog, there))
+
+
+def subsets(atoms):
+    atoms = sorted(atoms)
+    return [frozenset(a for i, a in enumerate(atoms) if mask >> i & 1) for mask in range(1 << len(atoms))]
+
+
+def ue_model_reference(prog, pair, universe):
+    """The per-atom construction: each atom a of Y \\ X spawns the dual-Horn
+    theory P^Y (proper part) + the facts X + ``:- z.`` for z outside Y +
+    ``:- a.``, whose maximal model over the universe must be X."""
+    x, y = pair.here, pair.there
+    if not is_model(y, prog):
+        return False
+    if x == y:
+        return True
+    proper_reduct = reduct(split(prog)[0], y)
+    if not is_model(x, proper_reduct):
+        return False
+    base = list(proper_reduct.rules)
+    base.extend(Rule.of((a,)) for a in sorted(x))
+    base.extend(Rule.of((), (z,)) for z in sorted(universe - y))
+    base = tuple(dict.fromkeys(base))
+    return all(
+        max_model_dual_horn(Program(prog.table, (*base, Rule.of((), (a,)))), universe=universe) == x
+        for a in sorted(y - x)
+    )
 
 
 def test_se_satisfies_examples():
@@ -209,6 +237,59 @@ def test_is_ue_model_dn_examples():
     assert is_ue_model_dn(dual, pair_of(dual, "a b c", "a b c"))
     with pytest.raises(ProgramClassError):
         is_ue_model_dn(parse_program("a :- b, c."), SEPair(frozenset(), frozenset()))
+
+
+def test_is_ue_model_dn_matches_the_per_atom_construction():
+    # universes equal to at(P), larger than it, and missing some of its
+    # atoms; the checks of neighbouring Y values, over every universe, are
+    # interleaved, so the memo of the last (Y, universe) both hits and misses
+    rng = random.Random(25)
+    for _ in range(60):
+        p = random_dual_normal_program(rng, rng.randint(1, 5), 6)
+        extra = [p.table.intern(f"x{i}") for i in range(2)]
+        atoms = sorted(p.atom_ids)
+        universes = [
+            p.atom_ids,
+            p.atom_ids | frozenset(extra[: rng.randint(1, 2)]),
+            frozenset(rng.sample(atoms, rng.randint(0, len(atoms)))) | {extra[0]},
+        ]
+        ys = list({y for uni in universes for y in subsets(uni)})
+        rng.shuffle(ys)
+        place = {y: i for i, y in enumerate(ys)}
+        checks = [(uni, SEPair(x, y)) for uni in universes for y in subsets(uni) for x in subsets(y)]
+        checks.sort(key=lambda check: place[check[1].there] + 2 * rng.random())
+        for uni, pr in checks:
+            assert is_ue_model_dn(p, pr, uni) == ue_model_reference(p, pr, uni)
+        for uni in universes:
+            with pytest.raises(ValueError):
+                is_ue_model_dn(p, SEPair(frozenset(), uni | {p.table.intern("outside")}), uni)
+
+
+def test_ue_test_builds_one_view_per_there_component(monkeypatch):
+    compiled, closures = [], []
+    compile_elimination, survivor_set = seue.compile_elimination, seue._survivor_set
+    monkeypatch.setattr(seue, "compile_elimination", lambda rules: compiled.append(1) or compile_elimination(rules))
+    monkeypatch.setattr(seue, "_survivor_set", lambda view, a: closures.append(a) or survivor_set(view, a))
+    p = parse_program("a | b | c | d.\nb :- a.\nc | d :- b.\na :- not e.")
+    y = ids_of(p, "a b c d")
+    verdicts = [is_ue_model_dn(p, SEPair(x, y)) for x in subsets(y)]
+    assert any(verdicts) and not all(verdicts)
+    assert len(compiled) == 1
+    assert len(closures) <= len(y) and len(set(closures)) == len(closures)
+
+    # a full scan (of 3^5 pairs) keeps one view per program, the last
+    # there-component's, and builds one per there-component
+    q = parse_program("a | b | c | d.\nb :- a.\nc | d :- b.\na :- not e.\na :- a.", table=p.table)
+    compiled.clear()
+    closures.clear()
+    assert uniformly_equivalent_dn(p, q)
+    joint = p.atom_ids | q.atom_ids
+    for prog in (p, q):
+        view = prog.reduct_view.ue_memo
+        assert view.key == (joint, joint)
+        assert len(view.survivors) <= len(joint)
+    assert len(compiled) <= 2 * 2 ** len(joint)
+    assert len(closures) <= 2 * len(joint) * 2 ** (len(joint) - 1)
 
 
 def test_uniformly_equivalent_dn_examples():
