@@ -231,9 +231,11 @@ class ReductView:
 
     Two one-entry memos hold what was derived for the last interpretation
     asked about, each keyed by that interpretation and replaced when
-    another comes: ``witness_memo``, the first minimality witness for the
-    last M (``dualhorn.pmm``), and ``ue_memo``, the UE-test view for the
-    last (Y, universe) (``seue.is_ue_model_dn``).
+    another comes: ``witness_memo``, the answer-set check state for the
+    last M (``dualhorn.pmm``: the rules its witnesses share, closed to their
+    base fixpoint on first use, and the atoms settled so far), and
+    ``ue_memo``, the UE-test view for the last (Y, universe)
+    (``seue.is_ue_model_dn``).
     """
 
     proper: tuple[tuple[tuple[int, ...], Rule], ...]

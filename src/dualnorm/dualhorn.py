@@ -19,17 +19,23 @@ only on request.
 On top of this sits the answer-set check for dual-normal programs: ``M`` is
 an answer set iff ``M`` is a model and, for every ``m`` in ``M``, the
 minimality witness program ``pmm(P, M, m)`` (which is dual-Horn) eliminates
-its ``t``.  ``pmm`` takes its rules from the program's cached reduct view
-(``Program.reduct_view``): the proper rules with their negative bodies
-stripped and the constraint ``:- a.`` of every atom are built once per
-program, and the first witness for an ``M`` only filters them by ``M``;
-its elimination compiles it (``compile_elimination``) like any program.
-The view remembers that witness.  Every other witness for the same ``M``
-differs from it only in the atom of its last rule ``:- m``, which has no
-head, so the second one compiles the shared rules once, and each later run
-copies the compiled bodies and counters and changes one body.  A check still
-runs one elimination per member of ``M``; the trace of each is the one a
-fresh compile of its rules gives.
+its ``t``.  The witnesses for one ``M`` share all their rules but the last,
+``:- m.``: the proper rules of P^M, taken from the program's cached reduct
+view (``Program.reduct_view``), and ``:- a.`` for every atom outside ``M``.
+The view keeps a check state for the last ``M``.  The first elimination of
+one of its witnesses compiles the shared rules once and closes them to
+their fixpoint C0.  The witness for ``m`` eliminates ``t`` iff the
+elimination continued from C0 with ``m`` does; that run stops at ``t`` or
+at a settled atom, one known to eliminate ``t``, and is undone from a log.
+An ``m`` that succeeds is settled, and the first one also sets off one
+reverse search from ``t`` along the rules left with one live head after
+C0, which settles every atom it reaches.  On a chain that settles every
+atom, so the check is linear; rules that keep two live heads after C0 can
+still make the continued runs cost |M| * |P| in all.
+A witness builds its rule tuple only when it is read.  Its trace holds
+``t_eliminated``; the levels and the maximal model come from a fresh
+compile of the witness's rules on first read, so every trace is the one a
+fresh compile gives.
 """
 
 from __future__ import annotations
@@ -58,7 +64,10 @@ class EliminationTrace:
     Each eliminated atom is stored once, in level order, with the level
     boundaries; the levels themselves are built only when asked for.  The
     maximal model and the display name of ``t`` are computed on first read
-    (the name against the table as it is then).
+    (the name against the table as it is then).  The trace of a ``pmm``
+    witness is built by :meth:`deferred` with ``t_eliminated`` alone; its
+    other fields are filled from a fresh compile of the witness's rules
+    when one of them is first read.
     """
 
     eliminated: tuple[int, ...]
@@ -78,6 +87,25 @@ class EliminationTrace:
             eliminated=eliminated, bounds=bounds, t_atom=t_atom, t_eliminated=t_eliminated,
             _heads=_heads, _bodies=_bodies, _table=_table, _t_stem=_t_stem,
         )
+
+    @classmethod
+    def deferred(cls, witness: Program, t_eliminated: bool, t_stem: str) -> "EliminationTrace":
+        """The trace of a witness whose ``t_eliminated`` is known: the other
+        fields come from a fresh compile of its rules, on first read."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(
+            t_atom=T_ATOM, t_eliminated=t_eliminated, _table=witness.table, _t_stem=t_stem, _witness=witness
+        )
+        return trace
+
+    def __getattr__(self, name: str):
+        # reached only for a field that is not set yet: one of a deferred trace
+        if name not in _DEFERRED_FIELDS or "_witness" not in self.__dict__:
+            raise AttributeError(name)
+        full = elimination_fixpoint(Program(self._table, self._witness.rules))
+        for field_name in _DEFERRED_FIELDS:
+            self.__dict__[field_name] = getattr(full, field_name)
+        return self.__dict__[name]
 
     @cached_property
     def max_model(self) -> frozenset[int]:
@@ -107,6 +135,9 @@ class EliminationTrace:
             "levels": [names(level) for level in self.levels],
             "max_model": names(self.max_model),
         }
+
+
+_DEFERRED_FIELDS = ("eliminated", "bounds", "_heads", "_bodies")
 
 
 # A rule list compiled for the elimination, as reversed rules ``b <- H`` with
@@ -175,11 +206,13 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
     The padding atom ``t`` is not interned: its id is ``T_ATOM``, and
     ``t_stem`` gives it a display name that the table does not hold.  The
     chain is monotone and stabilizes within |at(P)| + 1 steps.  A witness
-    that ``pmm`` derived from an earlier one for the same M is seeded from
-    the compiled rules they share; any other program is compiled here.
+    from ``pmm`` is answered from the check state of its M; its trace holds
+    ``t_eliminated`` and computes the rest on first read.  Any other program
+    is compiled here.
     """
-    if type(prog) is _Witness:
-        bad, bodies, counters, occurs, ready = prog.base.seeded(prog.rules)
+    witness = type(prog) is _Witness
+    if witness:
+        bad = prog.check.close()
     else:
         bad, bodies, counters, occurs, ready = compile_elimination(prog.rules)
     if bad is not None:
@@ -187,6 +220,8 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
             f"rule '{render_rule(prog.rules[bad], prog.table)}' is not dual-Horn "
             "(needs |body_pos| <= 1 and no negation)"
         )
+    if witness:
+        return EliminationTrace.deferred(prog, prog.check.eliminates_t(prog.m), t_stem)
     eliminated: set[int] = set()
     # the first level is built by the same set expression as every later one,
     # so the order of ``eliminated`` within it does not depend on the route
@@ -212,38 +247,122 @@ def max_model_dual_horn(
     return model
 
 
-class _WitnessBase:
-    """The first minimality witness built for one ``M``, kept in the
-    program's reduct view: its rules (the reduct's proper rules, ``:- a.``
-    for every atom outside ``M``, then ``:- m``) and, from the second
-    witness for ``M`` on, their compiled view.  Every other witness for
-    ``M`` differs only in the atom of its last rule."""
+class _CheckState:
+    """The answer-set check for one ``M``, kept in the program's reduct
+    view.
 
-    __slots__ = ("interp", "rules", "view")
+    ``rules`` are the rules that every minimality witness for ``M`` shares:
+    the proper rules of P^M, then ``:- a.`` for every atom a of P outside
+    ``M``.  The witness for m adds ``:- m.``, whose only effect is to
+    eliminate m, so it eliminates ``t`` iff the closure of C0 + {m} holds
+    ``t``, C0 being the fixpoint of the shared rules alone.  ``settled``
+    holds atoms known to eliminate ``t`` from C0: ``t``, every m that
+    succeeded, and what :meth:`_search` found after the first of them.  A
+    run that meets a settled atom stops, since its closure holds that
+    atom's.  The search waits for a success because only a run that
+    succeeds can use it, and a check ends at its first failure.
+    """
+
+    __slots__ = ("interp", "rules", "bad", "bodies", "counters", "occurs", "eliminated", "settled", "searched", "t_out")
 
     def __init__(self, interp: frozenset[int], rules: tuple[Rule, ...]) -> None:
         self.interp = interp
         self.rules = rules
-        self.view: Optional[EliminationView] = None
+        self.bodies: Optional[list[int]] = None
 
-    def seeded(self, rules: tuple[Rule, ...]) -> EliminationView:
-        """The compiled view of the witness for this ``M`` with the given
-        rules, with counters of its own.  Its last rule ``:- m`` has no head,
-        so the occurrence lists and the ready rules are the base's."""
-        if self.view is None:
-            self.view = compile_elimination(self.rules)
-        bad, bodies, counters, occurs, ready = self.view
-        bodies = bodies.copy()
-        bodies[-1] = rules[-1].body_pos[0]
-        return bad, bodies, counters.copy(), occurs, ready
+    def close(self) -> Optional[int]:
+        """Compile the shared rules and close them to C0, on the first call.
+        Returns the index of the first rule that is not dual-Horn, or None;
+        with such a rule nothing is eliminated."""
+        if self.bodies is not None:
+            return self.bad
+        self.bad, self.bodies, self.counters, self.occurs, ready = compile_elimination(self.rules)
+        self.eliminated: set[int] = set()
+        if self.bad is None:
+            eliminate(self.bodies, self.occurs, self.counters, self.eliminated, {self.bodies[idx] for idx in ready})
+        self.settled, self.searched, self.t_out = {T_ATOM}, False, T_ATOM in self.eliminated
+        return self.bad
+
+    def eliminates_t(self, m: int) -> bool:
+        """Whether the elimination of the witness for ``m`` eliminates
+        ``t``: the elimination continued from C0 with m, stopped at a
+        settled atom and undone from its log.  :meth:`close` must have found
+        every rule dual-Horn."""
+        settled = self.settled
+        if self.t_out or m in settled:
+            return True
+        eliminated = self.eliminated
+        if m in eliminated:
+            return False
+        bodies, counters, occurs = self.bodies, self.counters, self.occurs
+        added = [m]
+        touched: list[int] = []
+        eliminated.add(m)
+        reached = False
+        for a in added:  # grows as the elimination goes on
+            for idx in occurs.get(a, ()):
+                touched.append(idx)
+                counters[idx] -= 1
+                if not counters[idx]:
+                    body = bodies[idx]
+                    if body in settled:
+                        reached = True
+                        break
+                    if body not in eliminated:
+                        eliminated.add(body)
+                        added.append(body)
+            if reached:
+                break
+        for idx in touched:
+            counters[idx] += 1
+        eliminated.difference_update(added)
+        if reached:
+            settled.add(m)
+            if not self.searched:
+                self._search()
+        return reached
+
+    def _search(self) -> None:
+        """Settle every atom that reaches ``t`` along the rules left with
+        one live head after C0: eliminating such a rule's head eliminates
+        its body."""
+        self.searched = True
+        bodies, eliminated, settled, rules = self.bodies, self.eliminated, self.settled, self.rules
+        # those rules per body, in flat arrays (a list per atom would add an
+        # object per atom for the garbage collector to walk): ``last[b]`` is
+        # the last such rule with body b, ``before[idx]`` the one before
+        # rule idx, or -1
+        last: dict[int, int] = {}
+        before = [-1] * len(bodies)
+        for idx, count in enumerate(self.counters):
+            if count == 1:
+                body = bodies[idx]
+                before[idx] = last.get(body, -1)
+                last[body] = idx
+        queue = [T_ATOM]
+        for body in queue:
+            idx = last.get(body, -1)
+            while idx >= 0:
+                for head in rules[idx][0]:
+                    if head not in eliminated:
+                        break
+                if head not in settled:
+                    settled.add(head)
+                    queue.append(head)
+                idx = before[idx]
 
 
-@dataclass(frozen=True, eq=False)
 class _Witness(Program):
-    """A witness program from ``pmm`` for an ``M`` it has built a witness
-    for before, linked to the first one."""
+    """A minimality witness from ``pmm``: the check state of its ``M``, the
+    excluded atom ``m`` and the constraint ``:- m.``.  Its rules, the
+    shared ones then that constraint, are built on first read."""
 
-    base: _WitnessBase = field(repr=False)
+    def __init__(self, table: AtomTable, check: _CheckState, m: int, last: Rule) -> None:
+        self.__dict__.update(table=table, check=check, m=m, last=last)
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        return self.check.rules + (self.last,)
 
 
 def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
@@ -252,22 +371,20 @@ def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
     Reduct of the proper part w.r.t. M, plus constraints forbidding every
     atom outside M and forbidding m itself: it has a model exactly when some
     model of the reduct sits strictly below M at m.  Dual-Horn whenever the
-    input is dual-normal.  The program's reduct view remembers the first
-    witness for the last ``M`` it was asked about; a later witness for the
-    same ``M`` is that one with another last rule.
+    input is dual-normal.  The program's reduct view keeps the check state
+    of the last ``M`` asked about, with the rules its witnesses share; a
+    witness holds that state and ``m``, and builds its rule tuple only when
+    it is read.
     """
     if m not in interp:
         raise ValueError(f"atom {prog.table.name_of(m)!r} is not in the interpretation")
     view = prog.reduct_view
-    base = view.witness_memo
-    if base is not None and (base.interp is interp or base.interp == interp):
-        return _Witness(prog.table, base.rules[:-1] + (view.forbidding(m),), base)
-    rules = view.reduct_proper(interp)
-    rules += [c for a, c in view.forbid.items() if a not in interp]
-    rules.append(view.forbidding(m))
-    rules = tuple(rules)
-    view.witness_memo = _WitnessBase(frozenset(interp), rules)
-    return Program(prog.table, rules)
+    check = view.witness_memo
+    if check is None or not (check.interp is interp or check.interp == interp):
+        rules = view.reduct_proper(interp)
+        rules += [c for a, c in view.forbid.items() if a not in interp]
+        check = view.witness_memo = _CheckState(frozenset(interp), tuple(rules))
+    return _Witness(prog.table, check, m, view.forbidding(m))
 
 
 def is_answer_set_dn(prog: Program, interp: frozenset[int]) -> bool:

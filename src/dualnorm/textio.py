@@ -3,20 +3,22 @@
 Program grammar (one statement per ``.``; whitespace and newlines are
 insignificant, ``%`` starts a line comment)::
 
-    statement := head | head ":-" body | ":-" body
+    statement := head | head ":-" body | ":-" body | "#false"
     head      := atom ("|" atom)*
     body      := literal ("," literal)*
     literal   := atom | "not" atom
     atom      := [a-z_][A-Za-z0-9_]*
 
-``not`` is a keyword and cannot be used as an atom name.  User atoms may not
-start with the reserved ``__`` prefix; parsing with ``allow_generated=True``
-lifts that restriction so rendered transformation outputs can be read back.
+``#false`` is the empty constraint: a rule with neither head nor body,
+which no interpretation satisfies.  ``not`` is a keyword and cannot be
+used as an atom name.  User atoms may not start with the reserved ``__``
+prefix; parsing with ``allow_generated=True`` lifts that restriction so
+rendered transformation outputs can be read back.
 
 A statement is read per regular-expression match, together with the blanks
 and comments before it.  A token loop reads any statement that match does
-not take: one with a comment inside, and every ill-formed one, so the loop
-reports every error.
+not take: one with a comment inside, ``#false``, and every ill-formed one,
+so the loop reports every error.
 
 SE-set files are line oriented: each non-comment line ``x1 x2 ; y1 y2 y3``
 denotes the SE-interpretation (X, Y) with X a subset of Y.  The universe is
@@ -53,7 +55,7 @@ _ATOM = r"[a-z_][A-Za-z0-9_]*"
 
 # One token per match; a match beginning with whitespace or ``%`` is skipped.
 # ``not`` matches as an atom and is told apart by the parser.
-_TOKEN_RE = re.compile(rf"\s+|%[^\n]*|(?P<atom>{_ATOM})|:-|[|,.]")
+_TOKEN_RE = re.compile(rf"\s+|%[^\n]*|(?P<atom>{_ATOM})|:-|[|,.]|#false(?![A-Za-z0-9_])")
 
 # A whole atom name, for the line-oriented readers; the keyword ``not`` is none.
 _ATOM_NAME_RE = re.compile(rf"(?!not\Z){_ATOM}\Z")
@@ -87,16 +89,17 @@ _LITERAL_RE = re.compile(rf"(not\s+)?({_ATOM})")
 # may end in.  ``_NEXT[state]`` maps a token ("atom", "not" or the
 # punctuation itself) to the next state; ``_EXPECTED[state]`` names what any
 # other token lacks.
-_RULE, _HEAD_MORE, _HEAD_ATOM, _BODY_LIT, _NEG_ATOM, _BODY_MORE = range(6)
+_RULE, _HEAD_MORE, _HEAD_ATOM, _BODY_LIT, _NEG_ATOM, _BODY_MORE, _FALSUM = range(7)
 _NEXT = (
-    {"atom": _HEAD_MORE, ":-": _BODY_LIT},
+    {"atom": _HEAD_MORE, ":-": _BODY_LIT, "#false": _FALSUM},
     {"|": _HEAD_ATOM, ":-": _BODY_LIT, ".": _RULE},
     {"atom": _HEAD_MORE},
     {"atom": _BODY_MORE, "not": _NEG_ATOM},
     {"atom": _BODY_MORE},
     {",": _BODY_LIT, ".": _RULE},
+    {".": _RULE},
 )
-_EXPECTED = ("a rule", "'.'", "an atom after '|'", "a body literal", "an atom after 'not'", "'.'")
+_EXPECTED = ("a rule", "'.'", "an atom after '|'", "a body literal", "an atom after 'not'", "'.'", "'.'")
 
 
 def _span(text: str, offset: int) -> SourceSpan:
@@ -155,7 +158,7 @@ def _parse_statement(text: str, offset: int, table: AtomTable, allow_generated: 
         token = m.group()
         if m.lastgroup == "atom":
             kind = "not" if token == "not" else "atom"
-        elif token[0] in ":|,.":
+        elif token[0] in ":|,.#":
             kind = token
         else:
             continue
@@ -183,7 +186,7 @@ def render_rule(rule: Rule, table: AtomTable) -> str:
     if body:
         sep = " :- " if head else ":- "
         return f"{head}{sep}{', '.join(body)}."
-    return f"{head}."
+    return f"{head}." if head else "#false."
 
 
 def render_program(prog: Program) -> str:

@@ -8,6 +8,7 @@ deterministic (seeded generators throughout).
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,6 @@ from dualnorm.common import SynthesisPreconditionError
 from dualnorm.core import AtomTable, is_model
 from dualnorm.dualhorn import elimination_fixpoint, is_answer_set_dn, pmm
 from dualnorm.gen import (
-    close_complete_here_union,
     random_dual_normal_program,
     random_se_pairs,
     structured_corpus,
@@ -38,7 +38,7 @@ from dualnorm.seue import (
 from dualnorm.textio import parse_program, parse_se_set
 from dualnorm.transform import check_trans2, check_trans3, translate, translate_star
 
-from conftest import DISJ3, DISJ3_DUAL, DISJ3_NORMAL, UNSPLITTABLE, name_pairs
+from conftest import DISJ3, DISJ3_DUAL, DISJ3_NORMAL, UNSPLITTABLE, name_pairs, synthesis_targets
 
 FIXTURES = [DISJ3, DISJ3_NORMAL, DISJ3_DUAL, "a | b.\n"]
 
@@ -158,39 +158,20 @@ def test_criterion_07_se_ue_characterizations():
 
 
 def test_criterion_08_synthesis_round_trips():
-    rng = random.Random(208)
-    se_done = 0
-    for _ in range(200):
-        table = AtomTable()
-        atoms = [table.intern(ch) for ch in "abcd"[: rng.randint(1, 4)]]
-        closed = close_complete_here_union(random_se_pairs(rng, atoms, rng.uniform(0.05, 0.5)))
-        target = SESet(table, frozenset(atoms), frozenset(SEPair(x, y) for x, y in closed))
-        built = program_from_se_set(target)
-        assert classify_labels(built).dual_normal
-        assert se_models(built, universe=target.universe).pairs == target.pairs
-        se_done += 1
-
-    ue_done = 0
-    while ue_done < 100:
-        prog = random_dual_normal_program(rng, rng.randint(1, 4), 6)
-        target = ue_models(se_models(prog))
-        built = program_from_ue_set(target)
-        assert classify_labels(built).dual_normal
-        assert ue_models(se_models(built, universe=target.universe)).pairs == target.pairs
-        ue_done += 1
-    sampled = 0
-    while sampled < 100:
-        table = AtomTable()
-        atoms = [table.intern(ch) for ch in "abc"[: rng.randint(1, 3)]]
-        raw = random_se_pairs(rng, atoms, rng.uniform(0.1, 0.6))
-        target = SESet(table, frozenset(atoms), frozenset(SEPair(x, y) for x, y in raw))
-        props = se_properties(target)
-        if not (props.ue_complete and props.splittable):
-            continue
-        built = program_from_ue_set(target)
-        assert ue_models(se_models(built, universe=target.universe)).pairs == target.pairs
-        sampled += 1
-    report(8, f"{se_done} SE and {ue_done + sampled} UE synthesis round trips; outputs dual-normal")
+    done = Counter()
+    for kind, target in synthesis_targets():
+        if kind == "se":
+            built = program_from_se_set(target)
+            assert classify_labels(built).dual_normal
+            assert se_models(built, universe=target.universe).pairs == target.pairs
+        else:
+            built = program_from_ue_set(target)
+            if kind == "ue":
+                assert classify_labels(built).dual_normal
+            assert ue_models(se_models(built, universe=target.universe)).pairs == target.pairs
+        done[kind] += 1
+    ue_done = done["ue"] + done["sampled"]
+    report(8, f"{done['se']} SE and {ue_done} UE synthesis round trips; outputs dual-normal")
 
 
 def test_criterion_09_polynomial_ue_check():

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -210,9 +211,10 @@ def trace_fields(tr, table):
 
 
 def test_seeded_witness_elimination_matches_a_fresh_compile():
-    # a witness for an M seen before is compiled from the first witness for
-    # M; its trace must be the one of the same rules compiled from scratch,
-    # and eliminating a witness twice must not consume its view
+    # a witness is answered from the check state of its M, and its other
+    # trace fields come from a fresh compile on first read; the trace must
+    # be the one of the same rules compiled from scratch, and eliminating a
+    # witness twice must not consume the state
     rng = random.Random(13)
     for _ in range(100):
         p = random_dual_normal_program(rng, rng.randint(1, 6), 7)
@@ -250,23 +252,96 @@ def test_witnesses_do_not_depend_on_the_last_interpretation():
             assert is_answer_set_dn(p, interp) == is_answer_set_dn(Program(p.table, p.rules), interp)
 
 
-def test_answer_set_check_compiles_each_witness_base_once(monkeypatch):
+def test_answer_set_check_compiles_once_per_interpretation(monkeypatch):
     compiled = []
     compile_elimination = dualhorn.compile_elimination
     monkeypatch.setattr(
         dualhorn, "compile_elimination", lambda rules: compiled.append(len(rules)) or compile_elimination(rules)
     )
-    # the first witness for M is compiled by its own elimination, as any
-    # program is; the second compiles the base they share, and the other
-    # k - 2 compile nothing
     p = parse_program("a | b.\nc :- a.\nd | e :- c.\nf :- not b.")
     answer = ids_of(p, "a c d f")
     assert is_answer_set_dn(p, answer)
-    assert len(compiled) == 2 and compiled[0] == compiled[1]
+    assert compiled == [6]  # the four reduct rules, ':- b.' and ':- e.', shared by the four witnesses
     assert is_answer_set_dn(p, frozenset(answer))  # an equal M: nothing to compile
+    assert len(compiled) == 1
+    assert not is_answer_set_dn(p, ids_of(p, "a b c d f"))
     assert len(compiled) == 2
-    assert not is_answer_set_dn(p, ids_of(p, "a b c d f"))  # fails at its first witness
-    assert len(compiled) == 3
+    # the trace fields other than t_eliminated come from one fresh compile
+    # of the witness, on first read
+    trace = elimination_fixpoint(pmm(p, answer, p.table.id_of("a")))
+    assert trace.t_eliminated and len(compiled) == 3
+    assert trace.to_dict(p.table)["t_eliminated"] and trace.bounds and len(compiled) == 4
+
+
+def test_answer_set_check_builds_no_witness_rules(monkeypatch):
+    # the ids run from the top of the chain down, so the check meets every
+    # atom before the ones below it: only the reverse search from t, which
+    # settles them all (c and a1 share their body), keeps it linear
+    n = 20_000
+    table = AtomTable()
+    a = [table.intern(f"a{i}") for i in reversed(range(n))][::-1]
+    c = table.intern("c")
+    chain = Program.of(
+        table, [Rule.of((a[0],)), Rule.of((c,), (a[0],))] + [Rule.of((a[i + 1],), (a[i],)) for i in range(n - 1)]
+    )
+    answer = frozenset(a) | {c}
+    check = pmm(chain, answer, c).check
+    check.close()
+    assert check.settled == {dualhorn.T_ATOM}  # no search before an m succeeds
+    assert check.eliminates_t(a[-1])  # the top of the chain, the first m of the check
+    assert check.settled == answer | {dualhorn.T_ATOM}
+    built = []
+    rules = dualhorn._Witness.rules
+    monkeypatch.setattr(dualhorn._Witness, "rules", property(lambda w: built.append(w.m) or rules.func(w)))
+    assert is_answer_set_dn(chain, answer)
+    assert not is_answer_set_dn(chain, answer | {table.intern("b")})  # a foreign atom: its witness fails
+    assert built == []
+    # a witness that is not dual-Horn still names its rule, for every m
+    p = parse_program("a :- b, c.\nb | c.")
+    for m in sorted(p.atom_ids):
+        with pytest.raises(ProgramClassError, match=r"^rule 'a :- b, c\.' is not dual-Horn"):
+            elimination_fixpoint(pmm(p, p.atom_ids, m))
+    assert built == sorted(p.atom_ids)
+
+
+def test_answer_set_check_matches_the_per_witness_construction():
+    # every witness is asked in a random order, twice, for M1, M2 and a copy
+    # of M1 on one program, so that an unrestored counter or a stale settled
+    # atom would change a later verdict; the reference compiles each witness
+    # from scratch
+    rng = random.Random(16)
+    seen = Counter()
+    for _ in range(300):
+        p = random_dual_normal_program(rng, rng.randint(1, 7), rng.randint(1, 10))
+        foreign = p.table.fresh("foreign")
+        pool = sorted(p.atom_ids) + [foreign]
+        m1, m2 = (frozenset(rng.sample(pool, rng.randint(1, len(pool)))) for _ in range(2))
+        answers = [answer for answer in answer_sets_bf(p) if answer]
+        if answers and rng.random() < 0.5:
+            m1 = rng.choice(answers)
+        for interp in (m1, m2, frozenset(set(m1))):
+            fresh = Program(p.table, p.rules)
+            expected = {
+                m: elimination_fixpoint(Program(p.table, pmm(fresh, interp, m).rules)).t_eliminated for m in interp
+            }
+            order = sorted(interp)
+            rng.shuffle(order)
+            for _ in range(2):
+                assert {m: elimination_fixpoint(pmm(p, interp, m)).t_eliminated for m in order} == expected
+            model = is_model(interp, p)
+            verdict = is_answer_set_dn(p, interp)
+            assert verdict == (model and all(expected.values()))
+            if foreign in interp:
+                assert not verdict
+            else:
+                assert verdict == is_answer_set(p, interp)
+            check = pmm(p, interp, order[0]).check
+            seen["non-model"] += not model
+            seen["answer set"] += verdict
+            seen["m in C0"] += not check.eliminated.isdisjoint(interp)
+            seen["live disjunction"] += any(c > 1 for c in check.counters)
+            seen["foreign"] += foreign in interp
+    assert min(seen[case] for case in ("non-model", "answer set", "m in C0", "live disjunction", "foreign")) > 20
 
 
 def test_foreign_atoms_in_the_interpretation():

@@ -28,9 +28,9 @@ from dualnorm.seue import (
     ue_models,
     uniformly_equivalent_dn,
 )
-from dualnorm.textio import parse_program, parse_se_set
+from dualnorm.textio import parse_program, parse_se_set, render_program
 
-from conftest import DISJ3, DISJ3_DUAL, DISJ3_NORMAL, UNSPLITTABLE, ids_of, name_pairs
+from conftest import DISJ3, DISJ3_DUAL, DISJ3_NORMAL, UNSPLITTABLE, ids_of, name_pairs, synthesis_targets
 
 
 def pair_of(prog, here, there):
@@ -228,6 +228,26 @@ def test_synthesis_checks_only_its_precondition(monkeypatch):
     assert len(calls) == 0
     program_from_ue_set(ue_models(se_r))
     assert len(calls) == 1
+
+
+def test_synthesized_programs_read_back_with_their_models():
+    # a set with no pairs synthesizes the empty constraint, rendered as
+    # ``#false.``; over an empty universe no atom can express it
+    empty = []
+    for names in ("", "a b"):
+        table = AtomTable()
+        empty.append(SESet(table, frozenset(map(table.intern, names.split())), frozenset()))
+    targets = list(synthesis_targets()) + [(kind, s) for s in empty for kind in ("se", "ue")]
+    for kind, target in targets:
+        built = (program_from_se_set if kind == "se" else program_from_ue_set)(target)
+        text = render_program(built)
+        again = parse_program(text, table=target.table)
+        assert render_program(again) == text
+        before = se_models(built, universe=target.universe)
+        after = se_models(again, universe=target.universe)
+        assert after.pairs == before.pairs
+        assert ue_models(after).pairs == ue_models(before).pairs
+    assert [render_program(program_from_se_set(s)) for s in empty] == ["#false.\n"] * 2
 
 
 def test_is_ue_model_dn_examples():

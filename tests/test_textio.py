@@ -93,6 +93,10 @@ def test_error_spans():
         # the empty rule: a bare ':-' already lacks its body literal
         (":- .", "expected a body literal, found '.'", 1, 4),
         (":-.", "expected a body literal, found '.'", 1, 3),
+        ("#false", "expected '.', found 'end of input'", 1, 7),
+        ("#false :- a.", "expected '.', found ':-'", 1, 8),
+        ("a :- #false.", "expected a body literal, found '#false'", 1, 6),
+        ("#falsey.", "unexpected character '#'", 1, 1),
         ("__x.", "atom '__x' uses the reserved generated-atom prefix '__'", 1, 1),
         ("a :- b, __c.", "atom '__c' uses the reserved generated-atom prefix '__'", 1, 9),
         ("a :- not __c.", "atom '__c' uses the reserved generated-atom prefix '__'", 1, 10),
@@ -137,6 +141,10 @@ def test_render_examples():
     assert render_program(parse_program("")) == ""
     q = parse_program(":- a.")
     assert render_program(q) == ":- a.\n"
+    # the empty constraint has its own statement, over an empty universe too
+    falsum = parse_program("#false.")
+    assert falsum.rules == (Rule.of(()),) and render_program(falsum) == "#false.\n"
+    assert parse_program("a.\n#false. % no model\n").rules == (Rule.of((0,)), Rule.of(()))
 
 
 def test_round_trip_fuzz():
