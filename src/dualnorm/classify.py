@@ -1,11 +1,21 @@
 """Syntactic program classes and the positive dependency digraph.
 
+:func:`classify_labels` reads every rule once.  The class flags come from
+each rule's field lengths, and the same pass builds the successor lists of
+the positive dependency digraph (``x -> y`` when a rule has x in its head
+and y in its positive body) from the rules that have both.  One SCC run
+(:func:`sccs`) then finds the components of more than one atom; an atom
+alone in its component gets no id.
+
 The head-cycle-free (HCF) and body-cycle-free (BCF) tests reduce the cycle
-condition to strongly connected components: a program fails HCF exactly when
-two distinct head atoms of one rule share an SCC of the positive dependency
-digraph, and fails BCF when two distinct positive-body atoms of one proper
-rule do.  It is tight exactly when no rule has a head atom and a positive-body
-atom in one SCC (a self-loop included).  One SCC pass yields all three.
+condition to those components, and each check reads only the rules where it
+can fail: a program fails HCF exactly when two distinct head atoms of one
+rule with two or more head atoms share a component, and fails BCF when two
+distinct positive-body atoms of one proper rule with two or more of them
+do.  It is tight exactly when no rule has a head atom and a positive-body
+atom in one SCC: when some component has more than one atom, or when a rule
+with a head and a positive body shares an atom between them (the self-loop
+``a :- a.``).
 
 BCF deliberately ignores constraint bodies.  Including them would make some
 dual-normal programs non-BCF (take ``:- a, b.  a :- b.  b :- a.``), while
@@ -14,9 +24,11 @@ dual-normal programs must all be body-cycle free.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, asdict
+from typing import Sequence
 
-from .core import Program
+from .core import Program, Rule
 
 
 @dataclass(frozen=True)
@@ -61,112 +73,180 @@ def dep_graph(prog: Program) -> DepGraph:
     return DepGraph(tuple(sorted(prog.atom_ids)), tuple(sorted(edges)))
 
 
-def sccs(graph: DepGraph) -> list[tuple[int, ...]]:
-    """Strongly connected components (iterative Tarjan), deterministic order."""
-    succ = graph.successors()
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    components: list[tuple[int, ...]] = []
+def sccs(graph: DepGraph | Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Strongly connected components (iterative Tarjan), deterministic order.
 
-    for root in graph.vertices:
-        if root in index:
+    ``graph`` is a :class:`DepGraph`, whose components cover its vertices,
+    or successor lists indexed by atom id (empty for an atom without
+    successors), from which only the components of more than one atom are
+    returned.  Each component is sorted; components come in the order
+    Tarjan's search completes them, roots taken in ascending order.
+    """
+    if isinstance(graph, DepGraph):
+        succ, roots, singletons = graph.successors(), graph.vertices, True
+        n = graph.vertices[-1] + 1 if graph.vertices else 0
+    else:
+        succ, roots, singletons = graph, range(len(graph)), False
+        n = len(graph)
+    # Flat per-atom arrays: visit order from 1 (0 unvisited, ``done`` once
+    # the atom is in a component), lowest reachable visit order, and the
+    # position of the next successor to read.
+    index = [0] * n
+    low = [0] * n
+    following = [0] * n
+    done = n + 1
+    stack: list[int] = []  # ascending visit order, so a component is a suffix
+    components: list[tuple[int, ...]] = []
+    counter = 0
+    for root in roots:
+        if index[root]:
             continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
+        if not succ[root]:
+            index[root] = done
+            if singletons:
+                components.append((root,))
+            continue
         counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
+        path = [root]
+        while path:
+            v = path[-1]
+            targets = succ[v]
+            i = following[v]
+            while i < len(targets):
+                w = targets[i]
+                i += 1
+                iw = index[w]
+                if not iw:
+                    if succ[w]:
+                        following[v] = i
+                        counter += 1
+                        index[w] = low[w] = counter
+                        stack.append(w)
+                        path.append(w)
                         break
-                components.append(tuple(sorted(comp)))
+                    # a vertex without successors is a component alone
+                    index[w] = done
+                    if singletons:
+                        components.append((w,))
+                elif iw < low[v]:
+                    low[v] = iw
+            else:
+                path.pop()
+                lv = low[v]
+                if path and lv < low[path[-1]]:
+                    low[path[-1]] = lv
+                if lv == index[v]:
+                    k = bisect_left(stack, lv, key=index.__getitem__)
+                    comp = stack[k:]
+                    del stack[k:]
+                    for w in comp:
+                        index[w] = done
+                    if singletons or len(comp) > 1:
+                        components.append(tuple(sorted(comp)))
     return components
 
 
-def _cycle_free(prog: Program) -> tuple[bool, bool, bool]:
-    """(hcf, bcf, tight) from one SCC pass; see the module docstring."""
-    scc_id: dict[int, int] = {}
-    for k, comp in enumerate(sccs(dep_graph(prog))):
+def _apart(groups: list[tuple[int, ...]], component: list[int]) -> bool:
+    """No group has two atoms in one component; ``component[a]`` is 0 when
+    a is alone in its own."""
+    for atoms in groups:
+        ids = [c for c in map(component.__getitem__, atoms) if c]
+        if len(set(ids)) < len(ids):
+            return False
+    return True
+
+
+def _cycle_free(
+    succ: list[Sequence[int]],
+    multi_head: list[tuple[int, ...]],
+    multi_body: list[tuple[int, ...]],
+    linked: list[Rule],
+) -> tuple[bool, bool, bool]:
+    """(hcf, bcf, tight) from one SCC run over the successor lists; see the
+    module docstring.  ``multi_head`` and ``multi_body`` are the heads and
+    positive bodies the HCF and BCF checks read, ``linked`` the rules with a
+    head and a positive body."""
+    comps = sccs(succ)
+    if not comps:
+        return True, True, not any(x in pos for head, pos, _ in linked for x in head)
+    component = [0] * len(succ)
+    for k, comp in enumerate(comps, 1):
         for v in comp:
-            scc_id[v] = k
-    hcf = bcf = tight = True
-    for r in prog.rules:
-        heads = {scc_id[a] for a in r.head}
-        hcf = hcf and len(heads) == len(r.head)
-        if r.body_pos:
-            body = {scc_id[a] for a in r.body_pos}
-            bcf = bcf and (not r.head or len(body) == len(r.body_pos))
-            tight = tight and heads.isdisjoint(body)
-    return hcf, bcf, tight
+            component[v] = k
+    return _apart(multi_head, component), _apart(multi_body, component), False
 
 
 def is_hcf(prog: Program) -> bool:
     """Head-cycle free: no rule has two distinct head atoms in one SCC."""
-    return _cycle_free(prog)[0]
+    return classify_labels(prog).hcf
 
 
 def is_bcf(prog: Program) -> bool:
     """Body-cycle free: no proper rule has two distinct positive-body atoms
     in one SCC.  See the module docstring for the constraint-body choice."""
-    return _cycle_free(prog)[1]
+    return classify_labels(prog).bcf
 
 
 def is_tight(prog: Program) -> bool:
     """True when the positive dependency digraph is acyclic."""
-    return _cycle_free(prog)[2]
+    return classify_labels(prog).tight
 
 
 def classify_labels(prog: Program) -> ClassLabels:
-    """Evaluate all class flags for the program.
+    """Evaluate all class flags for the program in one pass over its rules.
 
     A program is dual-normal when every rule is a constraint or has at most
     one positive body atom; dual-Horn additionally forbids negative bodies
     and restricts constraints to at most one body atom (so a multi-atom
     constraint breaks dual-Horn but not dual-normal).
     """
-    rules = prog.rules
-    normal = all(r.is_normal for r in rules)
-    positive = all(r.is_positive for r in rules)
-    dual_normal = all(r.is_dual_normal for r in rules)
-    dual_horn = all(r.is_dual_horn for r in rules)
-    hcf, bcf, tight = _cycle_free(prog)
+    # successors of each atom: the positive body of the one rule it heads,
+    # a list only once it heads a second rule with a positive body
+    succ: list[Sequence[int]] = [()] * len(prog.table)
+    multi_head: list[tuple[int, ...]] = []
+    multi_body: list[tuple[int, ...]] = []
+    linked: list[Rule] = []
+    positive = constraint_free = short_constraints = True
+    for r in prog.rules:
+        # an index reads a field of the tuple-backed rule faster than its
+        # name or an unpacking does
+        head = r[0]
+        pos = r[1]
+        if r[2]:
+            positive = False
+        if not head:
+            constraint_free = False
+            if len(pos) > 1:
+                short_constraints = False
+            continue
+        if len(head) > 1:
+            multi_head.append(head)
+        if pos:
+            linked.append(r)
+            if len(pos) > 1:
+                multi_body.append(pos)
+            for x in head:
+                s = succ[x]
+                if not s:
+                    succ[x] = pos
+                elif isinstance(s, list):
+                    s.extend(pos)
+                else:
+                    succ[x] = [*s, *pos]
+    hcf, bcf, tight = _cycle_free(succ, multi_head, multi_body, linked)
+    normal = not multi_head
+    dual_normal = not multi_body
     return ClassLabels(
         horn=normal and positive,
-        dual_horn=dual_horn,
+        dual_horn=dual_normal and short_constraints and positive,
         normal=normal,
         dual_normal=dual_normal,
         singular=normal and dual_normal,
         positive=positive,
-        definite=all(r.is_definite for r in rules),
-        constraint_free=all(not r.is_constraint for r in rules),
+        definite=normal and constraint_free,
+        constraint_free=constraint_free,
         hcf=hcf,
         bcf=bcf,
         tight=tight,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import ProgramClassError
 
@@ -51,6 +51,12 @@ class AtomTable:
             self._names.append(name)
             self._ids[name] = aid
         return aid
+
+    @property
+    def lookup(self) -> Callable[[str], Optional[int]]:
+        """A function from a name to its id, or None when it is not interned:
+        the name dict's own ``get``, which runs no Python frame a call."""
+        return self._ids.get
 
     def id_of(self, name: str) -> int:
         return self._ids[name]
@@ -108,8 +114,16 @@ class Rule(NamedTuple):
 
     @staticmethod
     def of(head: Iterable[int], body_pos: Iterable[int] = (), body_neg: Iterable[int] = ()) -> "Rule":
-        # tuple.__new__ skips the Python-level __new__ of a NamedTuple
-        return tuple.__new__(Rule, (_sorted_ids(head), _sorted_ids(body_pos), _sorted_ids(body_neg)))
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple; an
+        # empty field needs no call
+        return tuple.__new__(
+            Rule,
+            (
+                _sorted_ids(head) if head else (),
+                _sorted_ids(body_pos) if body_pos else (),
+                _sorted_ids(body_neg) if body_neg else (),
+            ),
+        )
 
     @property
     def is_constraint(self) -> bool:
@@ -145,9 +159,14 @@ class Rule(NamedTuple):
 
 def _sorted_ids(atoms: Iterable[int]) -> tuple[int, ...]:
     """The distinct atoms in ascending order; a list or tuple of at most one
-    atom is already that."""
-    if isinstance(atoms, (list, tuple)) and len(atoms) < 2:
-        return tuple(atoms)
+    atom is already that, and one of two is put in order by comparing them."""
+    if isinstance(atoms, (list, tuple)):
+        n = len(atoms)
+        if n < 2:
+            return tuple(atoms)
+        if n == 2:
+            a, b = atoms
+            return (a, b) if a < b else (b, a) if b < a else (a,)
     return tuple(sorted(set(atoms)))
 
 

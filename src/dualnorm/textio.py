@@ -114,14 +114,19 @@ def parse_program(
 
     A fresh table is created unless one is supplied; supply a shared table
     when several programs must agree on atom ids; atoms are interned in text
-    order.  A statement is read per match of ``_STATEMENT_RE``; the token
-    loop of :func:`_parse_statement` reads one with a comment inside and
-    reports every error.  A :class:`ParseError` reports the line:column of
-    the first offending token, or of the end of the text.
+    order.  A statement is read per match of ``_STATEMENT_RE``: each name in
+    it costs one dict ``get`` on the table, and ``intern`` runs only for a
+    name not yet there; its fields become a rule through ``Rule.of``.  The
+    token loop of :func:`_parse_statement` reads a statement with a comment
+    inside and reports every error.  A :class:`ParseError` reports the
+    line:column of the first offending token, or of the end of the text.
     """
     if table is None:
         table = AtomTable()
+    lookup = table.lookup
     intern = table.intern
+    find_names = _NAME_RE.findall
+    find_literals = _LITERAL_RE.findall
     match_statement = _STATEMENT_RE[allow_generated].match
     rules = []
     offset = 0
@@ -134,11 +139,22 @@ def parse_program(
                 return Program.of(table, rules)
             rule, offset = _parse_statement(text, offset, table, allow_generated)
         else:
-            heads = list(map(intern, _NAME_RE.findall(head))) if head else []
-            pos: list[int] = []
-            neg: list[int] = []
-            for keyword, name in _LITERAL_RE.findall(body) if body else ():
-                (neg if keyword else pos).append(intern(name))
+            # One dict get per known name, and intern only a new one.  A head
+            # without "|" is one atom, and so is a body that is one name.
+            heads = []
+            if head:
+                for name in find_names(head) if "|" in head else (head,):
+                    aid = lookup(name)
+                    heads.append(intern(name) if aid is None else aid)
+            pos = []
+            neg = []
+            if body and body.isidentifier():
+                aid = lookup(body)
+                pos.append(intern(body) if aid is None else aid)
+            elif body:
+                for keyword, name in find_literals(body):
+                    aid = lookup(name)
+                    (neg if keyword else pos).append(intern(name) if aid is None else aid)
             rule = Rule.of(heads, pos, neg)
         rules.append(rule)
 

@@ -73,3 +73,31 @@ def synthesis_targets():
         if props.ue_complete and props.splittable:
             yield "sampled", target
             sampled += 1
+
+
+def sparse_text(seed: int, n_rules: int, profile: str) -> str:
+    """``n_rules`` rendered rules over ``n_rules // 3`` atoms, each rule
+    touching one to three of them (repeats allowed).  ``profile`` picks the
+    class mix: ``dual_normal`` (a proper rule keeps at most one positive
+    body atom), ``normal`` (single heads) or ``general`` (disjunctive heads
+    and two-atom positive bodies both)."""
+    rng = random.Random(seed)
+    n_atoms = max(3, n_rules // 3)
+    lines = []
+    for _ in range(n_rules):
+        a = [f"x{rng.randrange(n_atoms)}" for _ in range(rng.randint(1, 3))]
+        roll = rng.random()
+        if len(a) == 1:
+            lines.append(f"{a[0]}." if roll < 0.7 else f":- {a[0]}.")
+        elif len(a) == 2:
+            if roll < 0.5:
+                lines.append(f"{a[0]} :- {a[1]}.")
+            else:
+                lines.append(f"{a[0]} :- not {a[1]}." if roll < 0.8 else f":- {a[0]}, {a[1]}.")
+        elif profile == "normal" or (profile == "dual_normal" and roll < 0.5):
+            lines.append(f"{a[0]} :- {a[1]}, not {a[2]}.")
+        elif profile == "dual_normal" or roll < 0.5:
+            lines.append(f"{a[0]} | {a[1]} :- {a[2]}.")
+        else:
+            lines.append(f"{a[0]} :- {a[1]}, {a[2]}.")
+    return "\n".join(lines) + "\n"

@@ -1,11 +1,14 @@
 import random
+import tracemalloc
+
+import pytest
 
 from dualnorm import classify
 from dualnorm.classify import classify_labels, dep_graph, is_bcf, is_hcf, is_tight, sccs
-from dualnorm.gen import random_dual_normal_program
+from dualnorm.gen import random_dual_normal_program, structured_corpus
 from dualnorm.textio import parse_program
 
-from conftest import DISJ3, DISJ3_DUAL
+from conftest import DISJ3, DISJ3_DUAL, sparse_text
 
 
 def test_classify_disj3():
@@ -111,3 +114,129 @@ def test_classify_labels_runs_one_scc_pass(monkeypatch):
     monkeypatch.setattr(classify, "sccs", counting_sccs)
     classify_labels(parse_program(DISJ3))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Parity with the construction classify used before its one-pass rewrite
+
+
+def labels_reference(prog):
+    """The class labels and SCCs as built from the sorted edge set, a
+    dict-based Tarjan and per-rule SCC sets; returns both."""
+    edges = sorted({(x, y) for r in prog.rules for x in r.head for y in r.body_pos})
+    succ = {v: [] for v in sorted(prog.atom_ids)}
+    for x, y in edges:
+        succ[x].append(y)
+    index, low, on_stack, stack, components = {}, {}, set(), [], []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    components.append(tuple(sorted(comp)))
+    scc_id = {v: k for k, comp in enumerate(components) for v in comp}
+    hcf = bcf = tight = True
+    for r in prog.rules:
+        heads = {scc_id[a] for a in r.head}
+        hcf = hcf and len(heads) == len(r.head)
+        if r.body_pos:
+            body = {scc_id[a] for a in r.body_pos}
+            bcf = bcf and (not r.head or len(body) == len(r.body_pos))
+            tight = tight and heads.isdisjoint(body)
+    rules = prog.rules
+    normal = all(r.is_normal for r in rules)
+    positive = all(r.is_positive for r in rules)
+    dual_normal = all(r.is_dual_normal for r in rules)
+    labels = classify.ClassLabels(
+        horn=normal and positive,
+        dual_horn=all(r.is_dual_horn for r in rules),
+        normal=normal,
+        dual_normal=dual_normal,
+        singular=normal and dual_normal,
+        positive=positive,
+        definite=all(r.is_definite for r in rules),
+        constraint_free=all(not r.is_constraint for r in rules),
+        hcf=hcf,
+        bcf=bcf,
+        tight=tight,
+    )
+    return labels, components
+
+
+def assert_matches_reference(prog):
+    labels, components = labels_reference(prog)
+    assert classify_labels(prog) == labels
+    assert sccs(dep_graph(prog)) == components
+    # from successor lists, only the components of more than one atom
+    succ = [[] for _ in range(len(prog.table))]
+    for x, y in dep_graph(prog).edges:
+        succ[x].append(y)
+    assert sccs(succ) == [c for c in components if len(c) > 1]
+
+
+def test_labels_match_reference_on_generated_programs():
+    for prog in structured_corpus(17, 2_400, max_atoms=6, max_rules=8):
+        assert_matches_reference(prog)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "#false.",
+        "a :- a.",
+        "a | b :- c.\nc :- a.",
+        "a | b :- c.\nc :- a.\nc :- b.",
+        ":- a, b, c.\na :- b.\nb :- a.",
+        ":- a, b.\nc :- d.",
+        "a :- not b, not c.\n:- d, e, not f.",
+        "a | b :- a, b.",
+        "a | b | c :- d.\nd :- a.\nd :- c.",
+        "c :- a, b.\na :- c.\nb :- c.\n#false.",
+        DISJ3,
+        DISJ3_DUAL,
+    ],
+)
+def test_labels_match_reference_on_hand_cases(text):
+    assert_matches_reference(parse_program(text))
+
+
+@pytest.mark.parametrize("profile", ["dual_normal", "normal", "general"])
+def test_labels_match_reference_on_large_programs(profile):
+    assert_matches_reference(parse_program(sparse_text(3, 10_000, profile)))
+
+
+def test_classify_memory_is_linear():
+    # about 9.2 * 10^4 rules after deduplication; the construction above
+    # peaks near 19 MB here, the one-pass labels near 5 MB
+    prog = parse_program(sparse_text(1, 100_000, "general"))
+    tracemalloc.start()
+    try:
+        labels = classify_labels(prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not (labels.hcf or labels.bcf or labels.tight)
+    assert peak < 9e6, f"peak {peak / 1e6:.1f} MB"

@@ -308,3 +308,63 @@ def test_rendered_program_makes_no_token_matches(monkeypatch):
     assert counter.calls == 0
     assert parse_program(_commented(text)).canonical() == prog.canonical()
     assert counter.calls > 0
+
+
+# Blanks and comments between statements, for the token-loop reader below.
+_GAP_RE = re.compile(r"(?:\s|%[^\n]*)*")
+
+
+def _read_by_tokens(text, table, allow_generated):
+    """Every statement read by the token loop alone."""
+    rules = []
+    offset = _GAP_RE.match(text).end()
+    while offset < len(text):
+        rule, offset = textio._parse_statement(text, offset, table, allow_generated)
+        rules.append(rule)
+        offset = _GAP_RE.match(text, offset).end()
+    return Program.of(table, rules).rules
+
+
+def _noisy_program(rng, allow_generated):
+    """A rendered program with extra blanks and comments, names that start
+    with ``not``, repeated atoms and ``#false.``."""
+    names = ["a", "b", "nota", "not_b", "notnot", "x1"] + (["__g", "__not"] if allow_generated else [])
+    gap = lambda: rng.choice(["", " ", "  ", "\t", "\n", " \n\t"])
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.1:
+            lines.append("#false.")
+            continue
+        head = [rng.choice(names) for _ in range(rng.randint(0, 3))]
+        body = [("not " if rng.random() < 0.4 else "") + rng.choice(names) for _ in range(rng.randint(0, 3))]
+        if not head and not body:
+            body = [rng.choice(names)]
+        text = f"{gap()}|{gap()}".join(head)
+        if body:
+            text += f"{gap()}:-{gap()}" + f"{gap()},{gap()}".join(body)
+        lines.append(text + gap() + "." + rng.choice(["", " % note", "%", "\n% a. b :- c."]))
+    return "\n".join(lines) + rng.choice(["", "\n", "\n\n% end\n"])
+
+
+@pytest.mark.parametrize("allow_generated", [False, True])
+def test_statement_match_equals_token_loop(allow_generated):
+    rng = random.Random(21)
+    texts = [
+        "a | a :- b, b, not c, not c.",
+        "nota :- not_b, not nota, not not_b.",
+        "  a.\n\n% c\n  b :- a. % d\n#false.\n",
+        "#false.",
+        "",
+    ]
+    texts += [_noisy_program(rng, allow_generated) for _ in range(400)]
+    for prog in structured_corpus(23, 100):
+        texts.append(render_program(prog))
+    for text in texts:
+        for preset in ((), ("b", "zz", "nota")):
+            table, expected = AtomTable(), AtomTable()
+            for name in preset:
+                table.intern(name)
+                expected.intern(name)
+            rules = parse_program(text, table, allow_generated).rules
+            assert rules == _read_by_tokens(text, expected, allow_generated), text
+            assert [a.name for a in table.atoms()] == [a.name for a in expected.atoms()], text
