@@ -30,6 +30,7 @@ from .textio import (
     render_program,
     render_se_pair,
     render_se_set,
+    se_pair_order,
     write_dimacs,
 )
 from .transform import translate, translate_star
@@ -142,12 +143,8 @@ def _print_answer_sets(prog: Program, answer_sets, out: TextIO, as_json: bool) -
 
 
 def _se_set_json(se_set) -> list[dict]:
-    table = se_set.table
-    pairs = sorted(se_set.pairs, key=lambda p: (_names_key(table, p.there), _names_key(table, p.here)))
-    return [
-        {"here": list(_names_key(table, p.here)), "there": list(_names_key(table, p.there))}
-        for p in pairs
-    ]
+    names, order = se_pair_order(se_set.table, se_set.view)
+    return [{"here": names[x], "there": names[y]} for y, xs in order for x in xs]
 
 
 def _run(args, out: TextIO, err: TextIO) -> int:
@@ -231,11 +228,9 @@ def _run(args, out: TextIO, err: TextIO) -> int:
             for prog in (p, q):
                 se_set = se_models(prog, universe=joint, budget=budget)
                 model_sets.append(ue_models(se_set) if args.mode == "uniform" else se_set)
-            witness = min(
-                model_sets[0].pairs ^ model_sets[1].pairs,
-                key=lambda pr: (_names_key(table, pr.there), _names_key(table, pr.here)),
-                default=None,
-            )
+            diff = model_sets[0].view.symmetric_difference(model_sets[1].view)
+            _, order = se_pair_order(table, diff)
+            witness = next((diff.pair(xs[0], y) for y, xs in order), None)
         if witness is None:
             return EXIT_POSITIVE
         out.write(render_se_pair(witness, table) + "\n")

@@ -124,7 +124,7 @@ def _joint_model_sets_agree(p: Program, q: Program, budget: OracleBudget, unifor
     sq = se_models(q, universe=joint, budget=budget)
     if uniform:
         sp, sq = ue_models(sp), ue_models(sq)
-    return sp.pairs == sq.pairs
+    return sp == sq
 
 
 def strongly_equivalent_bf(

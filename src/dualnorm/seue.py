@@ -19,10 +19,18 @@ The closure vocabulary on sets of SE-interpretations:
 * splittable: unions of here-components below a diagonal member Z either
   appear at Z or fit under some intermediate (Z', Z) in the set.
 
-Each flag is one predicate over the grouped view of a set: the heres of
-each there-component, and the diagonal.  The union closure below each
-diagonal member is built once per call and serves both splittability and
-``se_closure``.
+Every computation here runs on one view of a set, its mask view
+(``SESet.view``): the sorted universe ``atoms`` and a map from each
+there-mask to the set of its here-masks, where bit i of a mask is
+``atoms[i]``, the i-th smallest atom id.  Subset tests are mask tests
+(X is a subset of Y when ``x & ~y == 0``; ``<`` on ints compares numbers),
+and the smallest-id atom of a mask, the synthesis's witness atom, is its
+lowest set bit.  ``SEPair`` frozensets are made only at the edge: on the
+first read of ``SESet.pairs``, for an equivalence witness, and from pairs
+given by the caller.  Each flag is one predicate over the view and the
+diagonal; the heres below each diagonal member are gathered once per call
+and serve completeness, and their union closure serves both
+splittability and ``se_closure``.
 
 Sets of SE-models of dual-normal programs are exactly the complete,
 here-union-closed sets; their UE-model sets are exactly the UE-complete,
@@ -35,8 +43,10 @@ has built, which is complete and here-union-closed by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-from typing import Iterable, Iterator, NamedTuple, Optional
+from collections.abc import Set as AbstractSet
+from dataclasses import FrozenInstanceError, asdict, dataclass
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
 from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, is_model, satisfies_reduct
@@ -65,24 +75,97 @@ class SEPair(_SEPairFields):
         return tuple.__new__(cls, (here, there))
 
 
-@dataclass(frozen=True)
+# The heres of each there-component of an SE-set, as masks.
+_ByThere = dict[int, AbstractSet[int]]
+
+
+class MaskView(NamedTuple):
+    """An SE-set as bitmasks: ``atoms`` is the sorted universe, bit i of a
+    mask stands for ``atoms[i]``, and ``by_there`` maps each there-mask to
+    the set of its here-masks."""
+
+    atoms: tuple[int, ...]
+    by_there: _ByThere
+
+    def pair(self, here: int, there: int) -> SEPair:
+        return SEPair(_masked(self.atoms, here), _masked(self.atoms, there))
+
+    def symmetric_difference(self, other: "MaskView") -> "MaskView":
+        """The pairs in exactly one of two views over the same atoms."""
+        heres = lambda view, y: view.by_there.get(y, frozenset())
+        diff = {y: heres(self, y) ^ heres(other, y) for y in self.by_there.keys() | other.by_there.keys()}
+        return MaskView(self.atoms, {y: xs for y, xs in diff.items() if xs})
+
+
+def view_of_pairs(
+    universe: Iterable[int], pairs: Iterable[tuple[frozenset[int], frozenset[int]]]
+) -> MaskView:
+    """The mask view of ``(here, there)`` atom-set pairs over the universe;
+    each distinct atom set becomes a mask once."""
+    atoms = tuple(sorted(universe))
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    grouped: dict[frozenset[int], set[frozenset[int]]] = {}
+    for here, there in pairs:
+        grouped.setdefault(there, set()).add(here)
+    mask = {s: sum(bit[a] for a in s) for s in set(grouped).union(*grouped.values())}
+    return MaskView(atoms, {mask[y]: frozenset(map(mask.__getitem__, xs)) for y, xs in grouped.items()})
+
+
 class SESet:
-    """A finite set of SE-interpretations over a declared universe."""
+    """A finite set of SE-interpretations over a declared universe.
 
-    table: AtomTable = field(compare=False)
-    universe: frozenset[int] = frozenset()
-    pairs: frozenset[SEPair] = frozenset()
+    Sets are immutable, and equal when their universes and pairs are (the
+    atom table is not compared).  A set keeps its mask view, ``view``; the
+    frozenset of SEPairs, ``pairs``, is made on its first read when the set
+    was built from masks.
+    """
 
-    def __post_init__(self):
-        for p in self.pairs:
-            if not p.there <= self.universe:
+    def __init__(
+        self, table: AtomTable, universe: Iterable[int] = frozenset(), pairs: Iterable[SEPair] = frozenset()
+    ) -> None:
+        universe, pairs = frozenset(universe), frozenset(pairs)
+        for p in pairs:
+            if not p.there <= universe:
                 raise ValueError("SE-pair outside the declared universe")
+        self.__dict__.update(table=table, universe=universe, pairs=pairs)
+
+    @classmethod
+    def from_masks(cls, table: AtomTable, atoms: Sequence[int], by_there: _ByThere) -> "SESet":
+        """The set with the mask view ``(atoms, by_there)``: ``atoms`` sorted,
+        each here-mask within its there-mask, no there-mask without heres."""
+        se_set = object.__new__(cls)
+        se_set.__dict__.update(table=table, universe=frozenset(atoms), view=MaskView(tuple(atoms), by_there))
+        return se_set
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def view(self) -> MaskView:
+        return view_of_pairs(self.universe, self.pairs)
+
+    @cached_property
+    def pairs(self) -> frozenset[SEPair]:
+        atoms, by_there = self.view
+        sets = {m: _masked(atoms, m) for m in set(by_there).union(*by_there.values())}
+        return frozenset(SEPair(sets[x], sets[y]) for y, xs in by_there.items() for x in xs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.universe == other.universe and self.view.by_there == other.view.by_there
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.pairs))
+
+    def __repr__(self) -> str:
+        return f"SESet(table={self.table!r}, universe={self.universe!r}, pairs={self.pairs!r})"
 
     def __iter__(self) -> Iterator[SEPair]:
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(map(len, self.view.by_there.values()))
 
     def __contains__(self, pair: SEPair) -> bool:
         return pair in self.pairs
@@ -125,51 +208,54 @@ def se_models(
 ) -> SESet:
     """All SE-models of the program over the universe (default: its atoms),
     by the definition: Y a model of P, X a model of the reduct P^Y."""
-    uni = frozenset(prog.atom_ids if universe is None else universe)
-    atoms = sorted(uni)
+    atoms = sorted(prog.atom_ids if universe is None else universe)
     budget.check(len(atoms), "SE-model enumeration")
     compiled = compile_masks(prog, atoms)
-    pairs = []
+    by_there = {}
     for ymask in range(1 << len(atoms)):
-        if not satisfies_reduct(compiled, ymask, ymask):
-            continue
-        y = _masked(atoms, ymask)
-        pairs.extend(
-            SEPair(_masked(atoms, xmask), y)
-            for xmask in _subset_masks_ascending(ymask)
-            if satisfies_reduct(compiled, ymask, xmask)
-        )
-    return SESet(table=prog.table, universe=uni, pairs=frozenset(pairs))
+        # the rules that some subset of Y can violate: the others have a
+        # negative body atom in Y or a positive body atom outside it
+        live = [r for r in compiled if not (r[2] & ymask or r[1] & ~ymask)]
+        if satisfies_reduct(live, ymask, ymask):
+            by_there[ymask] = frozenset(
+                x for x in _subset_masks_ascending(ymask) if satisfies_reduct(live, ymask, x)
+            )
+    return SESet.from_masks(prog.table, atoms, by_there)
 
 
-# The heres of each there-component of an SE-set.
-_ByThere = dict[frozenset[int], set[frozenset[int]]]
-
-
-def _grouped(se_set: SESet) -> tuple[_ByThere, set[frozenset[int]]]:
-    """The grouped view of an SE-set: the heres of each there-component, and
-    the diagonal members (the there-components paired with themselves)."""
-    by_there: _ByThere = {}
-    for p in se_set.pairs:
-        by_there.setdefault(p.there, set()).add(p.here)
+def _grouped(se_set: SESet) -> tuple[_ByThere, set[int]]:
+    """The heres of each there-component of an SE-set, and its diagonal
+    members (the there-components paired with themselves), as masks."""
+    by_there = se_set.view.by_there
     return by_there, {y for y, xs in by_there.items() if y in xs}
+
+
+def _ue_heres(y: int, xs: AbstractSet[int]) -> frozenset[int]:
+    """The heres X of the there-component ``y`` with no here X' in ``xs``
+    such that X < X' < Y: ``y`` if present, and the maximal heres below it."""
+    below = xs - {y}
+    tops: list[int] = []
+    covered: set[int] = set()  # the subsets of the maximal heres so far
+    # a here is below some other one exactly when it is below a maximal one,
+    # and every here above it has more atoms, so comes first
+    for x in sorted(below, key=int.bit_count, reverse=True):
+        if x not in covered:
+            tops.append(x)
+            covered.update(_subset_masks_ascending(x))
+    return frozenset(tops).union(xs - below)
 
 
 def ue_models(se_set: SESet) -> SESet:
     """Filter an SE-set to its UE-pairs: (X, Y) stays when every (X', Y) in
     the set with X properly below X' already has X' = Y."""
-    by_there, _ = _grouped(se_set)
-    kept = [
-        p
-        for p in se_set.pairs
-        if all(x == p.there or not p.here < x for x in by_there[p.there])
-    ]
-    return se_set.with_pairs(kept)
+    atoms, by_there = se_set.view
+    return SESet.from_masks(se_set.table, atoms, {y: _ue_heres(y, xs) for y, xs in by_there.items()})
 
 
-def union_closure(sets: Iterable[frozenset[int]]) -> set[frozenset[int]]:
-    """Closure under (non-empty, finite) unions."""
-    closed: set[frozenset[int]] = set()
+def union_closure(sets: Iterable[int]) -> set[int]:
+    """Closure of masks under (non-empty, finite) unions.  Given in ascending
+    order, a mask that is a union of earlier ones costs one lookup."""
+    closed: set[int] = set()
     for s in sets:
         if s not in closed:  # else its unions with members are members already
             closed |= {s | c for c in closed}
@@ -177,50 +263,61 @@ def union_closure(sets: Iterable[frozenset[int]]) -> set[frozenset[int]]:
     return closed
 
 
-def _union_closures(by_there: _ByThere, diagonal: set[frozenset[int]]) -> _ByThere:
-    """Each diagonal member Z mapped to the union closure of the heres of
-    every there-component below Z."""
-    return {
-        z: union_closure(x for y, xs in by_there.items() if y <= z for x in xs)
-        for z in diagonal
-    }
+def _heres_below(by_there: _ByThere, diagonal: set[int]) -> _ByThere:
+    """Each diagonal member Z mapped to the heres of every there-component
+    below Z."""
+    return {z: set().union(*(xs for y, xs in by_there.items() if not y & ~z)) for z in diagonal}
 
 
-def _complete(by_there: _ByThere, diagonal: set[frozenset[int]]) -> bool:
-    return by_there.keys() <= diagonal and all(
-        xs <= by_there[z] for y, xs in by_there.items() for z in diagonal if y <= z
-    )
+def _union_closures(below: _ByThere) -> _ByThere:
+    """Each diagonal member mapped to the union closure of its heres below."""
+    return {z: union_closure(sorted(xs)) for z, xs in below.items()}
+
+
+def _unions_stay_in(xs: AbstractSet[int]) -> bool:
+    """``xs`` is closed under unions.  The masks are joined in ascending
+    order, as in ``union_closure``, and each new union must be in ``xs``."""
+    made: set[int] = set()
+    for s in sorted(xs):
+        if s not in made:
+            joined = {s | c for c in made}
+            if not joined <= xs:
+                return False
+            made |= joined
+            made.add(s)
+    return True
+
+
+def _complete(by_there: _ByThere, diagonal: set[int], below: _ByThere) -> bool:
+    return by_there.keys() <= diagonal and all(xs <= by_there[z] for z, xs in below.items())
 
 
 def _closed_here_intersection(by_there: _ByThere) -> bool:
-    return all(x & x2 in xs for xs in by_there.values() for x in xs for x2 in xs)
+    # X & X2 within Y is the complement in Y of the union of the complements
+    return all(_unions_stay_in({y ^ x for x in xs}) for y, xs in by_there.items())
 
 
 def _closed_here_union(by_there: _ByThere) -> bool:
-    return all(x | x2 in xs for xs in by_there.values() for x in xs for x2 in xs)
+    return all(map(_unions_stay_in, by_there.values()))
 
 
-def _ue_complete(by_there: _ByThere, diagonal: set[frozenset[int]]) -> bool:
+def _ue_complete(by_there: _ByThere, diagonal: set[int]) -> bool:
+    # density: for Y < Z, some here of Z lies in [Y, Z); Y itself when there
     return (
         by_there.keys() <= diagonal
         and all(
-            any(y <= mid < z for mid in by_there[z])
+            y in by_there[z] or any(mid != z and not y & ~mid for mid in by_there[z])
             for y in by_there
             for z in diagonal
-            if y < z
+            if y != z and not y & ~z
         )
-        and all(
-            x2 == y or not x < x2
-            for y, xs in by_there.items()
-            for x in xs
-            for x2 in xs
-        )
+        and all(len(_ue_heres(y, xs)) == len(xs) for y, xs in by_there.items())
     )
 
 
 def _splittable(by_there: _ByThere, closures: _ByThere) -> bool:
     return all(
-        u in by_there[z] or any(u <= z2 < z for z2 in by_there[z])
+        u in by_there[z] or any(z2 != z and not u & ~z2 for z2 in by_there[z])
         for z, unions in closures.items()
         for u in unions
     )
@@ -229,12 +326,13 @@ def _splittable(by_there: _ByThere, closures: _ByThere) -> bool:
 def se_properties(se_set: SESet) -> SEProperties:
     """Evaluate the five closure flags for a set of SE-interpretations."""
     by_there, diagonal = _grouped(se_set)
+    below = _heres_below(by_there, diagonal)
     return SEProperties(
-        complete=_complete(by_there, diagonal),
+        complete=_complete(by_there, diagonal, below),
         closed_here_intersection=_closed_here_intersection(by_there),
         closed_here_union=_closed_here_union(by_there),
         ue_complete=_ue_complete(by_there, diagonal),
-        splittable=_splittable(by_there, _union_closures(by_there, diagonal)),
+        splittable=_splittable(by_there, _union_closures(below)),
     )
 
 
@@ -248,57 +346,53 @@ def program_from_se_set(se_set: SESet) -> Program:
     are always the smallest candidate id, so output is reproducible.
     """
     by_there, diagonal = _grouped(se_set)
-    if not (_complete(by_there, diagonal) and _closed_here_union(by_there)):
+    below = _heres_below(by_there, diagonal)
+    if not (_complete(by_there, diagonal, below) and _closed_here_union(by_there)):
         raise SynthesisPreconditionError(
             "SE-program synthesis needs a complete, here-union-closed set"
         )
-    return _synthesize(se_set, by_there)
+    return _synthesize(se_set.table, se_set.view.atoms, by_there)
 
 
-def _synthesize(se_set: SESet, by_there: _ByThere) -> Program:
-    """The rules of ``program_from_se_set`` for the grouped view of a
-    complete, here-union-closed set (every there-component is diagonal)."""
-    atoms = sorted(se_set.universe)
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
+def _synthesize(table: AtomTable, atoms: Sequence[int], by_there: _ByThere) -> Program:
+    """The rules of ``program_from_se_set`` for the mask view of a complete,
+    here-union-closed set (every there-component is diagonal)."""
+    # the smallest-id atom of each non-empty mask: its lowest set bit
+    first = [-1] + [atoms[(m & -m).bit_length() - 1] for m in range(1, 1 << len(atoms))]
     theres = by_there.keys()
 
-    def escape(hat_y):
+    def escape(hat_y: int) -> set[int]:
         # one atom outside hat_y from each there-component not below it: as
         # a negative body it leaves the pairs at those components alone
-        return {min(y - hat_y) for y in theres if y - hat_y}
+        return {first[y & ~hat_y] for y in theres if y & ~hat_y}
 
     rules = []
-    for ymask in range(1 << len(atoms)):
-        hat_y = _masked(atoms, ymask)
-        if hat_y in theres:
-            continue
-        body = {min(hat_y - y) for y in theres if y <= hat_y}
-        rules.append(Rule.of((), body, escape(hat_y)))
+    for hat_y in range(1 << len(atoms)):
+        if hat_y not in theres:
+            body = {first[hat_y & ~y] for y in theres if not y & ~hat_y}
+            rules.append(Rule.of((), body, escape(hat_y)))
 
-    for ymask in sorted(sum(bit[a] for a in y) for y in theres):
-        hat_y = _masked(atoms, ymask)
+    for hat_y in sorted(theres):
         heres = by_there[hat_y]
         nbody = escape(hat_y)
-        for xmask in _subset_masks_ascending(ymask)[:-1]:  # proper subsets
-            hat_x = _masked(atoms, xmask)
+        for hat_x in _subset_masks_ascending(hat_y)[:-1]:  # proper subsets
             if hat_x in heres:
                 continue
-            inside = [x for x in heres if x <= hat_x]
-            excess = [x for x in heres if x - hat_x]
-            # here-union closure puts the union of ``inside`` among the
-            # heres, so it sits properly below hat_x
-            body = {min(hat_x - frozenset().union(*inside))} if inside else set()
-            head = {min(x - hat_x) for x in excess} if excess else {min(hat_y - hat_x)}
+            inside = [x for x in heres if not x & ~hat_x]
+            # here-union closure puts the union of ``inside``, its largest
+            # member, among the heres, so it sits properly below hat_x
+            body = (first[hat_x & ~max(inside)],) if inside else ()
+            head = {first[x & ~hat_x] for x in heres if x & ~hat_x} or (first[hat_y & ~hat_x],)
             rules.append(Rule.of(head, body, nbody))
 
-    return Program.of(se_set.table, rules)
+    return Program.of(table, rules)
 
 
 def se_closure(se_set: SESet) -> SESet:
     """Close a set of SE-interpretations: for each diagonal member Z, pair Z
     with every union of here-components lying below Z."""
-    closures = _union_closures(*_grouped(se_set))
-    return se_set.with_pairs(SEPair(x, z) for z, xs in closures.items() for x in xs)
+    closures = _union_closures(_heres_below(*_grouped(se_set)))
+    return SESet.from_masks(se_set.table, se_set.view.atoms, closures)
 
 
 def program_from_ue_set(se_set: SESet) -> Program:
@@ -309,12 +403,12 @@ def program_from_ue_set(se_set: SESet) -> Program:
     here-union-closed by construction, so its precondition is not checked.
     """
     by_there, diagonal = _grouped(se_set)
-    closures = _union_closures(by_there, diagonal)
+    closures = _union_closures(_heres_below(by_there, diagonal))
     if not (_ue_complete(by_there, diagonal) and _splittable(by_there, closures)):
         raise SynthesisPreconditionError(
             "UE-program synthesis needs a UE-complete, splittable set"
         )
-    return _synthesize(se_set, closures)
+    return _synthesize(se_set.table, se_set.view.atoms, closures)
 
 
 class _UEView:

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator, Optional
 
 from .core import RESERVED_PREFIX, AtomTable, Program, Rule
@@ -231,19 +233,29 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def parse_se_set(text: str, table: Optional[AtomTable] = None):
-    """Parse an SE-set file (returns an :class:`dualnorm.seue.SESet`)."""
-    from .seue import SEPair, SESet
+    """Parse an SE-set file (returns an :class:`dualnorm.seue.SESet`).
+
+    Each distinct side of ``;`` is resolved to atom ids once, and the set
+    is built as its mask view (bit i of a mask is the i-th smallest atom id
+    of the universe) without making an ``SEPair``.
+    """
+    from .seue import SESet, view_of_pairs
 
     if table is None:
         table = AtomTable()
 
-    def intern_names(names, lineno):
-        out = set()
-        for name in names:
-            if not _ATOM_NAME_RE.match(name):
-                raise ParseError(f"invalid atom name {name!r}", SourceSpan(lineno, 1))
-            out.add(table.intern(name))
-        return frozenset(out)
+    sides: dict[str, frozenset[int]] = {}
+
+    def intern_names(side, lineno):
+        ids = sides.get(side)
+        if ids is None:
+            out = set()
+            for name in side.split():
+                if not _ATOM_NAME_RE.match(name):
+                    raise ParseError(f"invalid atom name {name!r}", SourceSpan(lineno, 1))
+                out.add(table.intern(name))
+            ids = sides[side] = frozenset(out)
+        return ids
 
     pairs = []
     universe: set[int] = set()
@@ -252,19 +264,33 @@ def parse_se_set(text: str, table: Optional[AtomTable] = None):
             parts = line.split()
             if parts[0] != "#universe":
                 raise ParseError(f"unknown directive {parts[0]!r}", SourceSpan(lineno, 1))
-            universe |= intern_names(parts[1:], lineno)
+            universe |= intern_names(" ".join(parts[1:]), lineno)
             continue
         if ";" not in line:
             raise ParseError("expected 'X ; Y' (missing ';')", SourceSpan(lineno, 1))
         left, _, right = line.partition(";")
-        here = intern_names(left.split(), lineno)
-        there = intern_names(right.split(), lineno)
+        here = intern_names(left, lineno)
+        there = intern_names(right, lineno)
         if not here <= there:
             extra = ", ".join(table.names_of(here - there))
             raise ParseError(f"X is not a subset of Y ({extra} missing from Y)", SourceSpan(lineno, 1))
-        universe |= there
-        pairs.append(SEPair(here, there))
-    return SESet(table=table, universe=frozenset(universe), pairs=frozenset(pairs))
+        pairs.append((here, there))
+    view = view_of_pairs(universe.union(*(there for _, there in pairs)), pairs)
+    return SESet.from_masks(table, view.atoms, view.by_there)
+
+
+def se_pair_order(table: AtomTable, view) -> tuple[dict[int, list[str]], Iterator[tuple[int, list[int]]]]:
+    """The one order of SE-pair output (text, JSON and equivalence
+    witnesses) for a mask view: by the names of the there-component, then
+    by those of the here-component.  Returns the sorted names of every mask
+    of the view, each named once, and a lazy walk that yields each
+    there-mask with its here-masks in that order (a there-component's heres
+    are sorted when the walk reaches it)."""
+    atom_names = [table.name_of(a) for a in view.atoms]
+    masks = set(view.by_there).union(*view.by_there.values())
+    names = {m: sorted(name for i, name in enumerate(atom_names) if m >> i & 1) for m in masks}
+    key = names.__getitem__
+    return names, ((y, sorted(view.by_there[y], key=key)) for y in sorted(view.by_there, key=key))
 
 
 def render_se_pair(pair, table: AtomTable) -> str:
@@ -278,14 +304,19 @@ def render_se_set(se_set) -> str:
 
     A ``#universe`` directive is emitted only when the universe exceeds the
     union of the Y components (otherwise the pairs alone are lossless).
+    The pairs come in the order of :func:`se_pair_order`, read from the
+    set's mask view (bit i of a mask is the i-th smallest atom id of the
+    universe); each distinct mask is named and joined once.
     """
-    table = se_set.table
+    view = se_set.view
+    names, order = se_pair_order(se_set.table, view)
     lines = []
-    covered = frozenset().union(*(p.there for p in se_set.pairs)) if se_set.pairs else frozenset()
-    if se_set.universe - covered:
-        lines.append("#universe " + " ".join(table.names_of(se_set.universe)))
-    key = lambda p: (table.names_of(p.there), table.names_of(p.here))
-    lines.extend(render_se_pair(p, table) for p in sorted(se_set.pairs, key=key))
+    if reduce(or_, view.by_there, 0) != (1 << len(view.atoms)) - 1:
+        lines.append("#universe " + " ".join(se_set.table.names_of(se_set.universe)))
+    joined = {mask: " ".join(atom_names) for mask, atom_names in names.items()}
+    for y, xs in order:
+        there = joined[y]
+        lines.extend(f"{joined[x]} ; {there}" if x else f"; {there}" for x in xs)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -260,6 +260,20 @@ def test_json_flag(files):
     assert {"here": ["a"], "there": ["a"]} in pairs
 
 
+def test_se_json_lists_the_pairs_in_text_order(files, tmp_path):
+    # names interned out of name order: the pair order is by names, the
+    # masks by atom ids
+    prog = tmp_path / "order.lp"
+    prog.write_text("zz | b10 :- not nota.\nb2 :- zz.\nnota | b2.\n")
+    for command in ("se", "ue"):
+        _, text, _ = invoke(command, str(prog))
+        _, listing, _ = invoke("--json", command, str(prog))
+        lines = [line.partition(";") for line in text.splitlines()]
+        assert [(here.split(), there.split()) for here, _, there in lines] == [
+            (pair["here"], pair["there"]) for pair in json.loads(listing)
+        ]
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from dualnorm.gen import (
     close_complete_here_union,
     random_dual_normal_program,
     random_normal_program,
+    random_program,
     random_se_pairs,
     structured_corpus,
 )
@@ -417,3 +419,174 @@ def test_expressibility_separations():
     assert not dual.closed_here_intersection
     normal = se_properties(se_models(parse_program(DISJ3_NORMAL)))
     assert not normal.closed_here_union
+
+
+# ---------------------------------------------------------------------------
+# The frozenset predicates, UE filter and synthesis that the mask view
+# replaced, kept as the reference for the mask versions.
+
+
+def ref_grouped(se_set):
+    by_there = {}
+    for p in se_set.pairs:
+        by_there.setdefault(p.there, set()).add(p.here)
+    return by_there, {y for y, xs in by_there.items() if y in xs}
+
+
+def ref_ue_pairs(se_set):
+    by_there, _ = ref_grouped(se_set)
+    return {
+        p
+        for p in se_set.pairs
+        if all(x == p.there or not p.here < x for x in by_there[p.there])
+    }
+
+
+def ref_union_closure(sets):
+    closed = set()
+    for s in sets:
+        if s not in closed:
+            closed |= {s | c for c in closed}
+            closed.add(s)
+    return closed
+
+
+def ref_union_closures(by_there, diagonal):
+    return {
+        z: ref_union_closure(x for y, xs in by_there.items() if y <= z for x in xs)
+        for z in diagonal
+    }
+
+
+def ref_complete(by_there, diagonal):
+    return by_there.keys() <= diagonal and all(
+        xs <= by_there[z] for y, xs in by_there.items() for z in diagonal if y <= z
+    )
+
+
+def ref_closed_here_union(by_there):
+    return all(x | x2 in xs for xs in by_there.values() for x in xs for x2 in xs)
+
+
+def ref_ue_complete(by_there, diagonal):
+    return (
+        by_there.keys() <= diagonal
+        and all(
+            any(y <= mid < z for mid in by_there[z])
+            for y in by_there
+            for z in diagonal
+            if y < z
+        )
+        and all(x2 == y or not x < x2 for y, xs in by_there.items() for x in xs for x2 in xs)
+    )
+
+
+def ref_splittable(by_there, closures):
+    return all(
+        u in by_there[z] or any(u <= z2 < z for z2 in by_there[z])
+        for z, unions in closures.items()
+        for u in unions
+    )
+
+
+def ref_properties(se_set):
+    by_there, diagonal = ref_grouped(se_set)
+    return {
+        "complete": ref_complete(by_there, diagonal),
+        "closed_here_intersection": all(
+            x & x2 in xs for xs in by_there.values() for x in xs for x2 in xs
+        ),
+        "closed_here_union": ref_closed_here_union(by_there),
+        "ue_complete": ref_ue_complete(by_there, diagonal),
+        "splittable": ref_splittable(by_there, ref_union_closures(by_there, diagonal)),
+    }
+
+
+def ref_synthesize(se_set, by_there):
+    atoms = sorted(se_set.universe)
+    theres = by_there.keys()
+
+    def escape(hat_y):
+        return {min(y - hat_y) for y in theres if y - hat_y}
+
+    rules = []
+    for hat_y in subsets(atoms):
+        if hat_y in theres:
+            continue
+        body = {min(hat_y - y) for y in theres if y <= hat_y}
+        rules.append(Rule.of((), body, escape(hat_y)))
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    for hat_y in sorted(theres, key=lambda y: sum(bit[a] for a in y)):
+        heres = by_there[hat_y]
+        nbody = escape(hat_y)
+        for hat_x in sorted(subsets(hat_y), key=lambda x: sum(bit[a] for a in x))[:-1]:
+            if hat_x in heres:
+                continue
+            inside = [x for x in heres if x <= hat_x]
+            excess = [x for x in heres if x - hat_x]
+            body = {min(hat_x - frozenset().union(*inside))} if inside else set()
+            head = {min(x - hat_x) for x in excess} if excess else {min(hat_y - hat_x)}
+            rules.append(Rule.of(head, body, nbody))
+    return Program.of(se_set.table, rules)
+
+
+def ref_program_from(kind, se_set):
+    """The reference synthesis, or None where its precondition fails."""
+    by_there, diagonal = ref_grouped(se_set)
+    if kind == "se":
+        if ref_complete(by_there, diagonal) and ref_closed_here_union(by_there):
+            return ref_synthesize(se_set, by_there)
+        return None
+    closures = ref_union_closures(by_there, diagonal)
+    if ref_ue_complete(by_there, diagonal) and ref_splittable(by_there, closures):
+        return ref_synthesize(se_set, closures)
+    return None
+
+
+def reference_corpus():
+    """300 SE-sets over 6-8 atoms: the SE and UE sets of 100 seeded
+    dual-normal, normal and general programs, and 100 of them with one
+    pair added or removed."""
+    rng = random.Random(1818)
+    makers = (random_dual_normal_program, random_normal_program, random_program)
+    for i in range(100):
+        n = 6 + i % 3
+        se = SESet(AtomTable())
+        # the reference is quadratic in the heres of a there-component:
+        # sets of over 1 000 pairs are redrawn to keep the test short
+        while len(se.universe) != n or len(se) > 1000:
+            prog = makers[i // 3 % 3](rng, n, 3 * n)
+            se = se_models(prog)
+        ue = SESet(prog.table, se.universe, ref_ue_pairs(se))
+        yield se
+        yield ue
+        base = rng.choice((se, ue))
+        pairs = set(base.pairs)
+        if pairs and rng.random() < 0.5:
+            pairs.remove(rng.choice(sorted(pairs, key=lambda p: (sorted(p.there), sorted(p.here)))))
+        else:
+            y = frozenset(a for a in base.universe if rng.random() < 0.6)
+            pairs.add(SEPair(frozenset(a for a in y if rng.random() < 0.5), y))
+        yield base.with_pairs(pairs)
+
+
+def test_mask_view_agrees_with_the_frozenset_reference():
+    falses = Counter()
+    built = 0
+    for se_set in reference_corpus():
+        fresh = SESet(se_set.table, se_set.universe, se_set.pairs)  # no view yet
+        expected = ref_properties(fresh)
+        assert se_properties(fresh).to_dict() == expected
+        falses.update(flag for flag, value in expected.items() if not value)
+        assert ue_models(fresh).pairs == ref_ue_pairs(fresh)
+        for kind, synthesize in (("se", program_from_se_set), ("ue", program_from_ue_set)):
+            want = ref_program_from(kind, fresh)
+            if want is None:
+                with pytest.raises(SynthesisPreconditionError):
+                    synthesize(fresh)
+            else:
+                assert synthesize(fresh).rules == want.rules
+                built += 1
+    # every flag fails somewhere and holds somewhere in the 300 sets
+    assert len(falses) == 5 and max(falses.values()) < 300, falses
+    assert built > 100

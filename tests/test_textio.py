@@ -6,8 +6,9 @@ import pytest
 
 from dualnorm import textio
 from dualnorm.core import AtomTable, Program, Rule
-from dualnorm.gen import random_program, random_rule, structured_corpus
+from dualnorm.gen import random_program, random_rule, random_se_pairs, structured_corpus
 from dualnorm.satenc import answer_sets_via_sat, program_cnf
+from dualnorm.seue import SEPair, SESet
 from dualnorm.textio import (
     ParseError,
     parse_dimacs_model,
@@ -188,6 +189,46 @@ def test_se_set_universe_directive_and_round_trip():
     assert "#universe" not in render_se_set(s2)
     again2 = parse_se_set(render_se_set(s2))
     assert len(again2.pairs) == 1
+
+
+def reference_render_se_set(se_set):
+    """The renderer the mask view replaced: sorts the SEPairs by their
+    names, renders each pair's names anew."""
+    table = se_set.table
+    lines = []
+    covered = frozenset().union(*(p.there for p in se_set.pairs)) if se_set.pairs else frozenset()
+    if se_set.universe - covered:
+        lines.append("#universe " + " ".join(table.names_of(se_set.universe)))
+    key = lambda p: (table.names_of(p.there), table.names_of(p.here))
+    lines.extend(textio.render_se_pair(p, table) for p in sorted(se_set.pairs, key=key))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_render_se_set_matches_the_reference_and_round_trips():
+    texts = [
+        "",
+        "#universe a b c\n",  # a universe and no pairs
+        ";\n",  # the empty pair
+        "#universe a\n;\n",
+        "% a comment\n\n  b ; a b   % trailing\n\n;a\n\n#universe nota b c\nnota;nota b\n",
+        "nota ; nota nott\nnott;nott\n; not_\nnot_ nota ; nota not_ nott\n",
+    ]
+    sets = [parse_se_set(text) for text in texts]
+    rng = random.Random(1819)
+    for _ in range(60):
+        # names interned out of name order, so that bit order and name
+        # order differ
+        names = rng.sample(["a", "b10", "b2", "nota", "z_", "x", "nott", "c"], rng.randint(1, 8))
+        table = AtomTable()
+        atoms = [table.intern(name) for name in names]
+        raw = random_se_pairs(rng, atoms, density=rng.uniform(0.05, 0.6))
+        universe = set(atoms) if rng.random() < 0.5 else set().union(*(y for _, y in raw))
+        sets.append(SESet(table, universe, {SEPair(x, y) for x, y in raw}))
+    for se_set in sets:
+        text = render_se_set(se_set)
+        assert text == reference_render_se_set(se_set)
+        assert parse_se_set(text, table=se_set.table) == se_set
+    assert [render_se_set(s) for s in sets[:4]] == ["", "#universe a b c\n", "; \n", "#universe a\n; \n"]
 
 
 def test_write_dimacs_simple():
