@@ -204,8 +204,7 @@ class Program:
             for r in self.rules
             if r.head
         )
-        forbid = {a: Rule((), (a,), ()) for a in sorted(self.atom_ids)}
-        return ReductView(proper, forbid, all(r.is_dual_normal for r in self.rules))
+        return ReductView(proper, all(r.is_dual_normal for r in self.rules))
 
     @cached_property
     def rules_by_pos_body(self) -> dict[tuple[int, ...], tuple[Rule, ...]]:
@@ -240,38 +239,25 @@ class Program:
 
 @dataclass(eq=False)
 class ReductView:
-    """Per-program data for reducts and minimality witnesses.
+    """Per-program data for reducts.
 
     ``proper`` pairs each proper rule's negative body with the rule stripped
     of it (the rule itself when that body is empty), in program order: the
     proper part of the reduct w.r.t. I keeps the stripped rules whose
-    negative body misses I.  ``forbid`` maps each atom, in ascending order,
-    to the constraint ``:- a.``.
-
-    Two one-entry memos hold what was derived for the last interpretation
-    asked about, each keyed by that interpretation and replaced when
-    another comes: ``witness_memo``, the answer-set check state for the
-    last M (``dualhorn.pmm``: the rules its witnesses share, closed to their
-    base fixpoint on first use, and the atoms settled so far), and
-    ``ue_memo``, the UE-test view for the last (Y, universe)
-    (``seue.is_ue_model_dn``).
+    negative body misses I.  ``closure`` is a one-entry memo for the last
+    interpretation asked about, replaced when another comes: its reduct
+    closure (``dualhorn.reduct_closure``), which the answer-set check and
+    the UE test both read.
     """
 
     proper: tuple[tuple[tuple[int, ...], Rule], ...]
-    forbid: dict[int, Rule]
     dual_normal: bool
-    witness_memo: Any = field(default=None, repr=False)
-    ue_memo: Any = field(default=None, repr=False)
+    closure: Any = field(default=None, repr=False)
 
     def reduct_proper(self, interp: frozenset[int]) -> list[Rule]:
         """The proper rules of the reduct w.r.t. ``interp``, deduplicated,
         in program order."""
         return list(dict.fromkeys([r for neg, r in self.proper if interp.isdisjoint(neg)]))
-
-    def forbidding(self, atom: int) -> Rule:
-        """The constraint ``:- atom.``; an atom outside the program gets a
-        new one."""
-        return self.forbid.get(atom) or Rule((), (atom,), ())
 
 
 def satisfies(interp: frozenset[int], rule: Rule) -> bool:

@@ -20,11 +20,13 @@ On top of this sits the answer-set check for dual-normal programs: ``M`` is
 an answer set iff ``M`` is a model and, for every ``m`` in ``M``, the
 minimality witness program ``pmm(P, M, m)`` (which is dual-Horn) eliminates
 its ``t``.  The witnesses for one ``M`` share all their rules but the last,
-``:- m.``: the proper rules of P^M, taken from the program's cached reduct
-view (``Program.reduct_view``), and ``:- a.`` for every atom outside ``M``.
-The view keeps a check state for the last ``M``.  The first elimination of
-one of its witnesses compiles the shared rules once and closes them to
-their fixpoint C0.  The witness for ``m`` eliminates ``t`` iff the
+``:- m.``: the proper rules of P^M and ``:- a.`` for every atom a of P
+outside ``M``.  What they share is the reduct closure of ``M``
+(:class:`ReductClosure`), which the program's reduct view
+(``Program.reduct_view``) keeps for the last interpretation asked about.
+On first use it compiles P^M alone, seeds the elimination with every atom
+of P outside ``M`` (what the ``:- a.`` rules would eliminate) and closes
+to the fixpoint C0.  The witness for ``m`` eliminates ``t`` iff the
 elimination continued from C0 with ``m`` does; that run stops at ``t`` or
 at a settled atom, one known to eliminate ``t``, and is undone from a log.
 An ``m`` that succeeds is settled, and the first one also sets off one
@@ -32,6 +34,9 @@ reverse search from ``t`` along the rules left with one live head after
 C0, which settles every atom it reaches.  On a chain that settles every
 atom, so the check is linear; rules that keep two live heads after C0 can
 still make the continued runs cost |M| * |P| in all.
+The UE test (``seue.is_ue_model_dn``) reads the same closure for its
+there-component Y: the same run, continued from C0 with an atom a of Y,
+gives the atoms of Y that survive it.
 A witness builds its rule tuple only when it is read.  Its trace holds
 ``t_eliminated``; the levels and the maximal model come from a fresh
 compile of the witness's rules on first read, so every trace is the one a
@@ -45,7 +50,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError
-from .core import AtomTable, Program, Rule, is_model
+from .core import AtomTable, Program, Rule, is_model, satisfies
 from .textio import render_rule
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
@@ -206,13 +211,13 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
     The padding atom ``t`` is not interned: its id is ``T_ATOM``, and
     ``t_stem`` gives it a display name that the table does not hold.  The
     chain is monotone and stabilizes within |at(P)| + 1 steps.  A witness
-    from ``pmm`` is answered from the check state of its M; its trace holds
+    from ``pmm`` is answered from the reduct closure of its M; its trace holds
     ``t_eliminated`` and computes the rest on first read.  Any other program
     is compiled here.
     """
     witness = type(prog) is _Witness
     if witness:
-        bad = prog.check.close()
+        bad = prog.closure.close()
     else:
         bad, bodies, counters, occurs, ready = compile_elimination(prog.rules)
     if bad is not None:
@@ -221,7 +226,7 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
             "(needs |body_pos| <= 1 and no negation)"
         )
     if witness:
-        return EliminationTrace.deferred(prog, prog.check.eliminates_t(prog.m), t_stem)
+        return EliminationTrace.deferred(prog, prog.closure.eliminates_t(prog.m), t_stem)
     eliminated: set[int] = set()
     # the first level is built by the same set expression as every later one,
     # so the order of ``eliminated`` within it does not depend on the route
@@ -247,60 +252,82 @@ def max_model_dual_horn(
     return model
 
 
-class _CheckState:
-    """The answer-set check for one ``M``, kept in the program's reduct
-    view.
+class ReductClosure:
+    """The reduct closure of an interpretation I: the proper rules of P^I,
+    compiled for the elimination and closed to C0 from every atom of P
+    outside I.  It is built by :func:`reduct_closure`, which keeps the last
+    one in the program's reduct view.
 
-    ``rules`` are the rules that every minimality witness for ``M`` shares:
-    the proper rules of P^M, then ``:- a.`` for every atom a of P outside
-    ``M``.  The witness for m adds ``:- m.``, whose only effect is to
-    eliminate m, so it eliminates ``t`` iff the closure of C0 + {m} holds
-    ``t``, C0 being the fixpoint of the shared rules alone.  ``settled``
-    holds atoms known to eliminate ``t`` from C0: ``t``, every m that
-    succeeded, and what :meth:`_search` found after the first of them.  A
-    run that meets a settled atom stops, since its closure holds that
-    atom's.  The search waits for a success because only a run that
-    succeeds can use it, and a check ends at its first failure.
+    Both polynomial checks continue C0 with one atom of I, in one loop,
+    :meth:`_continue`.  ``settled`` holds atoms known to eliminate ``t``
+    from C0: ``t``, every atom whose run reached a settled atom, and what
+    :meth:`_search` found after the first of them.  A run that meets a
+    settled atom stops, since its closure holds that atom's.  The search
+    waits for such a run because only a run that reaches ``t`` can use it,
+    and an answer-set check ends at its first failure.
     """
 
-    __slots__ = ("interp", "rules", "bad", "bodies", "counters", "occurs", "eliminated", "settled", "searched", "t_out")
-
-    def __init__(self, interp: frozenset[int], rules: tuple[Rule, ...]) -> None:
+    def __init__(self, prog: Program, interp: frozenset[int]) -> None:
         self.interp = interp
-        self.rules = rules
+        self.rules = tuple(prog.reduct_view.reduct_proper(interp))
+        self.outside = prog.atom_ids - interp
+        self.program_rules = prog.rules
         self.bodies: Optional[list[int]] = None
+        self.survivor_sets: dict[int, Optional[frozenset[int]]] = {}
+
+    @cached_property
+    def model(self) -> bool:
+        """Whether I is a model of P."""
+        interp = self.interp
+        return all(satisfies(interp, r) for r in self.program_rules)
 
     def close(self) -> Optional[int]:
-        """Compile the shared rules and close them to C0, on the first call.
+        """Compile the rules and close them to C0, on the first call.
         Returns the index of the first rule that is not dual-Horn, or None;
         with such a rule nothing is eliminated."""
         if self.bodies is not None:
             return self.bad
-        self.bad, self.bodies, self.counters, self.occurs, ready = compile_elimination(self.rules)
+        # the rules all have a head, so none fires before the seed
+        self.bad, self.bodies, self.counters, self.occurs, _ = compile_elimination(self.rules)
         self.eliminated: set[int] = set()
         if self.bad is None:
-            eliminate(self.bodies, self.occurs, self.counters, self.eliminated, {self.bodies[idx] for idx in ready})
+            eliminate(self.bodies, self.occurs, self.counters, self.eliminated, self.outside)
         self.settled, self.searched, self.t_out = {T_ATOM}, False, T_ATOM in self.eliminated
         return self.bad
 
     def eliminates_t(self, m: int) -> bool:
-        """Whether the elimination of the witness for ``m`` eliminates
-        ``t``: the elimination continued from C0 with m, stopped at a
-        settled atom and undone from its log.  :meth:`close` must have found
-        every rule dual-Horn."""
-        settled = self.settled
-        if self.t_out or m in settled:
-            return True
-        eliminated = self.eliminated
-        if m in eliminated:
-            return False
+        """Whether the witness ``pmm(P, I, m)`` eliminates ``t``: whether
+        the elimination continued from C0 with m does.  :meth:`close` must
+        have found every rule dual-Horn."""
+        return self._continue(m) is None
+
+    def survivors(self, a: int) -> Optional[frozenset[int]]:
+        """S_a, the atoms of I that the elimination continued from C0 with
+        ``a`` leaves standing, or None when it eliminates ``t``.  Each S_a
+        is computed once.  P must be dual-normal."""
+        sets = self.survivor_sets
+        if a not in sets:
+            self.close()
+            added = self._continue(a)
+            sets[a] = None if added is None else self.interp.difference(self.eliminated, added)
+        return sets[a]
+
+    def _continue(self, a: int) -> Optional[list[int]]:
+        """Continue the elimination from C0 with ``a``: the atoms it adds
+        to C0, or None, settling ``a``, when it reaches a settled atom.
+        The run is undone from its log before this returns."""
+        settled, eliminated = self.settled, self.eliminated
+        if self.t_out or a in settled:
+            return None
+        if a in eliminated:
+            return []
         bodies, counters, occurs = self.bodies, self.counters, self.occurs
-        added = [m]
+        added = [a]
         touched: list[int] = []
-        eliminated.add(m)
+        eliminated.add(a)
         reached = False
-        for a in added:  # grows as the elimination goes on
-            for idx in occurs.get(a, ()):
+        for b in added:  # grows as the elimination goes on
+            for idx in occurs.get(b, ()):
                 touched.append(idx)
                 counters[idx] -= 1
                 if not counters[idx]:
@@ -316,11 +343,12 @@ class _CheckState:
         for idx in touched:
             counters[idx] += 1
         eliminated.difference_update(added)
-        if reached:
-            settled.add(m)
-            if not self.searched:
-                self._search()
-        return reached
+        if not reached:
+            return added
+        settled.add(a)
+        if not self.searched:
+            self._search()
+        return None
 
     def _search(self) -> None:
         """Settle every atom that reaches ``t`` along the rules left with
@@ -352,17 +380,30 @@ class _CheckState:
                 idx = before[idx]
 
 
-class _Witness(Program):
-    """A minimality witness from ``pmm``: the check state of its ``M``, the
-    excluded atom ``m`` and the constraint ``:- m.``.  Its rules, the
-    shared ones then that constraint, are built on first read."""
+def reduct_closure(prog: Program, interp: frozenset[int]) -> ReductClosure:
+    """The reduct closure of ``interp``: the one the program's reduct view
+    holds when it is for the same set, else a new one, which replaces it."""
+    view = prog.reduct_view
+    closure = view.closure
+    if closure is None or not (closure.interp is interp or closure.interp == interp):
+        closure = view.closure = ReductClosure(prog, frozenset(interp))
+    return closure
 
-    def __init__(self, table: AtomTable, check: _CheckState, m: int, last: Rule) -> None:
-        self.__dict__.update(table=table, check=check, m=m, last=last)
+
+class _Witness(Program):
+    """A minimality witness from ``pmm``: the reduct closure of its ``M``
+    and the excluded atom ``m``.  Its rules, P^M, then ``:- a.`` for every
+    atom a of P outside ``M`` in ascending order, then ``:- m.``, are built
+    on first read."""
+
+    def __init__(self, table: AtomTable, closure: ReductClosure, m: int) -> None:
+        self.__dict__.update(table=table, closure=closure, m=m)
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        return self.check.rules + (self.last,)
+        closure = self.closure
+        forbidden = [Rule((), (a,), ()) for a in sorted(closure.outside)]
+        return (*closure.rules, *forbidden, Rule((), (self.m,), ()))
 
 
 def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
@@ -371,20 +412,12 @@ def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
     Reduct of the proper part w.r.t. M, plus constraints forbidding every
     atom outside M and forbidding m itself: it has a model exactly when some
     model of the reduct sits strictly below M at m.  Dual-Horn whenever the
-    input is dual-normal.  The program's reduct view keeps the check state
-    of the last ``M`` asked about, with the rules its witnesses share; a
-    witness holds that state and ``m``, and builds its rule tuple only when
-    it is read.
+    input is dual-normal.  A witness holds the reduct closure of ``M`` and
+    ``m``, and builds its rule tuple only when it is read.
     """
     if m not in interp:
         raise ValueError(f"atom {prog.table.name_of(m)!r} is not in the interpretation")
-    view = prog.reduct_view
-    check = view.witness_memo
-    if check is None or not (check.interp is interp or check.interp == interp):
-        rules = view.reduct_proper(interp)
-        rules += [c for a, c in view.forbid.items() if a not in interp]
-        check = view.witness_memo = _CheckState(frozenset(interp), tuple(rules))
-    return _Witness(prog.table, check, m, view.forbidding(m))
+    return _Witness(prog.table, reduct_closure(prog, interp), m)
 
 
 def is_answer_set_dn(prog: Program, interp: frozenset[int]) -> bool:

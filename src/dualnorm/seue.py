@@ -49,13 +49,13 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
-from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, is_model, satisfies_reduct
+from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, satisfies_reduct
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import mask_to_set as _masked
 from .core import require_dual_normal as _require_dual_normal
 from .core import submasks_ascending as _subset_masks_ascending
-from .dualhorn import T_ATOM, compile_elimination, eliminate
+from .dualhorn import reduct_closure
 
 
 class _SEPairFields(NamedTuple):
@@ -411,41 +411,6 @@ def program_from_ue_set(se_set: SESet) -> Program:
     return _synthesize(se_set.table, se_set.view.atoms, closures)
 
 
-class _UEView:
-    """What the UE test needs of a dual-normal program for one (Y, universe).
-
-    ``model`` says whether Y is a model.  If it is, the view holds the
-    reduct P^Y compiled for the elimination and run from the atoms of
-    universe \\ Y to its fixpoint E_Y (``eliminated``, with the counters
-    left by that run), and ``atoms``, the atoms of P^Y and the universe.
-    ``survivors`` maps each atom a of Y asked about so far to S_a, the atoms
-    that survive the elimination continued from E_Y with a, or None when it
-    eliminates ``t``.
-    """
-
-    __slots__ = ("key", "model", "bodies", "occurs", "counters", "eliminated", "atoms", "survivors")
-
-    def __init__(self, prog: Program, y: frozenset[int], uni: frozenset[int]) -> None:
-        self.key = (frozenset(y), uni)
-        self.model = is_model(y, prog)
-        self.survivors: dict[int, Optional[frozenset[int]]] = {}
-        if self.model:
-            _, self.bodies, self.counters, self.occurs, _ = compile_elimination(prog.reduct_view.reduct_proper(y))
-            self.eliminated: set[int] = set()
-            eliminate(self.bodies, self.occurs, self.counters, self.eliminated, uni - y)
-            self.atoms = uni.union(self.occurs, self.bodies) - {T_ATOM}
-
-
-def _survivor_set(view: _UEView, a: int) -> Optional[frozenset[int]]:
-    """S_a for the atom ``a`` of Y: continue the elimination of ``view``
-    from E_Y with ``a``, on copies of its state."""
-    eliminated = set(view.eliminated)
-    eliminate(view.bodies, view.occurs, view.counters.copy(), eliminated, {a} - eliminated)
-    if T_ATOM in eliminated:
-        return None
-    return view.atoms - eliminated
-
-
 def is_ue_model_dn(
     prog: Program, pair: SEPair, universe: Optional[frozenset[int]] = None
 ) -> bool:
@@ -454,41 +419,29 @@ def is_ue_model_dn(
     (X, Y) is a UE-model when Y is a model and either X = Y or, for every
     atom a of Y \\ X, the dual-Horn theory made of the reduct of the proper
     part w.r.t. Y, the atoms of X as facts, and constraints excluding a and
-    everything outside Y has X as its maximal model (atoms of the universe
-    that the theory does not mention count as members).  (Constraint
-    reducts are dropped: a surviving constraint's positive body already
-    sticks out of Y, so every subset of Y satisfies it.)
+    every atom outside Y has X as its maximal model.  (Constraint reducts
+    are dropped: a surviving constraint's positive body already sticks out
+    of Y, so every subset of Y satisfies it.)  The universe (default:
+    at(P)) only bounds Y; atoms outside it count as false, as they do in
+    ``se_models``.
 
     The facts add only the reversed rules ``t <- x``, so that maximal model
-    is X exactly when the survivor set S_a, the atoms of P^Y and the
-    universe that the elimination seeded with a and the atoms outside Y
-    leaves standing, is X with ``t`` standing too.  S_a depends on Y and a
-    alone: the program's reduct view keeps the elimination for the last
-    (Y, universe) run up to the atoms outside Y, and each S_a is computed
-    once, by continuing it with a.  X, the maximal model of a theory that
-    contains P^Y, is then a model of P^Y too, so that check needs no pass
-    of its own.
+    is X exactly when the survivor set S_a, the atoms of Y that the
+    elimination seeded with a and the atoms of P outside Y leaves standing,
+    is X with ``t`` standing too.  S_a depends on Y and a alone: it comes
+    from the reduct closure of Y (``dualhorn.reduct_closure``), which the
+    answer-set check shares, and is computed once per atom.  X, the maximal
+    model of a theory that contains P^Y, is then a model of P^Y too, so
+    that check needs no pass of its own.
     """
     _require_dual_normal(prog)
-    uni = frozenset(prog.atom_ids if universe is None else universe)
     x, y = pair.here, pair.there
-    if not y <= uni:
+    if not y <= (prog.atom_ids if universe is None else universe):
         raise ValueError("pair exceeds the universe")
-    reduct_view = prog.reduct_view
-    view = reduct_view.ue_memo
-    if view is None or view.key != (y, uni):
-        view = reduct_view.ue_memo = _UEView(prog, y, uni)
-    if not view.model:
+    closure = reduct_closure(prog, y)
+    if not closure.model:
         return False
-    if x == y:
-        return True
-    survivors = view.survivors
-    for a in sorted(y - x):
-        if a not in survivors:
-            survivors[a] = _survivor_set(view, a)
-        if survivors[a] != x:
-            return False
-    return True
+    return all(closure.survivors(a) == x for a in sorted(y - x))
 
 
 def _ue_disagreement_dn(

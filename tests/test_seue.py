@@ -6,7 +6,7 @@ import pytest
 from dualnorm.common import ProgramClassError, SynthesisPreconditionError
 from dualnorm.classify import classify_labels
 from dualnorm.core import AtomTable, Program, Rule, is_model, reduct, split
-from dualnorm.dualhorn import max_model_dual_horn
+from dualnorm.dualhorn import is_answer_set_dn, max_model_dual_horn
 from dualnorm.gen import (
     close_complete_here_union,
     random_dual_normal_program,
@@ -15,8 +15,8 @@ from dualnorm.gen import (
     random_se_pairs,
     structured_corpus,
 )
-from dualnorm import seue
-from dualnorm.oracle import strongly_equivalent_bf, uniformly_equivalent_bf
+from dualnorm import dualhorn, seue
+from dualnorm.oracle import is_answer_set, strongly_equivalent_bf, uniformly_equivalent_bf
 from dualnorm.seue import (
     SEPair,
     SESet,
@@ -46,8 +46,9 @@ def subsets(atoms):
 
 def ue_model_reference(prog, pair, universe):
     """The per-atom construction: each atom a of Y \\ X spawns the dual-Horn
-    theory P^Y (proper part) + the facts X + ``:- z.`` for z outside Y +
-    ``:- a.``, whose maximal model over the universe must be X."""
+    theory P^Y (proper part) + the facts X + ``:- z.`` for every z of the
+    universe and of at(P) outside Y + ``:- a.``, whose maximal model over
+    the universe must be X."""
     x, y = pair.here, pair.there
     if not is_model(y, prog):
         return False
@@ -58,7 +59,7 @@ def ue_model_reference(prog, pair, universe):
         return False
     base = list(proper_reduct.rules)
     base.extend(Rule.of((a,)) for a in sorted(x))
-    base.extend(Rule.of((), (z,)) for z in sorted(universe - y))
+    base.extend(Rule.of((), (z,)) for z in sorted((universe | prog.atom_ids) - y))
     base = tuple(dict.fromkeys(base))
     return all(
         max_model_dual_horn(Program(prog.table, (*base, Rule.of((), (a,)))), universe=universe) == x
@@ -264,7 +265,7 @@ def test_is_ue_model_dn_examples():
 def test_is_ue_model_dn_matches_the_per_atom_construction():
     # universes equal to at(P), larger than it, and missing some of its
     # atoms; the checks of neighbouring Y values, over every universe, are
-    # interleaved, so the memo of the last (Y, universe) both hits and misses
+    # interleaved, so the memo of the last Y both hits and misses
     rng = random.Random(25)
     for _ in range(60):
         p = random_dual_normal_program(rng, rng.randint(1, 5), 6)
@@ -288,30 +289,54 @@ def test_is_ue_model_dn_matches_the_per_atom_construction():
 
 
 def test_ue_test_builds_one_view_per_there_component(monkeypatch):
-    compiled, closures = [], []
-    compile_elimination, survivor_set = seue.compile_elimination, seue._survivor_set
-    monkeypatch.setattr(seue, "compile_elimination", lambda rules: compiled.append(1) or compile_elimination(rules))
-    monkeypatch.setattr(seue, "_survivor_set", lambda view, a: closures.append(a) or survivor_set(view, a))
+    compiled, runs = [], []
+    compile_elimination, run = dualhorn.compile_elimination, dualhorn.ReductClosure._continue
+    monkeypatch.setattr(dualhorn, "compile_elimination", lambda rules: compiled.append(1) or compile_elimination(rules))
+    monkeypatch.setattr(dualhorn.ReductClosure, "_continue", lambda closure, a: runs.append(a) or run(closure, a))
     p = parse_program("a | b | c | d.\nb :- a.\nc | d :- b.\na :- not e.")
     y = ids_of(p, "a b c d")
     verdicts = [is_ue_model_dn(p, SEPair(x, y)) for x in subsets(y)]
     assert any(verdicts) and not all(verdicts)
     assert len(compiled) == 1
-    assert len(closures) <= len(y) and len(set(closures)) == len(closures)
+    assert len(runs) <= len(y) and len(set(runs)) == len(runs)
 
-    # a full scan (of 3^5 pairs) keeps one view per program, the last
+    # a full scan (of 3^5 pairs) keeps one closure per program, the last
     # there-component's, and builds one per there-component
     q = parse_program("a | b | c | d.\nb :- a.\nc | d :- b.\na :- not e.\na :- a.", table=p.table)
     compiled.clear()
-    closures.clear()
+    runs.clear()
     assert uniformly_equivalent_dn(p, q)
     joint = p.atom_ids | q.atom_ids
     for prog in (p, q):
-        view = prog.reduct_view.ue_memo
-        assert view.key == (joint, joint)
-        assert len(view.survivors) <= len(joint)
+        closure = prog.reduct_view.closure
+        assert closure.interp == joint
+        assert len(closure.survivor_sets) <= len(joint)
     assert len(compiled) <= 2 * 2 ** len(joint)
-    assert len(closures) <= 2 * len(joint) * 2 ** (len(joint) - 1)
+    assert len(runs) <= 2 * len(joint) * 2 ** (len(joint) - 1)
+
+
+def test_one_reduct_closure_serves_both_checks(monkeypatch):
+    # the answer-set check of M and the UE tests of the pairs (X, M),
+    # interleaved, share the reduct closure of M: it is compiled once, when
+    # M is a non-empty model, and not at all otherwise
+    compiled = []
+    compile_elimination = dualhorn.compile_elimination
+    monkeypatch.setattr(dualhorn, "compile_elimination", lambda rules: compiled.append(1) or compile_elimination(rules))
+    rng = random.Random(27)
+    for _ in range(80):
+        p = random_dual_normal_program(rng, rng.randint(1, 5), 6)
+        expected = ue_models(se_models(p)).pairs
+        for interp in subsets(p.atom_ids):
+            answer = is_answer_set(p, interp)
+            compiled.clear()
+            heres = subsets(interp)
+            rng.shuffle(heres)
+            for x in heres:
+                assert is_answer_set_dn(p, frozenset(interp)) == answer  # an equal set, not the same one
+                pair = SEPair(x, interp)
+                assert is_ue_model_dn(p, pair) == (pair in expected)
+            assert is_answer_set_dn(p, interp) == answer
+            assert len(compiled) == (1 if interp and is_model(interp, p) else 0)
 
 
 def test_uniformly_equivalent_dn_examples():
@@ -400,6 +425,22 @@ def test_is_ue_model_dn_agrees_with_oracle():
                 if sub == 0:
                     break
                 sub = (sub - 1) & ymask
+    # universes larger than at(P) and missing some of its atoms, which the
+    # oracle reads as false
+    rng = random.Random(26)
+    missing = 0
+    for _ in range(60):
+        p = random_dual_normal_program(rng, rng.randint(1, 5), 6)
+        extra = p.table.intern("x0")
+        atoms = sorted(p.atom_ids)
+        for uni in (p.atom_ids | {extra}, frozenset(rng.sample(atoms, rng.randint(0, len(atoms))))):
+            missing += not p.atom_ids <= uni
+            expected = ue_models(se_models(p, universe=uni)).pairs
+            for y in subsets(uni):
+                for x in subsets(y):
+                    pr = SEPair(x, y)
+                    assert is_ue_model_dn(p, pr, uni) == (pr in expected)
+    assert missing > 20
 
 
 def test_uniformly_equivalent_dn_agrees_with_oracle():
