@@ -57,12 +57,6 @@ class DepGraph:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def successors(self) -> dict[int, list[int]]:
-        succ: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for x, y in self.edges:
-            succ[x].append(y)
-        return succ
-
 
 def dep_graph(prog: Program) -> DepGraph:
     edges = set()
@@ -73,21 +67,15 @@ def dep_graph(prog: Program) -> DepGraph:
     return DepGraph(tuple(sorted(prog.atom_ids)), tuple(sorted(edges)))
 
 
-def sccs(graph: DepGraph | Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Strongly connected components (iterative Tarjan), deterministic order.
+def sccs(succ: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The strongly connected components of more than one atom (iterative
+    Tarjan), deterministic order.
 
-    ``graph`` is a :class:`DepGraph`, whose components cover its vertices,
-    or successor lists indexed by atom id (empty for an atom without
-    successors), from which only the components of more than one atom are
-    returned.  Each component is sorted; components come in the order
-    Tarjan's search completes them, roots taken in ascending order.
+    ``succ`` holds successor lists indexed by atom id (empty for an atom
+    without successors).  Each component is sorted; components come in the
+    order Tarjan's search completes them, roots taken in ascending order.
     """
-    if isinstance(graph, DepGraph):
-        succ, roots, singletons = graph.successors(), graph.vertices, True
-        n = graph.vertices[-1] + 1 if graph.vertices else 0
-    else:
-        succ, roots, singletons = graph, range(len(graph)), False
-        n = len(graph)
+    n = len(succ)
     # Flat per-atom arrays: visit order from 1 (0 unvisited, ``done`` once
     # the atom is in a component), lowest reachable visit order, and the
     # position of the next successor to read.
@@ -98,13 +86,9 @@ def sccs(graph: DepGraph | Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     stack: list[int] = []  # ascending visit order, so a component is a suffix
     components: list[tuple[int, ...]] = []
     counter = 0
-    for root in roots:
-        if index[root]:
-            continue
-        if not succ[root]:
-            index[root] = done
-            if singletons:
-                components.append((root,))
+    for root in range(n):
+        # an atom without successors is a component alone: it is never visited
+        if index[root] or not succ[root]:
             continue
         counter += 1
         index[root] = low[root] = counter
@@ -126,10 +110,6 @@ def sccs(graph: DepGraph | Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                         stack.append(w)
                         path.append(w)
                         break
-                    # a vertex without successors is a component alone
-                    index[w] = done
-                    if singletons:
-                        components.append((w,))
                 elif iw < low[v]:
                     low[v] = iw
             else:
@@ -143,7 +123,7 @@ def sccs(graph: DepGraph | Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                     del stack[k:]
                     for w in comp:
                         index[w] = done
-                    if singletons or len(comp) > 1:
+                    if len(comp) > 1:
                         components.append(tuple(sorted(comp)))
     return components
 

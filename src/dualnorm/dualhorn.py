@@ -37,15 +37,15 @@ still make the continued runs cost |M| * |P| in all.
 The UE test (``seue.is_ue_model_dn``) reads the same closure for its
 there-component Y: the same run, continued from C0 with an atom a of Y,
 gives the atoms of Y that survive it.
-A witness builds its rule tuple only when it is read.  Its trace holds
-``t_eliminated``; the levels and the maximal model come from a fresh
+A witness builds its rule tuple only when it is read.  Its trace is the
+one class every elimination returns, built without the run (the eliminated
+atoms, the level bounds and the compiled rules): the run comes from a fresh
 compile of the witness's rules on first read, so every trace is the one a
 fresh compile gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -62,68 +62,60 @@ from .core import require_dual_normal as _require_dual_normal
 T_ATOM = -(1 << 62)
 
 
-@dataclass(frozen=True, init=False)
+# An elimination run: the eliminated atoms in level order, the level bounds
+# (from 0), the rules each head atom occurs in and each rule's body atom.
+EliminationRun = tuple[tuple[int, ...], tuple[int, ...], dict[int, list[int]], list[int]]
+
+
 class EliminationTrace:
     """The chain E_0, E_1, ... up to its fixpoint, over at(P) plus ``t``.
 
-    Each eliminated atom is stored once, in level order, with the level
-    boundaries; the levels themselves are built only when asked for.  The
-    maximal model and the display name of ``t`` are computed on first read
-    (the name against the table as it is then).  The trace of a ``pmm``
-    witness is built by :meth:`deferred` with ``t_eliminated`` alone; its
-    other fields are filled from a fresh compile of the witness's rules
-    when one of them is first read.
+    It holds the program, the stem of ``t``'s display name, ``t_eliminated``
+    and the run, which stores each eliminated atom once, in level order,
+    with the level boundaries; the levels themselves are built only when
+    asked for.  The maximal model and the name of ``t`` are computed on
+    first read (the name against the table as it is then).  The elimination
+    of a plain program passes its run; the trace of a ``pmm`` witness has
+    none, and computes it from a fresh compile of the witness's rules when
+    it is first read.
     """
 
-    eliminated: tuple[int, ...]
-    bounds: tuple[int, ...]
-    t_atom: int
-    t_eliminated: bool
-    _heads: dict[int, list[int]] = field(repr=False, compare=False)
-    _bodies: list[int] = field(repr=False, compare=False)
-    _table: AtomTable = field(repr=False, compare=False)
-    _t_stem: str = field(repr=False, compare=False)
+    t_atom = T_ATOM
 
-    def __init__(self, eliminated, bounds, t_atom, t_eliminated, _heads, _bodies, _table, _t_stem) -> None:
-        # One write to the instance dict, as cached_property does: the frozen
-        # dataclass __init__ costs one object.__setattr__ a field, which is
-        # a sizeable share of a small elimination.
-        self.__dict__.update(
-            eliminated=eliminated, bounds=bounds, t_atom=t_atom, t_eliminated=t_eliminated,
-            _heads=_heads, _bodies=_bodies, _table=_table, _t_stem=_t_stem,
-        )
+    def __init__(self, prog: Program, t_stem: str, t_eliminated: bool, run: Optional[EliminationRun] = None) -> None:
+        self.prog = prog
+        self.t_stem = t_stem
+        self.t_eliminated = t_eliminated
+        if run is not None:
+            self.run = run
 
-    @classmethod
-    def deferred(cls, witness: Program, t_eliminated: bool, t_stem: str) -> "EliminationTrace":
-        """The trace of a witness whose ``t_eliminated`` is known: the other
-        fields come from a fresh compile of its rules, on first read."""
-        trace = object.__new__(cls)
-        trace.__dict__.update(
-            t_atom=T_ATOM, t_eliminated=t_eliminated, _table=witness.table, _t_stem=t_stem, _witness=witness
-        )
-        return trace
+    @cached_property
+    def run(self) -> EliminationRun:
+        """The run of a witness's trace, from a fresh compile of its rules."""
+        prog = self.prog
+        return elimination_fixpoint(Program(prog.table, prog.rules)).run
 
-    def __getattr__(self, name: str):
-        # reached only for a field that is not set yet: one of a deferred trace
-        if name not in _DEFERRED_FIELDS or "_witness" not in self.__dict__:
-            raise AttributeError(name)
-        full = elimination_fixpoint(Program(self._table, self._witness.rules))
-        for field_name in _DEFERRED_FIELDS:
-            self.__dict__[field_name] = getattr(full, field_name)
-        return self.__dict__[name]
+    @property
+    def eliminated(self) -> tuple[int, ...]:
+        return self.run[0]
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        return self.run[1]
 
     @cached_property
     def max_model(self) -> frozenset[int]:
         """The head atoms, the positive bodies (``t`` for an empty one) and
         ``t``, less the eliminated atoms: with no negative bodies, these are
         the atoms of P plus ``t``."""
-        universe = self._heads.keys() | self._bodies
-        universe.add(self.t_atom)
-        return frozenset(universe.difference(self.eliminated))
+        eliminated, _, heads, bodies = self.run
+        universe = heads.keys() | bodies
+        universe.add(T_ATOM)
+        return frozenset(universe.difference(eliminated))
 
     @cached_property
     def t_name(self) -> str:
-        return self._table.unused_name(self._t_stem)
+        return self.prog.table.unused_name(self.t_stem)
 
     @property
     def levels(self) -> tuple[frozenset[int], ...]:
@@ -140,9 +132,6 @@ class EliminationTrace:
             "levels": [names(level) for level in self.levels],
             "max_model": names(self.max_model),
         }
-
-
-_DEFERRED_FIELDS = ("eliminated", "bounds", "_heads", "_bodies")
 
 
 # A rule list compiled for the elimination, as reversed rules ``b <- H`` with
@@ -212,8 +201,8 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
     ``t_stem`` gives it a display name that the table does not hold.  The
     chain is monotone and stabilizes within |at(P)| + 1 steps.  A witness
     from ``pmm`` is answered from the reduct closure of its M; its trace holds
-    ``t_eliminated`` and computes the rest on first read.  Any other program
-    is compiled here.
+    ``t_eliminated`` and computes the run on first read.  Any other program
+    is compiled here, and its trace holds the run.
     """
     witness = type(prog) is _Witness
     if witness:
@@ -226,13 +215,12 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
             "(needs |body_pos| <= 1 and no negation)"
         )
     if witness:
-        return EliminationTrace.deferred(prog, prog.closure.eliminates_t(prog.m), t_stem)
+        return EliminationTrace(prog, t_stem, prog.closure.eliminates_t(prog.m))
     eliminated: set[int] = set()
     # the first level is built by the same set expression as every later one,
     # so the order of ``eliminated`` within it does not depend on the route
     order, bounds = eliminate(bodies, occurs, counters, eliminated, {bodies[idx] for idx in ready} - eliminated)
-    t = T_ATOM
-    return EliminationTrace(tuple(order), tuple(bounds), t, t in eliminated, occurs, bodies, prog.table, t_stem)
+    return EliminationTrace(prog, t_stem, T_ATOM in eliminated, (tuple(order), tuple(bounds), occurs, bodies))
 
 
 def max_model_dual_horn(

@@ -28,7 +28,7 @@ the tag.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -327,31 +327,26 @@ def declared_vars(prog: Program) -> list[Var]:
 class CnfInstance:
     """A CNF over variables 1..``num_vars`` with its layout: ``var_index``
     maps the structured variables to their indices, and ``var_names`` maps
-    indices to display names.  Given a ``namer`` in place of the names, the
-    names are filled on first read, so a search that never reads them never
-    builds them."""
+    indices to display names.  The names are built by ``namer`` on first
+    read (none without one), so a search that never reads them never builds
+    them."""
 
     def __init__(
         self,
         num_vars: int,
         clauses: list[tuple[int, ...]],
         var_index: dict[Var, int],
-        var_names: Optional[dict[int, str]] = None,
         namer: Optional[Callable[[Var], str]] = None,
     ) -> None:
         self.num_vars = num_vars
         self.clauses = clauses
         self.var_index = var_index
-        self._var_names = var_names
         self._namer = namer
 
-    @property
+    @cached_property
     def var_names(self) -> dict[int, str]:
-        if self._var_names is None:
-            namer = self._namer
-            self._var_names = {} if namer is None else {idx: namer(v) for v, idx in self.var_index.items()}
-            self._namer = None
-        return self._var_names
+        namer = self._namer
+        return {} if namer is None else {idx: namer(v) for v, idx in self.var_index.items()}
 
 
 def _fold(f: Formula, found: list[Var]) -> Formula:

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, Rule, is_model, mask_to_set, reduct, split
+from .core import Program, Rule, is_model, mask_to_set, reduct
 from .oracle import answer_sets_bf, minimal_models
 
 
@@ -46,9 +46,10 @@ def build_px(prog: Program, x: int) -> Program:
     H <- B+, not B- becomes copy(B+) <- copy(H), not B-."""
     if x not in prog.atom_ids:
         raise ValueError(f"atom {prog.table.name_of(x)!r} does not occur in the program")
-    proper, _ = split(prog)
     rules = []
-    for r in proper.rules:
+    for r in prog.rules:
+        if not r.head:
+            continue
         if r.body_pos:
             new_head = [copy_atom(prog, b, x) for b in r.body_pos]
         else:

@@ -57,10 +57,12 @@ def test_dep_graph():
 
 
 def test_sccs():
+    # from successor lists, only the components of more than one atom
     p = parse_program("a :- b.\nb :- a.\nc :- a.")
-    comps = {frozenset(c) for c in sccs(dep_graph(p))}
     a, b, c = (p.table.id_of(x) for x in "abc")
-    assert comps == {frozenset({a, b}), frozenset({c})}
+    succ = [[] for _ in range(len(p.table))]
+    succ[a], succ[b], succ[c] = [b], [a], [a]
+    assert sccs(succ) == [(a, b)]
 
 
 def test_is_hcf():
@@ -188,7 +190,6 @@ def labels_reference(prog):
 def assert_matches_reference(prog):
     labels, components = labels_reference(prog)
     assert classify_labels(prog) == labels
-    assert sccs(dep_graph(prog)) == components
     # from successor lists, only the components of more than one atom
     succ = [[] for _ in range(len(prog.table))]
     for x, y in dep_graph(prog).edges:

@@ -207,12 +207,12 @@ def test_pmm_reuses_the_programs_reduct_rules():
 
 
 def trace_fields(tr, table):
-    return tr.eliminated, tr.bounds, tr.t_eliminated, tr.to_dict(table)
+    return tr.eliminated, tr.bounds, tr.t_eliminated, tr.max_model, tr.t_name, tr.to_dict(table)
 
 
 def test_seeded_witness_elimination_matches_a_fresh_compile():
-    # a witness is answered from the check state of its M, and its other
-    # trace fields come from a fresh compile on first read; the trace must
+    # a witness is answered from the reduct closure of its M, and its run
+    # comes from a fresh compile on first read; the trace must
     # be the one of the same rules compiled from scratch, and eliminating a
     # witness twice must not consume the state
     rng = random.Random(13)
@@ -266,11 +266,17 @@ def test_answer_set_check_compiles_once_per_interpretation(monkeypatch):
     assert len(compiled) == 1
     assert not is_answer_set_dn(p, ids_of(p, "a b c d f"))
     assert len(compiled) == 2
-    # the trace fields other than t_eliminated come from one fresh compile
-    # of the witness, on first read
-    trace = elimination_fixpoint(pmm(p, answer, p.table.id_of("a")))
+    # a witness's run, behind every trace field but t_eliminated, comes from
+    # one fresh compile of its rules, on first read
+    witness = pmm(p, answer, p.table.id_of("a"))
+    trace = elimination_fixpoint(witness)
     assert trace.t_eliminated and len(compiled) == 3
     assert trace.to_dict(p.table)["t_eliminated"] and trace.bounds and len(compiled) == 4
+    # a plain program's trace holds the run of its one compile
+    plain = elimination_fixpoint(Program(p.table, witness.rules))
+    assert len(compiled) == 5
+    assert trace_fields(plain, p.table) == trace_fields(trace, p.table) and plain.levels == trace.levels
+    assert len(compiled) == 5
 
 
 def test_answer_set_check_builds_no_witness_rules(monkeypatch):

@@ -172,9 +172,9 @@ def test_tseitin_projection_faithfulness():
 def test_enumerate_models_examples():
     from dualnorm.satenc import CnfInstance
 
-    one = CnfInstance(1, [(1,)], {}, {})
+    one = CnfInstance(1, [(1,)], {})
     assert enumerate_models(one, [1]) == [frozenset({1})]
-    contra = CnfInstance(1, [(1, -1), (-1,), (1,)], {}, {})
+    contra = CnfInstance(1, [(1, -1), (-1,), (1,)], {})
     assert enumerate_models(contra, [1]) == []
     p = parse_program("a | b.")
     cnf = program_cnf(p)
@@ -186,15 +186,15 @@ def test_enumerate_models_rejects_out_of_range_variables():
     from dualnorm.satenc import CnfInstance
 
     with pytest.raises(ValueError, match="projection variable 2 "):
-        enumerate_models(CnfInstance(1, [(1,)], {}, {}), [2])
+        enumerate_models(CnfInstance(1, [(1,)], {}), [2])
     with pytest.raises(ValueError, match="projection variable 0 "):
-        enumerate_models(CnfInstance(1, [(1,)], {}, {}), [0])
+        enumerate_models(CnfInstance(1, [(1,)], {}), [0])
     with pytest.raises(ValueError, match="clause literal 2 "):
-        enumerate_models(CnfInstance(1, [(2,)], {}, {}), [1])
+        enumerate_models(CnfInstance(1, [(2,)], {}), [1])
     with pytest.raises(ValueError, match="clause literal -3 "):
-        enumerate_models(CnfInstance(2, [(1, -3)], {}, {}), [1])
+        enumerate_models(CnfInstance(2, [(1, -3)], {}), [1])
     with pytest.raises(ValueError, match="clause literal 0 "):
-        enumerate_models(CnfInstance(2, [(1, 0)], {}, {}), [1])
+        enumerate_models(CnfInstance(2, [(1, 0)], {}), [1])
 
 
 def test_enumeration_builds_one_solver(monkeypatch):
@@ -236,7 +236,7 @@ def test_enumeration_learns_an_unsat_core_once():
     from dualnorm.satenc import CnfInstance
 
     core = [(13 * a, 14 * b, 15 * c) for a, b, c in itertools.product((1, -1), repeat=3)]
-    assert enumerate_models(CnfInstance(15, core, {}, {}), range(1, 13), max_steps=2000) == []
+    assert enumerate_models(CnfInstance(15, core, {}), range(1, 13), max_steps=2000) == []
 
 
 def test_answer_sets_via_sat_examples():
@@ -348,7 +348,7 @@ def test_dpll_against_truth_table():
 def _check_against_truth_table(nv, clauses, proj):
     from dualnorm.satenc import CnfInstance
 
-    cnf = CnfInstance(nv, clauses, {}, {})
+    cnf = CnfInstance(nv, clauses, {})
     before = list(clauses)
     listed = enumerate_models(cnf, proj)
     got = set(listed)
@@ -468,8 +468,8 @@ def test_repeated_literals_enumerate_like_their_deduplicated_form(num_vars, clau
         if all(satisfied(true_vars, c) for c in clauses):
             truth.add(frozenset(true_vars & set(project)))
     deduped = [tuple(dict.fromkeys(c)) for c in clauses]
-    with_repeats = enumerate_models(CnfInstance(num_vars, clauses, {}, {}), project)
-    without = enumerate_models(CnfInstance(num_vars, deduped, {}, {}), project)
+    with_repeats = enumerate_models(CnfInstance(num_vars, clauses, {}), project)
+    without = enumerate_models(CnfInstance(num_vars, deduped, {}), project)
     assert len(with_repeats) == len(set(with_repeats))
     assert set(with_repeats) == set(without) == truth
 

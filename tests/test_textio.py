@@ -246,7 +246,7 @@ def test_write_dimacs_simple():
 def test_write_dimacs_header_only():
     from dualnorm.satenc import CnfInstance
 
-    cnf = CnfInstance(num_vars=3, clauses=[], var_index={}, var_names={})
+    cnf = CnfInstance(num_vars=3, clauses=[], var_index={})
     assert write_dimacs(cnf).splitlines()[-1] == "p cnf 3 0"
 
 
