@@ -19,11 +19,23 @@ per enumeration finds each projection once: after a model it adds the
 clause over the negated projection decisions, which is asserting one level
 below the last of them, and goes on with no restart.
 
+A model is reported before every variable is set when the projection
+already entails the formula: once every projection variable has a value,
+propagation is at a conflict-free fixpoint and nothing else has been
+decided, the formula the CNF was clausified from is evaluated three-valued
+over the trail.  If it is true, every extension satisfies it, so the
+projection extends to a model and is reported and blocked as a total model
+would be (Möhle, Sebastiani & Biere, "Four Flavors of Entailment", SAT
+2020).  For the encoding this skips the level variables of every chain
+whose owner atom is false, which cannot change the model.  The stop needs
+the projection to be formula variables (Tseitin auxiliaries vouch for
+nothing) and changes neither the models found nor their order.
+
 Variables (``Var``) and formula nodes are immutable tuples, built, hashed
 and compared in C.  A variable's hash is the hash of its field tuple.  A
 formula node is the tuple of its class tag and its fields, so nodes of
-different classes never compare equal, and the clausifier dispatches on
-the tag.
+different classes never compare equal, and the clausifier, the evaluator
+and the node count dispatch on the tag.
 """
 
 from __future__ import annotations
@@ -201,36 +213,114 @@ def node_count(f: Formula) -> int:
     while stack:
         node = stack.pop()
         count += 1
-        if isinstance(node, (FAnd, FOr)):
-            stack.extend(node.args)
-        elif isinstance(node, FNot):
-            stack.append(node.arg)
-        elif isinstance(node, (FImplies, FIff)):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
+        tag = node[0]
+        if tag == _AND or tag == _OR:
+            stack.extend(node[1])
+        elif tag == _NOT:
+            stack.append(node[1])
+        elif tag == _IMPLIES or tag == _IFF:
+            stack.append(node[1])
+            stack.append(node[2])
     return count
 
 
-def eval_formula(f: Formula, assignment: dict[Var, bool]) -> bool:
-    if isinstance(f, FVar):
-        return assignment[f.var]
-    if isinstance(f, FConst):
-        return f.value
-    if isinstance(f, FNot):
-        return not eval_formula(f.arg, assignment)
-    if isinstance(f, FAnd):
-        return all(eval_formula(a, assignment) for a in f.args)
-    if isinstance(f, FOr):
-        return any(eval_formula(a, assignment) for a in f.args)
-    if isinstance(f, FImplies):
-        return (not eval_formula(f.lhs, assignment)) or eval_formula(f.rhs, assignment)
-    if isinstance(f, FIff):
-        return eval_formula(f.lhs, assignment) == eval_formula(f.rhs, assignment)
+def _kleene(f: Formula, value_of: Callable[[Var], Optional[bool]]) -> Optional[bool]:
+    """Three-valued (Kleene) value of a formula: ``value_of`` gives each
+    variable's value, None for unknown.  Conjunctions and disjunctions stop
+    at their first deciding argument, an implication skips its right side
+    when the left is false."""
+    tag = f[0]
+    if tag == _VAR:
+        return value_of(f[1])
+    if tag == _CONST:
+        return f[1]
+    if tag == _NOT:
+        a = _kleene(f[1], value_of)
+        return None if a is None else not a
+    if tag == _AND or tag == _OR:
+        decisive = tag == _OR
+        out: Optional[bool] = not decisive
+        for arg in f[1]:
+            a = _kleene(arg, value_of)
+            if a is decisive:
+                return a
+            if a is None:
+                out = None
+        return out
+    if tag == _IMPLIES:
+        a = _kleene(f[1], value_of)
+        if a is False:
+            return True
+        b = _kleene(f[2], value_of)
+        return b if a or b else None
+    if tag == _IFF:
+        a, b = _kleene(f[1], value_of), _kleene(f[2], value_of)
+        return None if a is None or b is None else a == b
     raise TypeError(f"not a formula: {f!r}")
+
+
+def eval_formula(f: Formula, assignment: dict[Var, bool]) -> bool:
+    """Two-valued value of a formula under an assignment of its variables."""
+    return _kleene(f, assignment.__getitem__)
 
 
 # ---------------------------------------------------------------------------
 # Encoding
+#
+# The builders share one node per variable: the base nodes of a program, and
+# each level's nodes of an owner's chain, which are the next level's ``prev``.
+# Level nodes map atoms to their nodes and None to t's.
+
+
+def _base_nodes(atoms: Sequence[int]) -> dict[int, Formula]:
+    return {a: FVar(base_var(a)) for a in atoms}
+
+
+def _level_nodes(atoms: Sequence[int], m: int, i: int) -> dict[Optional[int], Formula]:
+    nodes: dict[Optional[int], Formula] = {a: FVar(level_var(a, m, i)) for a in atoms}
+    nodes[None] = FVar(level_var(None, m, i))
+    return nodes
+
+
+def _eliminations(prog: Program, atoms: Sequence[int], base: dict[int, Formula]) -> list[tuple]:
+    """Each atom in order, then t (None), with its proper elimination rules
+    (the rules with it as the one positive body, or none for t) as pairs of
+    head atoms and negative-body nodes."""
+    by_body = prog.rules_by_pos_body
+    keys: list[tuple[Optional[int], tuple[int, ...]]] = [(a, (a,)) for a in atoms]
+    keys.append((None, ()))
+    return [
+        (a, [(r.head, [base[b] for b in r.body_neg]) for r in by_body.get(body, ()) if r.head])
+        for a, body in keys
+    ]
+
+
+def _f0(m: int, atoms: Sequence[int], nodes: dict, base: dict[int, Formula]) -> Formula:
+    parts: list[Formula] = [FNot(nodes[m]), nodes[None]]
+    parts.extend(FIff(nodes[a], base[a]) for a in atoms if a != m)
+    return FAnd(tuple(parts))
+
+
+def _fi(eliminations: list[tuple], m: int, prev: dict, cur: dict) -> Formula:
+    """One level: a survivor is one at ``prev`` none of whose elimination
+    rules fires, that is, each keeps a head atom at ``prev`` or is discarded
+    by the reduct (a negative body atom holds in the candidate model)."""
+    parts: list[Formula] = []
+    for a, rules in eliminations:
+        if a == m:
+            continue
+        survival = conj([disj([prev[h] for h in head] + negs) for head, negs in rules])
+        parts.append(FIff(cur[a], FAnd((prev[a], survival))))
+    return FAnd(tuple(parts)) if len(parts) > 1 else parts[0]
+
+
+def _fmod(prog: Program, base: dict[int, Formula]) -> Formula:
+    parts = []
+    for r in prog.rules:
+        lits: list[Formula] = [base[a] for a in sorted(set(r.head) | set(r.body_neg))]
+        lits.extend(FNot(base[b]) for b in r.body_pos)
+        parts.append(disj(lits))
+    return conj(parts)
 
 
 def build_f0(prog: Program, m: int) -> Formula:
@@ -238,26 +328,8 @@ def build_f0(prog: Program, m: int) -> Formula:
     survives exactly when the candidate model contains it."""
     if m not in prog.atom_ids:
         raise ValueError(f"atom {prog.table.name_of(m)!r} does not occur in the program")
-    parts: list[Formula] = [FNot(FVar(level_var(m, m, 0))), FVar(level_var(None, m, 0))]
-    for a in sorted(prog.atom_ids):
-        if a != m:
-            parts.append(FIff(FVar(level_var(a, m, 0)), FVar(base_var(a))))
-    return FAnd(tuple(parts))
-
-
-def _survival(rules: Sequence[Rule], prev: dict[int, Formula]) -> Formula:
-    """No proper rule among these (the rules with one positive body)
-    eliminates its body atom at a level: each keeps a head atom at the
-    previous level, whose nodes ``prev`` maps, or is discarded by the reduct
-    (a negative body atom holds in the candidate model)."""
-    parts = []
-    for r in rules:
-        if not r.head:
-            continue
-        lits: list[Formula] = [prev[h] for h in r.head]
-        lits.extend(FVar(base_var(b)) for b in r.body_neg)
-        parts.append(disj(lits))
-    return conj(parts)
+    atoms = sorted(prog.atom_ids)
+    return _f0(m, atoms, _level_nodes(atoms, m, 0), _base_nodes(atoms))
 
 
 def build_fi(prog: Program, m: int, i: int) -> Formula:
@@ -267,27 +339,13 @@ def build_fi(prog: Program, m: int, i: int) -> Formula:
     atoms = sorted(prog.atom_ids)
     if not 1 <= i <= len(atoms):
         raise ValueError(f"level {i} out of range 1..{len(atoms)}")
-    by_body = prog.rules_by_pos_body
-    prev = {a: FVar(level_var(a, m, i - 1)) for a in atoms}
-    parts: list[Formula] = []
-    for a in atoms:
-        if a == m:
-            continue
-        cond = FAnd((prev[a], _survival(by_body.get((a,), ()), prev)))
-        parts.append(FIff(FVar(level_var(a, m, i)), cond))
-    t_cond = FAnd((FVar(level_var(None, m, i - 1)), _survival(by_body.get((), ()), prev)))
-    parts.append(FIff(FVar(level_var(None, m, i)), t_cond))
-    return FAnd(tuple(parts)) if len(parts) > 1 else parts[0]
+    eliminations = _eliminations(prog, atoms, _base_nodes(atoms))
+    return _fi(eliminations, m, _level_nodes(atoms, m, i - 1), _level_nodes(atoms, m, i))
 
 
 def build_fmod(prog: Program) -> Formula:
     """Classical satisfaction of every rule by the candidate model."""
-    parts = []
-    for r in prog.rules:
-        lits: list[Formula] = [FVar(base_var(a)) for a in sorted(set(r.head) | set(r.body_neg))]
-        lits.extend(FNot(FVar(base_var(b))) for b in r.body_pos)
-        parts.append(disj(lits))
-    return conj(parts)
+    return _fmod(prog, _base_nodes(sorted(prog.atom_ids)))
 
 
 def build_f(prog: Program) -> Formula:
@@ -296,13 +354,18 @@ def build_f(prog: Program) -> Formula:
     within p levels."""
     _require_dual_normal(prog)
     atoms = sorted(prog.atom_ids)
-    p = len(atoms)
-    parts: list[Formula] = [build_fmod(prog)]
+    base = _base_nodes(atoms)
+    eliminations = _eliminations(prog, atoms, base)
+    parts: list[Formula] = [_fmod(prog, base)]
     for m in atoms:
-        chain: list[Formula] = [build_f0(prog, m)]
-        chain.extend(build_fi(prog, m, i) for i in range(1, p + 1))
-        chain.append(FNot(FVar(level_var(None, m, p))))
-        parts.append(FImplies(FVar(base_var(m)), FAnd(tuple(chain))))
+        prev = _level_nodes(atoms, m, 0)
+        chain: list[Formula] = [_f0(m, atoms, prev, base)]
+        for i in range(1, len(atoms) + 1):
+            cur = _level_nodes(atoms, m, i)
+            chain.append(_fi(eliminations, m, prev, cur))
+            prev = cur
+        chain.append(FNot(prev[None]))
+        parts.append(FImplies(base[m], FAnd(tuple(chain))))
     return conj(parts)
 
 
@@ -329,7 +392,12 @@ class CnfInstance:
     maps the structured variables to their indices, and ``var_names`` maps
     indices to display names.  The names are built by ``namer`` on first
     read (none without one), so a search that never reads them never builds
-    them."""
+    them.
+
+    ``formula`` is the formula ``tseitin_cnf`` clausified, constants folded
+    away, whose variables are the first ``len(var_index)`` indices; the
+    enumerator evaluates it to stop a model at its projection.  An instance
+    built by hand has none and is searched until every variable is set."""
 
     def __init__(
         self,
@@ -342,6 +410,8 @@ class CnfInstance:
         self.clauses = clauses
         self.var_index = var_index
         self._namer = namer
+
+    formula: Optional[Formula] = None
 
     @cached_property
     def var_names(self) -> dict[int, str]:
@@ -437,11 +507,6 @@ def tseitin_cnf(
     clauses: list[tuple[int, ...]] = []
     next_var = len(var_index)
 
-    if g[0] == _CONST:
-        if not g[1]:
-            clauses.append(())
-        return CnfInstance(next_var, clauses, var_index, namer=namer)
-
     def encode(node: Formula) -> int:
         nonlocal next_var
         tag = node[0]
@@ -495,8 +560,13 @@ def tseitin_cnf(
         else:
             clauses.append((encode(node),))
 
-    assert_node(g)
-    return CnfInstance(next_var, clauses, var_index, namer=namer)
+    if g[0] != _CONST:
+        assert_node(g)
+    elif not g[1]:
+        clauses.append(())
+    cnf = CnfInstance(next_var, clauses, var_index, namer=namer)
+    cnf.formula = g
+    return cnf
 
 
 def program_cnf(prog: Program) -> CnfInstance:
@@ -530,18 +600,42 @@ class _Dpll:
     search goes on from there: no restarts, so enumeration order is
     deterministic (Gebser, Kaufmann & Schaub, CPAIOR 2009).
 
+    With the instance's formula, a model is taken before the rest is
+    decided.  When every projection variable is set, propagation is at a
+    conflict-free fixpoint and only projection variables were decided, the
+    formula is evaluated in Kleene's three-valued logic over the trail.  If
+    it is true, it holds under every extension, so the projection extends
+    to a model of the formula, and through the definitions to one of the
+    clauses; the blocking clauses mention projection variables only and
+    hold on the trail, so they hold there too (entailment: Möhle, Sebastiani
+    & Biere, SAT 2020).  The projection is yielded and blocked as after a
+    total model.  Every trail literal follows from the clauses and the
+    projection decisions, and false-first branching in a fixed order
+    without restarts finds the projections in lexicographic order, so the
+    full search would have found the same projection next: the stop skips
+    the decisions in between and keeps the order.  Evaluating only before
+    the first other decision bounds the evaluations by the visits to a
+    complete projection.  The stop applies only when every projection
+    variable is a formula variable (an index up to ``len(var_index)``): the
+    formula says nothing of the value a Tseitin auxiliary was given.
+
     Values and watch lists are lists indexed by the signed literal (``-v``
     lands at ``len - v``, past every positive index); levels and reasons are
     indexed by variable.  A clause that implies a literal keeps it at
     position 0.
     """
 
-    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]], project: Iterable[int]):
+    def __init__(self, cnf: CnfInstance, project: Iterable[int]):
+        num_vars = cnf.num_vars
         self.project = sorted(set(project))
         for v in self.project:
             if not 1 <= v <= num_vars:
                 raise ValueError(f"projection variable {v} is outside 1..{num_vars}")
         self.projected = set(self.project)
+        self.var_index = cnf.var_index
+        # the formula vouches for a projection only over its own variables
+        in_formula = not self.project or self.project[-1] <= len(self.var_index)
+        self.formula = cnf.formula if in_formula else None
         self.order = self.project + [v for v in range(1, num_vars + 1) if v not in self.projected]
         self.pos = [0] * (num_vars + 1)
         for i, v in enumerate(self.order):
@@ -557,17 +651,24 @@ class _Dpll:
         self.qhead = 0
         self.unsat = False
         self.steps = 0
-        clauses = list(clauses)
-        literals = list(chain.from_iterable(clauses))
-        if literals and (not all(literals) or min(literals) < -num_vars or max(literals) > num_vars):
-            bad = next(lit for lit in literals if not 0 < abs(lit) <= num_vars)
+        clauses = cnf.clauses
+        literals = set(chain.from_iterable(clauses))
+        if literals and (0 in literals or min(literals) < -num_vars or max(literals) > num_vars):
+            bad = next(lit for lit in chain.from_iterable(clauses) if not 0 < abs(lit) <= num_vars)
             raise ValueError(f"clause literal {bad} is outside variables 1..{num_vars}")
         watches, value = self.watches, self.value
         for clause in clauses:
-            c = list(clause)
-            n = len(c)
-            if n == 2 and c[0] == c[1] or n > 2 and len(set(c)) < n:  # the two watches must differ
-                c = list(dict.fromkeys(c))
+            # the two watches must differ: the short clauses, most of them,
+            # are compared literal by literal, the others deduplicated
+            n = len(clause)
+            if n == 2:
+                a, b = clause
+                c = [a, b] if a != b else [a]
+            elif n == 3:
+                a, b, d = clause
+                c = [a, b, d] if a != b != d != a else list(dict.fromkeys(clause))
+            else:
+                c = list(dict.fromkeys(clause))
             if len(c) > 1:
                 watches[c[0]].append(c)
                 watches[c[1]].append(c)
@@ -690,7 +791,13 @@ class _Dpll:
         BudgetExceededError."""
         if self.unsat:
             return
-        order, value, trail = self.order, self.value, self.trail
+        order, value, trail, trail_lim = self.order, self.value, self.trail, self.trail_lim
+        formula, index, projected = self.formula, self.var_index, self.projected
+        n_project = len(self.project)
+
+        def value_of(v: Var) -> Optional[bool]:
+            return value[index[v]]
+
         while True:
             if self.steps > max_steps:
                 raise BudgetExceededError("SAT search step limit exceeded")
@@ -706,13 +813,20 @@ class _Dpll:
             while nxt < len(order) and value[order[nxt]] is not None:
                 nxt += 1
             self.next = nxt
-            if nxt < len(order):
-                self.trail_lim.append(len(trail))
+            if nxt < len(order) and not (
+                # every projection variable is set and nothing else decided:
+                # stop if the formula is already true
+                nxt >= n_project
+                and formula is not None
+                and (not trail_lim or abs(trail[trail_lim[-1]]) in projected)
+                and _kleene(formula, value_of)
+            ):
+                trail_lim.append(len(trail))
                 self._assign(-order[nxt], None)
                 continue
             yield frozenset(v for v in self.project if value[v])
             # the projection decisions are the first levels; block them
-            blocking = [-trail[i] for i in reversed(self.trail_lim) if abs(trail[i]) in self.projected]
+            blocking = [-trail[i] for i in reversed(trail_lim) if abs(trail[i]) in projected]
             if not blocking:
                 return
             self._backjump(len(blocking) - 1)
@@ -729,7 +843,7 @@ def enumerate_models(
     ``max_steps`` caps its total steps.  A projection variable or clause
     literal outside ``1..cnf.num_vars`` raises ValueError; ``cnf`` is not
     modified."""
-    return list(_Dpll(cnf.num_vars, cnf.clauses, project).projections(max_steps))
+    return list(_Dpll(cnf, project).projections(max_steps))
 
 
 def interpret_model(cnf: CnfInstance, prog: Program, true_vars: frozenset[int]) -> frozenset[int]:

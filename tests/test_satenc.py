@@ -499,3 +499,102 @@ def test_tseitin_indexes_exactly_the_variables_left_after_folding():
             assignment = {base_var(a): bool(mask >> a & 1) for a in range(4)}
             true_idx = frozenset(i for v, i in cnf.var_index.items() if assignment[v])
             assert (true_idx in models) == eval_formula(f, assignment)
+
+
+def _without_formula(cnf):
+    from dualnorm.satenc import CnfInstance
+
+    return CnfInstance(cnf.num_vars, cnf.clauses, cnf.var_index)
+
+
+def test_entailment_stop_keeps_the_enumeration_order():
+    # a hand-built copy has no formula, so its search decides every variable
+    rng = random.Random(41)
+    programs = 0
+    for _ in range(160):
+        p = random_dual_normal_program(rng, rng.randint(1, 7), rng.randint(0, 9))
+        if not p.atom_ids:
+            continue
+        cnf = program_cnf(p)
+        assert cnf.formula is not None
+        proj = [cnf.var_index[base_var(a)] for a in sorted(p.atom_ids)]
+        assert enumerate_models(cnf, proj) == enumerate_models(_without_formula(cnf), proj)
+        programs += 1
+    assert programs > 100
+    leaves = [FVar(base_var(a)) for a in range(5)] + [FConst(True), FConst(False)]
+    for _ in range(300):
+        cnf = tseitin_cnf(_random_formula(rng, leaves, 4))
+        variables = list(cnf.var_index.values())
+        proj = rng.sample(variables, rng.randint(0, len(variables)))
+        assert enumerate_models(cnf, proj) == enumerate_models(_without_formula(cnf), proj)
+
+
+def test_entailment_stop_decides_only_the_projection(monkeypatch):
+    free = []
+
+    class Counting(satenc._Dpll):
+        def _assign(self, lit, reason):
+            if reason is None and self.trail_lim and abs(lit) not in self.projected:
+                free.append(lit)
+            super()._assign(lit, reason)
+
+    monkeypatch.setattr(satenc, "_Dpll", Counting)
+    for text, count in [
+        ("a | b.", 2),
+        ("a | b.\nc :- a.\nd :- not c.", 2),
+        ("a :- not b.\nb :- not a.\nc | d :- a.", 3),
+        ("a | b.\nb | c.\nc | a.", 3),
+        ("a | b | c.\n:- a, b.", 3),
+    ]:
+        assert len(answer_sets_via_sat(parse_program(text))) == count
+    assert free == []
+
+
+def test_entailment_stop_is_off_for_a_projected_auxiliary():
+    from dualnorm.satenc import CnfInstance
+
+    x = [FVar(base_var(a)) for a in range(3)]
+    cnf = tseitin_cnf(FOr((FAnd((x[0], x[1])), x[2])))
+    aux = len(cnf.var_index) + 1  # defines x0 & x1
+    assert cnf.num_vars == aux
+    for proj in ([aux], [3, aux], [1, 2, 3, aux]):
+        assert satenc._Dpll(cnf, proj).formula is None
+        _check_against_truth_table(cnf.num_vars, cnf.clauses, proj)
+    assert satenc._Dpll(cnf, [1, 2, 3]).formula is cnf.formula
+    rng = random.Random(43)
+    leaves = [FVar(base_var(a)) for a in range(4)]
+    for _ in range(60):
+        cnf = tseitin_cnf(_random_formula(rng, leaves, 3))
+        if cnf.num_vars == len(cnf.var_index):
+            continue
+        auxiliaries = range(len(cnf.var_index) + 1, cnf.num_vars + 1)
+        proj = rng.sample(range(1, cnf.num_vars + 1), rng.randint(1, cnf.num_vars))
+        proj.append(rng.choice(auxiliaries))
+        _check_against_truth_table(cnf.num_vars, cnf.clauses, proj)
+        assert enumerate_models(cnf, proj) == enumerate_models(_without_formula(cnf), proj)
+
+
+def test_kleene_value_holds_under_every_completion():
+    rng = random.Random(44)
+    variables = [base_var(a) for a in range(4)]
+    leaves = [FVar(v) for v in variables] + [FConst(True), FConst(False)]
+    for _ in range(200):
+        f = _random_formula(rng, leaves, 3)
+        known = {v: rng.random() < 0.5 for v in variables if rng.random() < 0.5}
+        value = satenc._kleene(f, known.get)
+        completions = {
+            eval_formula(f, {**dict(zip(variables, bits)), **known})
+            for bits in itertools.product((False, True), repeat=len(variables))
+        }
+        assert value is None or completions == {value}
+        if len(known) == len(variables):
+            assert value is not None
+
+
+def test_eval_formula_rejects_a_non_formula():
+    v = base_var(1)
+    for f in (v, FAnd((FVar(v), "x")), FNot(None)):
+        with pytest.raises(TypeError):
+            eval_formula(f, {v: True})
+    with pytest.raises(TypeError, match="not a formula"):
+        eval_formula(v, {v: True})
