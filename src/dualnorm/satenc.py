@@ -564,6 +564,9 @@ def tseitin_cnf(
         assert_node(g)
     elif not g[1]:
         clauses.append(())
+    # the two recursive closures reach each other through their cells, a
+    # cycle that would keep the clauses alive until the collector finds it
+    del encode, assert_node
     cnf = CnfInstance(next_var, clauses, var_index, namer=namer)
     cnf.formula = g
     return cnf

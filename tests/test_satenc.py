@@ -223,6 +223,20 @@ def test_enumerate_models_leaves_cnf_unchanged():
     assert write_dimacs(cnf) == dimacs
 
 
+def test_clausification_leaves_no_cycle():
+    # a CNF must go when its last reference does, not at the next collection
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        cnf = program_cnf(parse_program("a | b.\nc :- a.\nd :- not c."))
+        del cnf
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumerate_models_step_cap():
     p = parse_program("a | b.\nc :- a.\nd :- not c.\ne | f :- d.")
     cnf = program_cnf(p)
