@@ -28,8 +28,8 @@ projection extends to a model and is reported and blocked as a total model
 would be (Möhle, Sebastiani & Biere, "Four Flavors of Entailment", SAT
 2020).  For the encoding this skips the level variables of every chain
 whose owner atom is false, which cannot change the model.  The stop needs
-the projection to be formula variables (Tseitin auxiliaries vouch for
-nothing) and changes neither the models found nor their order.
+every projection variable to be a formula variable, not a Tseitin
+auxiliary, and changes neither the models found nor their order.
 
 Variables (``Var``) and formula nodes are immutable tuples, built, hashed
 and compared in C.  A variable's hash is the hash of its field tuple.  A
@@ -46,7 +46,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import BudgetExceededError
-from .core import Program, Rule
+from .core import Program
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import require_dual_normal as _require_dual_normal
@@ -395,9 +395,9 @@ class CnfInstance:
     them.
 
     ``formula`` is the formula ``tseitin_cnf`` clausified, constants folded
-    away, whose variables are the first ``len(var_index)`` indices; the
-    enumerator evaluates it to stop a model at its projection.  An instance
-    built by hand has none and is searched until every variable is set."""
+    away, over variables of ``var_index``; the enumerator evaluates it to
+    stop a model at its projection.  An instance built by hand has none and
+    is searched until every variable is set."""
 
     def __init__(
         self,
