@@ -204,7 +204,12 @@ class Program:
             for r in self.rules
             if r.head
         )
-        return ReductView(proper, all(r.is_dual_normal for r in self.rules))
+        return ReductView(proper)
+
+    @cached_property
+    def dual_normal(self) -> bool:
+        """Every proper rule has at most one positive body atom."""
+        return all(r.is_dual_normal for r in self.rules)
 
     @cached_property
     def rules_by_pos_body(self) -> dict[tuple[int, ...], tuple[Rule, ...]]:
@@ -251,7 +256,6 @@ class ReductView:
     """
 
     proper: tuple[tuple[tuple[int, ...], Rule], ...]
-    dual_normal: bool
     closure: Any = field(default=None, repr=False)
 
     def reduct_proper(self, interp: frozenset[int]) -> list[Rule]:
@@ -339,7 +343,7 @@ def split(prog: Program) -> tuple[Program, Program]:
 
 def require_dual_normal(prog: Program) -> None:
     """Reject a program with a proper rule of more than one positive body atom."""
-    if not prog.reduct_view.dual_normal:
+    if not prog.dual_normal:
         raise ProgramClassError(
             "program is not dual-normal (a proper rule has more than one positive body atom)"
         )

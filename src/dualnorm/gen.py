@@ -10,7 +10,7 @@ import random
 import string
 from typing import Iterator, Optional
 
-from .core import AtomTable, Program, Rule, mask_to_set
+from .core import AtomTable, Program, Rule, mask_to_set, submasks_ascending
 from .seue import SEPair, SESet, se_closure
 
 
@@ -127,13 +127,9 @@ def random_se_pairs(
     n = len(atoms)
     for ymask in range(1 << n):
         y = mask_to_set(atoms, ymask)
-        sub = ymask
-        while True:
+        for sub in reversed(submasks_ascending(ymask)):
             if rng.random() < density:
                 pairs.add((mask_to_set(atoms, sub), y))
-            if sub == 0:
-                break
-            sub = (sub - 1) & ymask
     return pairs
 
 

@@ -2,8 +2,9 @@
 
 Everything here enumerates subsets of a declared universe (bitmask counting,
 so models come out in subset-lexicographic order) and applies definitions
-literally.  These functions exist to validate the fast algorithms, not to
-scale; the :class:`OracleBudget` refuses oversized universes.
+literally, with one answer-set test on masks; nothing here imports the
+engines it checks.  These functions exist to validate the fast algorithms,
+not to scale; the :class:`OracleBudget` refuses oversized universes.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, compile_masks, ensure_shared, is_model, mask_to_set, satisfies_reduct
-from .dualhorn import pmm
+from .core import Program, compile_masks, ensure_shared, mask_to_set, satisfies_reduct
 
 # Re-exported here because the budget is part of the oracle's contract.
 __all__ = [
@@ -62,6 +62,19 @@ def minimal_models(
     return [mask_to_set(atoms, m) for m in minimal]
 
 
+def _is_answer_mask(compiled, m: int) -> bool:
+    """The mask ``m`` is a minimal model of the reduct of the compiled rules
+    w.r.t. ``m``: a model, and no proper submask models that reduct."""
+    if not satisfies_reduct(compiled, m, m):
+        return False
+    sub = m
+    while sub:
+        sub = (sub - 1) & m
+        if satisfies_reduct(compiled, m, sub):
+            return False
+    return True
+
+
 def answer_sets_bf(
     prog: Program,
     budget: OracleBudget = DEFAULT_BUDGET,
@@ -70,39 +83,19 @@ def answer_sets_bf(
     atoms = sorted(prog.atom_ids)
     budget.check(len(atoms), "answer-set enumeration")
     compiled = compile_masks(prog, atoms)
-    result = []
-    for m in range(1 << len(atoms)):
-        if not satisfies_reduct(compiled, m, m):
-            continue
-        # minimality of m over the reduct w.r.t. m: no proper subset models it
-        minimal = True
-        if m:
-            sub = (m - 1) & m
-            while True:
-                if satisfies_reduct(compiled, m, sub):
-                    minimal = False
-                    break
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
-        if minimal:
-            result.append(mask_to_set(atoms, m))
-    return result
+    return [mask_to_set(atoms, m) for m in range(1 << len(atoms)) if _is_answer_mask(compiled, m)]
 
 
 def is_answer_set(
     prog: Program, interp: frozenset[int], budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
-    """Answer-set membership via minimality witnesses: M is an answer set iff
-    M is a model and every pmm(P, M, m) is unsatisfiable."""
+    """Answer-set membership by definition over the universe M: M is a model
+    of P and no proper subset of M models P^M.  The budget bounds |M|."""
     if not interp <= prog.atom_ids:
         raise ValueError("interpretation contains atoms outside the program")
-    if not is_model(interp, prog):
-        return False
-    return all(
-        not models(pmm(prog, interp, m), universe=prog.atom_ids, budget=budget)
-        for m in sorted(interp)
-    )
+    atoms = sorted(interp)
+    budget.check(len(atoms), "answer-set check")
+    return _is_answer_mask(compile_masks(prog, atoms), (1 << len(atoms)) - 1)
 
 
 def equivalent_as(

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, Rule, is_model, mask_to_set, reduct
+from .core import AtomTable, Program, Rule, is_model, mask_to_set, reduct, remap
 from .oracle import answer_sets_bf, minimal_models
 
 
@@ -194,8 +194,10 @@ def check_trans2(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     For every base guess M: M is an answer set of the input exactly when,
     for every minimal model N of the seeded owner components, the lifted
     interpretation plus N is an answer set of the translation.  Additionally
-    every answer set of the translation must have that shape.
+    every answer set of the translation must have that shape.  The check
+    runs on a copy over a new table and leaves the caller's table as is.
     """
+    prog = remap(prog, AtomTable())
     translated = translate(prog)
     as_p = set(answer_sets_bf(prog, budget))
     seeded = _seeded_minimal_models(prog, False, budget)
@@ -219,8 +221,9 @@ def check_trans2(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
 
 def check_trans3(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     """Verify the one-to-one answer-set correspondence of the starred
-    translation: the answer sets of the starred translation are exactly the
-    full saturations of the input's answer sets."""
+    translation: its answer sets are exactly the full saturations of the
+    input's answer sets.  Runs on a copy, like :func:`check_trans2`."""
+    prog = remap(prog, AtomTable())
     starred = translate_star(prog)
     as_p = answer_sets_bf(prog, budget)
     as_q = _translated_answer_sets(prog, starred, _seeded_minimal_models(prog, True, budget))

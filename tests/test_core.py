@@ -3,7 +3,9 @@ import random
 import pytest
 
 from dualnorm.common import ProgramClassError
-from dualnorm.core import AtomTable, Program, Rule, is_model, p_t_transform, reduct, satisfies, split
+from dualnorm.core import (
+    AtomTable, Program, Rule, is_model, p_t_transform, reduct, require_dual_normal, satisfies, split,
+)
 from dualnorm.dualhorn import answer_sets_dn, is_answer_set_dn
 from dualnorm.gen import random_program, structured_corpus
 from dualnorm.satenc import answer_sets_via_sat, build_f
@@ -185,6 +187,14 @@ def test_canonical_fingerprint_ignores_ids():
 def test_rule_is_dual_normal():
     p = parse_program("a :- b, c.\n:- b, c.\na | b :- c, not d.\na.")
     assert [r.is_dual_normal for r in p.rules] == [False, True, True, True]
+    assert not p.dual_normal
+    assert p.with_rules(p.rules[1:]).dual_normal
+
+
+def test_dual_normal_guard_builds_no_reduct_view():
+    p = parse_program("a | b :- c, not d.\n:- b, c.")
+    require_dual_normal(p)
+    assert "reduct_view" not in vars(p)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from dualnorm.common import BudgetExceededError, OracleBudget
-from dualnorm.core import is_model, split
+from dualnorm import core
+from dualnorm.core import is_model, reduct, split
 from dualnorm.gen import random_program, structured_corpus
 from dualnorm.oracle import (
     answer_sets_bf,
@@ -78,8 +80,31 @@ def test_is_answer_set_examples():
     assert is_answer_set(p, ids_of(p, "a"))
     assert not is_answer_set(p, ids_of(p, "a b"))
     assert is_answer_set(parse_program("a :- b."), frozenset())
+    chain = parse_program("a.\nb :- a.\nc :- b, not f.\nd :- c.\ne | f :- d.")
+    assert answer_sets_bf(chain) == [ids_of(chain, "a b c d e")]
+    assert is_answer_set(chain, ids_of(chain, "a b c d e"))
+    assert not is_answer_set(chain, ids_of(chain, "a b c d f"))
+    assert not is_answer_set(chain, ids_of(chain, "a b c d e f"))
     with pytest.raises(ValueError):
         is_answer_set(p, frozenset({99}))
+
+
+def answer_set_by_sets(prog, m):
+    """The definition on sets, sharing no code with the oracle's masks: M is
+    a model of P and no proper subset of M is a model of P^M."""
+    if not is_model(m, prog):
+        return False
+    reduced = reduct(prog, m)
+    members = sorted(m)
+    return not any(
+        is_model(frozenset(x), reduced)
+        for k in range(len(members))
+        for x in combinations(members, k)
+    )
+
+
+def subsets(atoms):
+    return [frozenset(a for i, a in enumerate(atoms) if mask >> i & 1) for mask in range(1 << len(atoms))]
 
 
 def test_is_answer_set_agrees_with_enumeration():
@@ -87,10 +112,33 @@ def test_is_answer_set_agrees_with_enumeration():
     for _ in range(80):
         p = random_program(rng, rng.randint(1, 5), 6)
         expected = set(answer_sets_bf(p))
-        atoms = sorted(p.atom_ids)
-        for mask in range(1 << len(atoms)):
-            m = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-            assert is_answer_set(p, m) == (m in expected)
+        for m in subsets(sorted(p.atom_ids)):
+            assert is_answer_set(p, m) == (m in expected) == answer_set_by_sets(p, m)
+
+
+def test_oracle_runs_no_reduct_view(monkeypatch):
+    def refuse(self, interp):
+        raise AssertionError("the oracle read a reduct view")
+
+    monkeypatch.setattr(core.ReductView, "reduct_proper", refuse)
+    for p in structured_corpus(seed=43, count=150, max_atoms=5, max_rules=7):
+        everything = subsets(sorted(p.atom_ids))
+        assert models(p) == [m for m in everything if is_model(m, p)]
+        assert answer_sets_bf(p) == [m for m in everything if answer_set_by_sets(p, m)]
+        assert all(is_answer_set(p, m) == answer_set_by_sets(p, m) for m in everything)
+
+
+def test_is_answer_set_budget_bounds_the_interpretation():
+    # 28 atoms, above the default budget of 22; the answer set is {a, b}
+    p = parse_program("a.\nb :- a.\n" + "\n".join(f"x{i} :- x{i + 1}." for i in range(25)))
+    assert len(p.atom_ids) == 28
+    assert is_answer_set(p, ids_of(p, "a b"))
+    assert not is_answer_set(p, ids_of(p, "a"))
+    assert not is_answer_set(p, ids_of(p, "a b x0"))
+    with pytest.raises(BudgetExceededError):
+        answer_sets_bf(p)
+    with pytest.raises(BudgetExceededError):
+        is_answer_set(p, ids_of(p, "a b x0"), OracleBudget(max_atoms=2))
 
 
 def test_equivalent_as_examples():

@@ -138,6 +138,12 @@ def test_check_trans3_fixtures():
         assert check_trans3(parse_program(text)), text
 
 
+def test_checks_intern_nothing_into_the_callers_table():
+    p = parse_program("a | b.\nc :- a, not b.")
+    assert check_trans2(p) and check_trans3(p)
+    assert len(p.table) == 3
+
+
 def test_translation_correspondences_on_corpus():
     for p in structured_corpus(16, 120, max_atoms=3, max_rules=5):
         assert check_trans2(p), render_program(p)
