@@ -20,7 +20,7 @@ price of new cycles.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
 from .core import AtomTable, Program, Rule, is_model, mask_to_set, reduct, remap
@@ -28,17 +28,18 @@ from .oracle import answer_sets_bf, minimal_models
 
 
 def neg_atom(prog: Program, x: int) -> int:
-    """The complement atom for x (stable per table)."""
+    """The complement atom for x, stable per table and input atom set, so
+    that it is never an atom of the input itself."""
     name = prog.table.name_of(x)
-    return prog.table.generated(("neg", x), f"__n_{name}")
+    return prog.table.generated(("neg", x, prog.atom_ids), f"__n_{name}")
 
 
 def copy_atom(prog: Program, y: Optional[int], x: int) -> int:
     """The copy of atom y owned by x; y=None is the copy of the padding atom."""
     xname = prog.table.name_of(x)
     if y is None:
-        return prog.table.generated(("copy_t", x), f"__c_t_{xname}")
-    return prog.table.generated(("copy", y, x), f"__c_{prog.table.name_of(y)}_{xname}")
+        return prog.table.generated(("copy_t", x, prog.atom_ids), f"__c_t_{xname}")
+    return prog.table.generated(("copy", y, x, prog.atom_ids), f"__c_{prog.table.name_of(y)}_{xname}")
 
 
 def build_px(prog: Program, x: int) -> Program:
@@ -148,44 +149,25 @@ def _component(prog: Program, px: Program, m: frozenset[int], x: int, star: bool
 
 def _seeded_minimal_models(
     prog: Program, star: bool, budget: OracleBudget
-) -> dict[frozenset[int], list[frozenset[int]]]:
-    """For every base guess M, the minimal models of the union of the seeded
-    owner components (owners in M).  The components share no atoms, so
-    minimal models are unions of per-component minimal models."""
+) -> Iterator[tuple[frozenset[int], list[frozenset[int]]]]:
+    """Every base guess M with the minimal models N of the union of the
+    seeded owner components (owners in M), each a union of per-component
+    minimal models since the components share no atoms.
+
+    The complement rules force an answer set of the translation to decide
+    each base atom, so it is ``mp_of(M) | N`` for a guess M and copy atoms
+    N.  Its reduct is the facts of ``mp_of(M)`` plus the owner components,
+    so it is an answer set exactly when N is one of these minimal models
+    and the whole is a classical model of the translation."""
     atoms = sorted(prog.atom_ids)
     reversals = {x: build_px(prog, x) for x in atoms}
-    out = {}
     for mask in range(1 << len(atoms)):
         m = mask_to_set(atoms, mask)
         factor_lists = [
             minimal_models(_component(prog, reversals[x], m, x, star), budget=budget)
             for x in sorted(m)
         ]
-        out[m] = [frozenset().union(*combo) for combo in product(*factor_lists)]
-    return out
-
-
-def _translated_answer_sets(
-    prog: Program, translated: Program, seeded: dict[frozenset[int], list[frozenset[int]]]
-) -> set[frozenset[int]]:
-    """Answer sets of the translated program, computed per base guess from
-    its :func:`_seeded_minimal_models`.
-
-    The complement rules force every answer set to decide each base atom one
-    way; the reduct then splits into facts plus atom-disjoint owner
-    components, so minimality decomposes per owner (components of owners
-    guessed out have the empty set as unique minimal model).  Candidates are
-    finally filtered by classical satisfaction of the whole translation.
-    Cross-validated against brute force on small inputs in the test suite.
-    """
-    out: set[frozenset[int]] = set()
-    for m, models in seeded.items():
-        lifted = mp_of(prog, m)
-        for n in models:
-            candidate = lifted | n
-            if is_model(candidate, translated):
-                out.add(candidate)
-    return out
+        yield m, [frozenset().union(*combo) for combo in product(*factor_lists)]
 
 
 def check_trans2(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
@@ -193,28 +175,16 @@ def check_trans2(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
 
     For every base guess M: M is an answer set of the input exactly when,
     for every minimal model N of the seeded owner components, the lifted
-    interpretation plus N is an answer set of the translation.  Additionally
-    every answer set of the translation must have that shape.  The check
-    runs on a copy over a new table and leaves the caller's table as is.
-    """
+    interpretation plus N is an answer set of the translation, that is, a
+    classical model of it (see :func:`_seeded_minimal_models`).  The check
+    runs on a copy over a new table and leaves the caller's table as is, so
+    no copy atom can coincide with a base or complement atom."""
     prog = remap(prog, AtomTable())
     translated = translate(prog)
     as_p = set(answer_sets_bf(prog, budget))
-    seeded = _seeded_minimal_models(prog, False, budget)
-    as_q = _translated_answer_sets(prog, translated, seeded)
-    base = prog.atom_ids
-    negs = frozenset(neg_atom(prog, x) for x in base)
-
-    for m, models in seeded.items():
+    for m, models in _seeded_minimal_models(prog, False, budget):
         lifted = mp_of(prog, m)
-        if (m in as_p) != all((lifted | n) in as_q for n in models):
-            return False
-
-    for a in as_q:
-        m = a & base
-        if a & (base | negs) != mp_of(prog, m):
-            return False
-        if a - base - negs not in seeded[m]:
+        if (m in as_p) != all(is_model(lifted | n, translated) for n in models):
             return False
     return True
 
@@ -222,15 +192,19 @@ def check_trans2(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
 def check_trans3(prog: Program, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
     """Verify the one-to-one answer-set correspondence of the starred
     translation: its answer sets are exactly the full saturations of the
-    input's answer sets.  Runs on a copy, like :func:`check_trans2`."""
+    input's answer sets.  So over each guess M, the N of
+    :func:`_seeded_minimal_models` with ``mp_of(M) | N`` a classical model
+    must be the saturation of M when M is an answer set, and none otherwise.
+    Runs on a copy, like :func:`check_trans2`."""
     prog = remap(prog, AtomTable())
     starred = translate_star(prog)
-    as_p = answer_sets_bf(prog, budget)
-    as_q = _translated_answer_sets(prog, starred, _seeded_minimal_models(prog, True, budget))
-    atoms = sorted(prog.atom_ids)
-    expected = set()
-    for m in as_p:
-        copies = {copy_atom(prog, y, x) for x in m for y in atoms}
-        copies |= {copy_atom(prog, None, x) for x in m}
-        expected.add(mp_of(prog, m) | frozenset(copies))
-    return as_q == expected
+    copied = [*sorted(prog.atom_ids), None]
+    expected = {
+        m: {frozenset(copy_atom(prog, y, x) for x in m for y in copied)}
+        for m in answer_sets_bf(prog, budget)
+    }
+    for m, models in _seeded_minimal_models(prog, True, budget):
+        lifted = mp_of(prog, m)
+        if {n for n in models if is_model(lifted | n, starred)} != expected.get(m, set()):
+            return False
+    return True

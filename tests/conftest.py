@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dualnorm.core import AtomTable
+from dualnorm.core import AtomTable, Program, Rule
 from dualnorm.gen import close_complete_here_union, random_dual_normal_program, random_se_pairs
 from dualnorm.seue import SEPair, SESet, se_models, se_properties, ue_models
 from dualnorm.textio import parse_program
@@ -101,3 +101,52 @@ def sparse_text(seed: int, n_rules: int, profile: str) -> str:
         else:
             lines.append(f"{a[0]} :- {a[1]}, {a[2]}.")
     return "\n".join(lines) + "\n"
+
+
+def planted_answer_set_program(rng: random.Random) -> tuple[Program, frozenset[int]]:
+    """A dual-normal program with a planted answer set M of 4-8 atoms, as
+    ``(program, M)``, over M and 1-3 atoms outside it.
+
+    A fact (or a disjunction with an outside atom) supports one atom of M,
+    and every further atom of M hangs off an earlier one by a rule that is
+    plain, disjunctive with an outside atom, or blocked by one.  So every
+    model of P^M within M holds all of M.  Random dual-normal rules that M
+    satisfies are added on top, which keeps M a minimal model of P^M."""
+    table = AtomTable()
+    inside = [table.intern(f"m{i}") for i in range(rng.randint(4, 8))]
+    outside = [table.intern(f"o{i}") for i in range(rng.randint(1, 3))]
+    m = frozenset(inside)
+    rng.shuffle(inside)
+    rules = [Rule.of((inside[0], rng.choice(outside)) if rng.random() < 0.5 else (inside[0],))]
+    for i, a in enumerate(inside[1:], 1):
+        parent, o = rng.choice(inside[:i]), rng.choice(outside)
+        roll = rng.random()
+        if roll < 0.4:
+            rules.append(Rule.of((a,), (parent,)))
+        elif roll < 0.7:
+            rules.append(Rule.of((a, o), (parent,)))
+        else:
+            rules.append(Rule.of((a,), (parent,), (o,)))
+    atoms = inside + outside
+    while len(rules) < len(inside) + 6:
+        head = [a for a in atoms if rng.random() < 0.2]
+        if head:
+            pos = [rng.choice(atoms)] if rng.random() < 0.5 else []
+        else:
+            pos = [a for a in atoms if rng.random() < 0.3]
+        neg = [a for a in atoms if rng.random() < 0.2]
+        body_holds = set(pos) <= m and not m & set(neg)
+        if (head or pos or neg) and (not body_holds or m & set(head)):
+            rules.append(Rule.of(head, pos, neg))
+    return Program.of(table, rules), m
+
+
+def planted_corpus(seed: int = 23, count: int = 60):
+    """``count`` planted programs (see :func:`planted_answer_set_program`),
+    each with its planted answer set and its near misses: M less one atom,
+    and M plus one atom of the program outside it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        prog, m = planted_answer_set_program(rng)
+        near = [m - {a} for a in sorted(m)] + [m | {a} for a in sorted(prog.atom_ids - m)]
+        yield prog, m, near

@@ -18,7 +18,7 @@ from dualnorm.gen import random_dual_normal_program, random_program, structured_
 from dualnorm.oracle import answer_sets_bf, is_answer_set, models
 from dualnorm.textio import parse_program
 
-from conftest import ids_of
+from conftest import ids_of, planted_corpus
 
 
 def levels_as_names(prog, trace):
@@ -409,6 +409,15 @@ def test_is_answer_set_dn_agrees_with_oracle():
         for mask in range(1 << len(atoms)):
             m = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
             assert is_answer_set_dn(p, m) == (m in expected)
+
+
+def test_dn_routes_on_planted_answer_sets_of_four_or_more_atoms():
+    for p, m, near in planted_corpus():
+        expected = answer_sets_bf(p)
+        assert answer_sets_dn(p) == expected
+        assert is_answer_set_dn(p, m)
+        for x in near:
+            assert is_answer_set_dn(p, x) == (x in expected)
 
 
 def test_answer_sets_dn_examples(disj3_dual):

@@ -18,7 +18,7 @@ from dualnorm.oracle import (
 )
 from dualnorm.textio import parse_program
 
-from conftest import ids_of
+from conftest import ids_of, planted_corpus
 
 
 def as_names(prog, sets):
@@ -114,6 +114,15 @@ def test_is_answer_set_agrees_with_enumeration():
         expected = set(answer_sets_bf(p))
         for m in subsets(sorted(p.atom_ids)):
             assert is_answer_set(p, m) == (m in expected) == answer_set_by_sets(p, m)
+
+
+def test_is_answer_set_on_planted_answer_sets_of_four_or_more_atoms():
+    for p, m, near in planted_corpus():
+        expected = set(answer_sets_bf(p))
+        assert m in expected
+        assert is_answer_set(p, m) and answer_set_by_sets(p, m)
+        for x in near:
+            assert is_answer_set(p, x) == (x in expected) == answer_set_by_sets(p, x)
 
 
 def test_oracle_runs_no_reduct_view(monkeypatch):

@@ -38,6 +38,8 @@ from dualnorm.satenc import (
 )
 from dualnorm.textio import parse_program, write_dimacs
 
+from conftest import planted_corpus
+
 
 def test_rules_with_pos_body():
     p = parse_program("a :- b.\nc.\nd :- b, not c.")
@@ -267,6 +269,13 @@ def test_answer_sets_via_sat_against_oracle():
     for _ in range(120):
         p = random_dual_normal_program(rng, rng.randint(1, 6), 9)
         assert answer_sets_via_sat(p) == answer_sets_bf(p)
+
+
+def test_answer_sets_via_sat_on_planted_answer_sets_of_four_or_more_atoms():
+    for p, m, _ in planted_corpus():
+        expected = answer_sets_bf(p)
+        assert m in expected
+        assert answer_sets_via_sat(p) == expected
 
 
 def test_declared_variable_layout():

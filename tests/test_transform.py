@@ -2,15 +2,16 @@ import random
 
 import pytest
 
+from dualnorm import transform
 from dualnorm.classify import classify_labels, is_bcf, is_hcf, is_tight
 from dualnorm.common import OracleBudget
-from dualnorm.core import AtomTable, Program
+from dualnorm.core import AtomTable, Program, is_model
 from dualnorm.gen import random_program, structured_corpus
 from dualnorm.oracle import answer_sets_bf
+from dualnorm.reductions import parse_qbf, qbf_to_program
 from dualnorm.textio import parse_program, render_program
 from dualnorm.transform import (
     _seeded_minimal_models,
-    _translated_answer_sets,
     build_px,
     check_trans2,
     check_trans3,
@@ -114,6 +115,24 @@ def test_translated_atom_count_formula():
         assert len(translate(p).atom_ids) == 2 * n + n * (n + 1)
 
 
+def test_translation_reuses_no_atom_of_its_input():
+    # a translation's or a reduction's output holds generated atoms in the
+    # table the new translation draws from; the result must still be the
+    # translation of the re-parsed rendering, whose table starts empty
+    q = translate(parse_program("a | b."))
+    inputs = [
+        q,
+        translate_star(parse_program("a :- not b.")),
+        qbf_to_program(parse_qbf("exists x\nforall y\nterm x x y\nterm x x -y\n")),
+    ]
+    for p in inputs:
+        n = len(p.atom_ids)
+        reparsed = parse_program(render_program(p), allow_generated=True)
+        for tr in (translate, translate_star):
+            assert len(tr(p).atom_ids) == 2 * n + n * (n + 1)
+            assert tr(p).canonical() == tr(reparsed).canonical()
+
+
 def test_decomposed_answer_sets_against_brute_force():
     # the per-owner decomposition must agree with plain enumeration; small
     # inputs keep the translated program within brute-force reach
@@ -123,7 +142,12 @@ def test_decomposed_answer_sets_against_brute_force():
         p = random_program(rng, rng.randint(1, 2), 4)
         for star in (False, True):
             q = translate_star(p) if star else translate(p)
-            fast = _translated_answer_sets(p, q, _seeded_minimal_models(p, star, big))
+            fast = {
+                mp_of(p, m) | n
+                for m, models in _seeded_minimal_models(p, star, big)
+                for n in models
+                if is_model(mp_of(p, m) | n, q)
+            }
             slow = set(answer_sets_bf(q, big))
             assert fast == slow, (render_program(p), star)
 
@@ -136,6 +160,27 @@ def test_check_trans2_fixtures():
 def test_check_trans3_fixtures():
     for text in ("a | b.", "a :- not a.", "a.", DISJ3_DUAL, DISJ3):
         assert check_trans3(parse_program(text)), text
+
+
+def test_checks_fail_on_a_broken_translation(monkeypatch):
+    # dropping the final constraints makes both checks fail on 219 of these
+    # 300 programs; dropping one saturation rule per owner leaves the plain
+    # translation intact and fails the starred check on 21
+    corpus = list(structured_corpus(205, 300, max_atoms=4, max_rules=6))
+
+    def failures():
+        return (
+            sum(not check_trans2(p) for p in corpus),
+            sum(not check_trans3(p) for p in corpus),
+        )
+
+    assert failures() == (0, 0)
+    star_rules = transform._star_rules
+    monkeypatch.setattr(transform, "_true_rules", lambda prog: [])
+    assert failures() == (219, 219)
+    monkeypatch.undo()
+    monkeypatch.setattr(transform, "_star_rules", lambda prog, x: star_rules(prog, x)[:-1])
+    assert failures() == (0, 21)
 
 
 def test_checks_intern_nothing_into_the_callers_table():
