@@ -25,14 +25,12 @@ dual-normal programs must all be body-cycle free.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, asdict
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Program, Rule
 
 
-@dataclass(frozen=True)
-class ClassLabels:
+class ClassLabels(NamedTuple):
     horn: bool
     dual_horn: bool
     normal: bool
@@ -46,11 +44,10 @@ class ClassLabels:
     tight: bool
 
     def to_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class DepGraph:
+class DepGraph(NamedTuple):
     """Positive dependency digraph: edge (x, y) when some rule has x in the
     head and y in the positive body."""
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class BudgetExceededError(Exception):
@@ -17,8 +17,7 @@ class SynthesisPreconditionError(ValueError):
     """An SE-set fails the closure preconditions of a synthesis construction."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     """Caps for brute-force enumeration (these operations are exponential)."""
 
     max_atoms: int = 22

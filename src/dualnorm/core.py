@@ -13,9 +13,8 @@ equal to the plain tuple of its fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import ProgramClassError
 
@@ -96,8 +95,7 @@ class AtomTable:
         return aid
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     id: int
     name: str
 
@@ -170,12 +168,17 @@ def _sorted_ids(atoms: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(atoms)))
 
 
-@dataclass(frozen=True, eq=False)
 class Program:
-    """An immutable, duplicate-free sequence of rules over one atom table."""
+    """An immutable, duplicate-free sequence of rules over one atom table.
+    Programs compare and hash by identity."""
 
-    table: AtomTable
-    rules: tuple[Rule, ...]
+    def __init__(self, table: AtomTable, rules: tuple[Rule, ...]) -> None:
+        self.__dict__.update(table=table, rules=rules)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def of(table: AtomTable, rules: Iterable[Rule]) -> "Program":
@@ -242,7 +245,6 @@ class Program:
         return Program.of(self.table, rules)
 
 
-@dataclass(eq=False)
 class ReductView:
     """Per-program data for reducts.
 
@@ -255,8 +257,9 @@ class ReductView:
     the UE test both read.
     """
 
-    proper: tuple[tuple[tuple[int, ...], Rule], ...]
-    closure: Any = field(default=None, repr=False)
+    def __init__(self, proper: tuple[tuple[tuple[int, ...], Rule], ...]) -> None:
+        self.proper = proper
+        self.closure = None
 
     def reduct_proper(self, interp: frozenset[int]) -> list[Rule]:
         """The proper rules of the reduct w.r.t. ``interp``, deduplicated,

@@ -50,7 +50,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError
-from .core import AtomTable, Program, Rule, is_model, satisfies
+from .core import AtomTable, Program, Rule, is_model
 from .textio import render_rule
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
@@ -259,15 +259,16 @@ class ReductClosure:
         self.interp = interp
         self.rules = tuple(prog.reduct_view.reduct_proper(interp))
         self.outside = prog.atom_ids - interp
-        self.program_rules = prog.rules
+        # P's table and rules, not P, whose reduct view holds this closure:
+        # no reference cycle, and P is rebuilt only for the model test
+        self.table, self.program_rules = prog.table, prog.rules
         self.bodies: Optional[list[int]] = None
         self.survivor_sets: dict[int, Optional[frozenset[int]]] = {}
 
     @cached_property
     def model(self) -> bool:
         """Whether I is a model of P."""
-        interp = self.interp
-        return all(satisfies(interp, r) for r in self.program_rules)
+        return is_model(self.interp, Program(self.table, self.program_rules))
 
     def close(self) -> Optional[int]:
         """Compile the rules and close them to C0, on the first call.

@@ -15,7 +15,7 @@ Two constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .common import DEFAULT_BUDGET, OracleBudget
 from .core import AtomTable, Program, Rule
@@ -24,40 +24,48 @@ from .textio import _ATOM_NAME_RE, content_lines
 Literal = tuple[str, bool]  # (variable name, positive?)
 
 
-@dataclass(frozen=True)
-class Qbf2E:
-    """exists X forall Y (3-DNF matrix); three literal slots per term,
-    repetition allowed."""
-
+class _Qbf2EFields(NamedTuple):
     exists_vars: tuple[str, ...]
     forall_vars: tuple[str, ...]
     terms: tuple[tuple[Literal, Literal, Literal], ...]
 
-    def __post_init__(self):
-        overlap = set(self.exists_vars) & set(self.forall_vars)
+
+class Qbf2E(_Qbf2EFields):
+    """exists X forall Y (3-DNF matrix); three literal slots per term,
+    repetition allowed."""
+
+    __slots__ = ()
+
+    def __new__(cls, exists_vars: tuple[str, ...], forall_vars: tuple[str, ...], terms: tuple) -> "Qbf2E":
+        overlap = set(exists_vars) & set(forall_vars)
         if overlap:
             raise ValueError(f"variables both existential and universal: {sorted(overlap)}")
-        declared = set(self.exists_vars) | set(self.forall_vars)
-        for term in self.terms:
+        declared = set(exists_vars) | set(forall_vars)
+        for term in terms:
             if len(term) != 3:
                 raise ValueError("each term needs exactly 3 literal slots")
             for v, _ in term:
                 if v not in declared:
                     raise ValueError(f"undeclared variable {v!r}")
+        return tuple.__new__(cls, (exists_vars, forall_vars, terms))
 
 
-@dataclass(frozen=True)
-class Cnf3:
-    """A 3-CNF over positive integer variables; three slots per clause."""
-
+class _Cnf3Fields(NamedTuple):
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        for clause in self.clauses:
+
+class Cnf3(_Cnf3Fields):
+    """A 3-CNF over positive integer variables; three slots per clause."""
+
+    __slots__ = ()
+
+    def __new__(cls, clauses: tuple[tuple[int, ...], ...]) -> "Cnf3":
+        for clause in clauses:
             if len(clause) != 3:
                 raise ValueError("each clause needs exactly 3 literal slots")
             if any(lit == 0 for lit in clause):
                 raise ValueError("0 is not a literal")
+        return tuple.__new__(cls, (clauses,))
 
     def variables(self) -> list[int]:
         return sorted({abs(lit) for clause in self.clauses for lit in clause})
@@ -95,10 +103,7 @@ def qbf_to_program(qbf: Qbf2E, table: AtomTable | None = None) -> Program:
     if table is None:
         table = AtomTable()
     atom = {v: table.intern(v) for v in qbf.exists_vars + qbf.forall_vars}
-    comp = {
-        v: table.generated(("neg", atom[v]), f"__n_{v}")
-        for v in qbf.exists_vars + qbf.forall_vars
-    }
+    comp = {v: table.generated(("neg", atom[v]), f"__n_{v}") for v in qbf.exists_vars + qbf.forall_vars}
     w = table.generated(("qbf_witness",), "__w")
     universal = set(qbf.forall_vars)
 
@@ -131,9 +136,7 @@ def is_complexity_sensitive(qbf: Qbf2E) -> bool:
     produces a two-atom positive body.
     """
     universal = set(qbf.forall_vars)
-    return all(
-        len({(v, pos) for v, pos in term if v in universal}) <= 1 for term in qbf.terms
-    )
+    return all(len({(v, pos) for v, pos in term if v in universal}) <= 1 for term in qbf.terms)
 
 
 def unsat_to_singular(cnf: Cnf3, table: AtomTable | None = None) -> Program:
@@ -148,9 +151,7 @@ def unsat_to_singular(cnf: Cnf3, table: AtomTable | None = None) -> Program:
     if table is None:
         table = AtomTable()
     atom = {v: table.intern(f"v{v}") for v in cnf.variables()}
-    comp = {
-        v: table.generated(("neg", atom[v]), f"__n_v{v}") for v in cnf.variables()
-    }
+    comp = {v: table.generated(("neg", atom[v]), f"__n_v{v}") for v in cnf.variables()}
     rules = []
     for v in cnf.variables():
         rules.append(Rule.of((atom[v],), (), (comp[v],)))
@@ -192,10 +193,7 @@ def parse_qbf(text: str) -> Qbf2E:
         elif kind == "term":
             if len(args) != 3:
                 raise ValueError(f"line {lineno}: a term needs exactly 3 literals")
-            lits = tuple(
-                (a[1:], False) if a.startswith("-") else (a, True) for a in args
-            )
-            terms.append(lits)
+            terms.append(tuple((a[1:], False) if a.startswith("-") else (a, True) for a in args))
         else:
             raise ValueError(f"line {lineno}: unknown directive {kind!r}")
     return Qbf2E(tuple(exists), tuple(forall), tuple(terms))

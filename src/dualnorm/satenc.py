@@ -370,7 +370,10 @@ def build_f(prog: Program) -> Formula:
 
 
 def declared_vars(prog: Program) -> list[Var]:
-    """The documented DIMACS variable layout for this program's encoding."""
+    """The documented DIMACS variable layout for this program's encoding.
+    No clause defines ``t`` or an owner's own level variables ``m^i_m`` for
+    i >= 1, so a solver may set them freely: count models projected on the
+    atom variables (README, "DIMACS output")."""
     atoms = sorted(prog.atom_ids)
     p = len(atoms)
     out: list[Var] = [base_var(a) for a in atoms]

@@ -44,7 +44,6 @@ has built, which is complete and here-union-closed by construction.
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from dataclasses import FrozenInstanceError, asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -138,7 +137,7 @@ class SESet:
         return se_set
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def view(self) -> MaskView:
@@ -174,8 +173,7 @@ class SESet:
         return SESet(self.table, self.universe, frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class SEProperties:
+class SEProperties(NamedTuple):
     complete: bool
     closed_here_intersection: bool
     closed_here_union: bool
@@ -183,7 +181,7 @@ class SEProperties:
     splittable: bool
 
     def to_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return self._asdict()
 
 
 def se_satisfies(pair: SEPair, rule: Rule) -> bool:

@@ -29,16 +29,14 @@ directive line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import RESERVED_PREFIX, AtomTable, Program, Rule
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     column: int
 

@@ -293,6 +293,23 @@ def test_declared_variable_layout():
     assert cnf.var_names[4] == "a^0_a"
 
 
+def test_declared_variables_no_clause_defines():
+    # t and the owners' own level variables from level 1 on are free in the
+    # DIMACS: only the projection on the atoms counts answer sets
+    p = parse_program("a | b.\nc :- a.")
+    cnf = program_cnf(p)
+    assert len(declared_vars(p)) == 52
+    used = {abs(lit) for clause in cnf.clauses for lit in clause}
+    assert [cnf.var_names[i] for i in range(1, 53) if i not in used] == ["t", "a^3_a", "b^3_b", "c^3_c"]
+    a = p.table.id_of("a")
+    own = cnf.var_index[level_var(a, a, 1)]
+    assert cnf.var_names[own] == "a^1_a"
+    atoms = [cnf.var_index[base_var(x)] for x in sorted(p.atom_ids)]
+    ac, b = frozenset(atoms) - {atoms[1]}, frozenset({atoms[1]})
+    assert set(enumerate_models(cnf, atoms)) == {ac, b}
+    assert set(enumerate_models(cnf, atoms + [own])) == {ac, ac | {own}, b, b | {own}}
+
+
 def test_variables_are_named_on_first_read(monkeypatch):
     calls = []
     var_display = satenc.var_display

@@ -339,6 +339,26 @@ def test_one_reduct_closure_serves_both_checks(monkeypatch):
             assert len(compiled) == (1 if interp and is_model(interp, p) else 0)
 
 
+def test_reduct_closure_tests_the_model_on_first_read():
+    # the UE test reads the classical model test, the answer-set check does
+    # not; a program with a closure goes with its last reference
+    import gc
+
+    p = parse_program("a | b.\nc :- a.\n:- b, c.")
+    a, c = map(p.table.id_of, "ac")
+    assert is_answer_set_dn(p, frozenset({a, c}))
+    assert "model" not in p.reduct_view.closure.__dict__
+    assert not is_ue_model_dn(p, SEPair(frozenset(), frozenset({a})))
+    assert p.reduct_view.closure.model is False
+    gc.collect()
+    gc.disable()
+    try:
+        del p
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_uniformly_equivalent_dn_examples():
     dual = parse_program(DISJ3_DUAL)
     with_tautology = parse_program(DISJ3_DUAL + "a :- a.\n", table=dual.table)
