@@ -9,6 +9,11 @@ by transformations); user programs may not use that prefix.
 A :class:`Rule` is a named tuple of its three fields, so it is built, hashed
 and compared in C: its hash is the hash of its field tuple, and it compares
 equal to the plain tuple of its fields.
+
+The exhaustive semantics (``oracle`` and ``seue.se_models``) run on one
+kernel, :class:`TruthTables`: over a universe of k atoms, a set of
+interpretations is an int of 2^k bits, and a rule is tested against all 2^k
+interpretations with one big-int op per literal.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .common import ProgramClassError
 
 RESERVED_PREFIX = "__"
-
-Interpretation = frozenset  # atom-id sets; universes are passed explicitly
 
 
 class AtomTable:
@@ -296,33 +299,105 @@ def reduct(prog: Program, interp: frozenset[int]) -> Program:
     return Program.of(prog.table, kept)
 
 
-def compile_masks(prog: Program, atoms: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Rules as (head, pos, neg) bitmasks over the atom order (bit i is
-    ``atoms[i]``).
+def truth_tables(k: int) -> list[int]:
+    """The truth table of each of k atoms: ``T[i]`` is an int of 2^k bits
+    whose bit s is set when the mask s holds bit i.  Each step doubles the
+    width, so building them costs about their size, k * 2^k bits."""
+    tables: list[int] = []
+    width = 1
+    for _ in range(k):
+        tables = [t | t << width for t in tables]
+        tables.append((1 << width) - 1 << width)
+        width <<= 1
+    return tables
+
+
+class TruthTables:
+    """A program over a universe as truth tables: every set of
+    interpretations is an int of 2^k bits, bit s for the mask s (bit i of a
+    mask is ``atoms[i]``).  A rule's reduct rejects the AND of its literals'
+    tables (positive body in, head out), so each test costs one big-int op
+    per literal for all 2^k interpretations at once.  Adding atom i to the
+    masks of a table without it is ``table << (1 << i) & T[i]``: a mask
+    with atom i carries out of bit i and drops out.
 
     Rules with a positive-body atom outside the universe are satisfied by
-    every subset of the universe and are dropped; head/negative atoms outside
-    the universe cannot contribute and are masked away.
+    every subset of it and dropped; head and negative-body atoms outside it
+    are false.  ``kept`` ORs the reduct rejections of the rules whose
+    negative body misses the universe; ``split`` pairs each other rule's
+    rejections with the interpretations its negative body meets, those for
+    which the reduct drops it.  With r rules in ``split`` the kernel holds
+    (k + 2r + 1) * 2^k bits, no complement among them: at 22 atoms, some
+    11 MB of atom tables and 1 MB per such rule.
     """
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    compiled = []
-    for r in prog.rules:
-        if any(a not in bit for a in r.body_pos):
-            continue
-        hmask = sum(bit[a] for a in r.head if a in bit)
-        pmask = sum(bit[a] for a in r.body_pos)
-        nmask = sum(bit[a] for a in r.body_neg if a in bit)
-        compiled.append((hmask, pmask, nmask))
-    return compiled
+
+    def __init__(self, prog: Program, atoms: Sequence[int]) -> None:
+        self.tables = truth_tables(len(atoms))
+        self.full = full = (1 << (1 << len(atoms))) - 1
+        column = dict(zip(atoms, self.tables))
+        self.kept, self.split = 0, []
+        for r in prog.rules:
+            if not all(a in column for a in r.body_pos):
+                continue
+            rejects, blocked = full, 0
+            for a in r.body_pos:
+                rejects &= column[a]
+            for a in r.head:
+                rejects &= ~column.get(a, 0)
+            for a in r.body_neg:
+                blocked |= column.get(a, 0)
+            if blocked:
+                self.split.append((blocked, rejects))
+            else:
+                self.kept |= rejects
+
+    def models(self) -> int:
+        """The classical models."""
+        rejected = self.kept
+        for blocked, rejects in self.split:
+            rejected |= rejects & ~blocked
+        return self.full ^ rejected
+
+    def rejections(self, mask: int) -> int:
+        """What the reduct w.r.t. the interpretation ``mask`` rejects."""
+        rejected = self.kept
+        for blocked, rejects in self.split:
+            if not blocked >> mask & 1:
+                rejected |= rejects
+        return rejected
+
+    def locally_minimal(self, interps: int) -> int:
+        """The M in ``interps`` such that no M - {a} with a in M models the
+        reduct P^M: for each atom, the masks with it whose set without it
+        fails a rule they keep.  One shift per atom and rule."""
+        for i, t in enumerate(self.tables):
+            fails = self.kept << (1 << i) & t
+            for blocked, rejects in self.split:
+                shifted = rejects << (1 << i) & t
+                fails |= shifted ^ (shifted & blocked)
+            interps &= ~(t ^ fails)
+        return interps
+
+    def strict_up(self, table: int) -> int:
+        """The interpretations with a proper subset in ``table``: close it
+        upwards one atom at a time, then add one more atom (2k shifts)."""
+        strict = 0
+        for i, t in enumerate(self.tables):
+            table |= table << (1 << i) & t
+        for i, t in enumerate(self.tables):
+            strict |= table << (1 << i) & t
+        return strict
 
 
-def satisfies_reduct(compiled: list[tuple[int, int, int]], y: int, x: int) -> bool:
-    """The mask ``x`` is a model of the reduct of the compiled rules w.r.t.
-    the mask ``y``; with ``x == y``, ``y`` is a classical model."""
-    for h, p, n in compiled:
-        if not (n & y or h & x or p & ~x):
-            return False
-    return True
+def table_masks(table: int) -> list[int]:
+    """The set bit positions of a table, the masks it holds, ascending."""
+    bits = format(table, "b")[::-1]
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
 
 
 def p_t_transform(prog: Program, t: int) -> Program:
@@ -353,8 +428,14 @@ def require_dual_normal(prog: Program) -> None:
 
 
 def mask_to_set(atoms: Sequence[int], mask: int) -> frozenset[int]:
-    """The atoms at the set bit positions of ``mask`` (bit i is ``atoms[i]``)."""
-    return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+    """The atoms at the set bit positions of ``mask`` (bit i is ``atoms[i]``),
+    found by walking the set bits only."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(atoms[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def submasks_ascending(mask: int) -> list[int]:

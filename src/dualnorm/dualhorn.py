@@ -46,6 +46,7 @@ fresh compile gives.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -290,16 +291,20 @@ class ReductClosure:
         have found every rule dual-Horn."""
         return self._continue(m) is None
 
-    def survivors(self, a: int) -> Optional[frozenset[int]]:
-        """S_a, the atoms of I that the elimination continued from C0 with
-        ``a`` leaves standing, or None when it eliminates ``t``.  Each S_a
-        is computed once.  P must be dual-normal."""
+    @cached_property
+    def ue_heres(self) -> set[frozenset[int]]:
+        """The sets S that are S_a for every atom a of I \\ S, where S_a,
+        kept in ``survivor_sets``, is the set of atoms of I that the
+        elimination continued from C0 with ``a`` leaves standing, or None
+        when it eliminates ``t``: the heres X != I of the UE-models (X, I)
+        when I is a model.  P must be dual-normal."""
+        self.close()
         sets = self.survivor_sets
-        if a not in sets:
-            self.close()
+        for a in sorted(self.interp):
             added = self._continue(a)
             sets[a] = None if added is None else self.interp.difference(self.eliminated, added)
-        return sets[a]
+        counts = Counter(sets.values())
+        return {s for s, n in counts.items() if s is not None and len(s) + n == len(self.interp)}
 
     def _continue(self, a: int) -> Optional[list[int]]:
         """Continue the elimination from C0 with ``a``: the atoms it adds

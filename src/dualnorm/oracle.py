@@ -1,10 +1,18 @@
 """Exhaustive reference semantics: the trusted ground truth.
 
-Everything here enumerates subsets of a declared universe (bitmask counting,
-so models come out in subset-lexicographic order) and applies definitions
-literally, with one answer-set test on masks; nothing here imports the
-engines it checks.  These functions exist to validate the fast algorithms,
-not to scale; the :class:`OracleBudget` refuses oversized universes.
+Everything here applies the definitions to every subset of a declared
+universe at once, on the truth tables of ``core.TruthTables`` (k * 2^k
+bits, some 11 MB at the default 22-atom budget, plus 2^(k+1) bits per rule
+with a negative body, built per call), so models come out in
+subset-lexicographic order.  ``minimal_models`` drops the models with a
+proper subset among the models: the strict up-closure of their table.
+``answer_sets_bf`` drops, for all M at once, each model M with an atom a
+such that M - {a} models P^M, and tests each model left as
+``is_answer_set`` does: over the universe M, where the rules whose negative
+body meets M drop out and the rest are P^M, M is an answer set when P^M has
+no model but M.  Nothing here imports the engines it checks.  These
+functions exist to validate the fast algorithms, not to scale; the
+:class:`OracleBudget` refuses oversized universes.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, compile_masks, ensure_shared, mask_to_set, satisfies_reduct
+from .core import Program, TruthTables, ensure_shared, mask_to_set, table_masks
 
 # Re-exported here because the budget is part of the oracle's contract.
 __all__ = [
@@ -27,12 +35,10 @@ __all__ = [
 ]
 
 
-def _mask_models(compiled, nbits: int) -> list[int]:
-    return [m for m in range(1 << nbits) if satisfies_reduct(compiled, m, m)]
-
-
-def _universe_list(prog: Program, universe: Optional[frozenset[int]]) -> list[int]:
-    return sorted(prog.atom_ids if universe is None else universe)
+def _kernel(prog: Program, universe: Optional[frozenset[int]], budget: OracleBudget, what: str):
+    atoms = sorted(prog.atom_ids if universe is None else universe)
+    budget.check(len(atoms), what)
+    return atoms, TruthTables(prog, atoms)
 
 
 def models(
@@ -41,10 +47,8 @@ def models(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> list[frozenset[int]]:
     """All classical models within the universe, in subset-lex order."""
-    atoms = _universe_list(prog, universe)
-    budget.check(len(atoms), "model enumeration")
-    compiled = compile_masks(prog, atoms)
-    return [mask_to_set(atoms, m) for m in _mask_models(compiled, len(atoms))]
+    atoms, kernel = _kernel(prog, universe, budget, "model enumeration")
+    return [mask_to_set(atoms, m) for m in table_masks(kernel.models())]
 
 
 def minimal_models(
@@ -53,37 +57,28 @@ def minimal_models(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> list[frozenset[int]]:
     """Inclusion-minimal classical models."""
-    atoms = _universe_list(prog, universe)
-    budget.check(len(atoms), "minimal-model enumeration")
-    all_masks = _mask_models(compile_masks(prog, atoms), len(atoms))
-    minimal = [
-        m for m in all_masks if not any(o != m and o & m == o for o in all_masks)
-    ]
-    return [mask_to_set(atoms, m) for m in minimal]
+    atoms, kernel = _kernel(prog, universe, budget, "minimal-model enumeration")
+    found = kernel.models()
+    return [mask_to_set(atoms, m) for m in table_masks(found & ~kernel.strict_up(found))]
 
 
-def _is_answer_mask(compiled, m: int) -> bool:
-    """The mask ``m`` is a minimal model of the reduct of the compiled rules
-    w.r.t. ``m``: a model, and no proper submask models that reduct."""
-    if not satisfies_reduct(compiled, m, m):
-        return False
-    sub = m
-    while sub:
-        sub = (sub - 1) & m
-        if satisfies_reduct(compiled, m, sub):
-            return False
-    return True
+def _is_answer(prog: Program, interp: frozenset[int]) -> bool:
+    """The kernel over the universe M = ``interp``, whose ``kept`` rules are
+    P^M: M is an answer set when P^M has no model in M but M itself."""
+    kernel = TruthTables(prog, sorted(interp))
+    return kernel.full ^ kernel.kept == kernel.full ^ kernel.full >> 1
 
 
 def answer_sets_bf(
     prog: Program,
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> list[frozenset[int]]:
-    """All answer sets, by definition: M a minimal model of the reduct P^M."""
-    atoms = sorted(prog.atom_ids)
-    budget.check(len(atoms), "answer-set enumeration")
-    compiled = compile_masks(prog, atoms)
-    return [mask_to_set(atoms, m) for m in range(1 << len(atoms)) if _is_answer_mask(compiled, m)]
+    """All answer sets, by definition: M a minimal model of the reduct P^M.
+    The models with no one-atom-smaller subset modelling P^M are found for
+    all M at once, and each is then tested over its own atoms."""
+    atoms, kernel = _kernel(prog, None, budget, "answer-set enumeration")
+    candidates = table_masks(kernel.locally_minimal(kernel.models()))
+    return [m for m in (mask_to_set(atoms, c) for c in candidates) if _is_answer(prog, m)]
 
 
 def is_answer_set(
@@ -93,9 +88,8 @@ def is_answer_set(
     of P and no proper subset of M models P^M.  The budget bounds |M|."""
     if not interp <= prog.atom_ids:
         raise ValueError("interpretation contains atoms outside the program")
-    atoms = sorted(interp)
-    budget.check(len(atoms), "answer-set check")
-    return _is_answer_mask(compile_masks(prog, atoms), (1 << len(atoms)) - 1)
+    budget.check(len(interp), "answer-set check")
+    return _is_answer(prog, interp)
 
 
 def equivalent_as(

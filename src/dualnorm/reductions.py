@@ -37,6 +37,7 @@ class Qbf2E(_Qbf2EFields):
     __slots__ = ()
 
     def __new__(cls, exists_vars: tuple[str, ...], forall_vars: tuple[str, ...], terms: tuple) -> "Qbf2E":
+        exists_vars, forall_vars, terms = tuple(exists_vars), tuple(forall_vars), tuple(terms)
         overlap = set(exists_vars) & set(forall_vars)
         if overlap:
             raise ValueError(f"variables both existential and universal: {sorted(overlap)}")
@@ -60,6 +61,7 @@ class Cnf3(_Cnf3Fields):
     __slots__ = ()
 
     def __new__(cls, clauses: tuple[tuple[int, ...], ...]) -> "Cnf3":
+        clauses = tuple(clauses)
         for clause in clauses:
             if len(clause) != 3:
                 raise ValueError("each clause needs exactly 3 literal slots")

@@ -19,10 +19,11 @@ The closure vocabulary on sets of SE-interpretations:
 * splittable: unions of here-components below a diagonal member Z either
   appear at Z or fit under some intermediate (Z', Z) in the set.
 
-Every computation here runs on one view of a set, its mask view
-(``SESet.view``): the sorted universe ``atoms`` and a map from each
-there-mask to the set of its here-masks, where bit i of a mask is
-``atoms[i]``, the i-th smallest atom id.  Subset tests are mask tests
+``se_models`` reads the models and each reduct off the truth tables of
+``core.TruthTables``.  Every other computation here runs on one view of a
+set, its mask view (``SESet.view``): the sorted universe ``atoms`` and a
+map from each there-mask to the set of its here-masks, where bit i of a
+mask is ``atoms[i]``, the i-th smallest atom id.  Subset tests are mask tests
 (X is a subset of Y when ``x & ~y == 0``; ``<`` on ints compares numbers),
 and the smallest-id atom of a mask, the synthesis's witness atom, is its
 lowest set bit.  ``SEPair`` frozensets are made only at the edge: on the
@@ -48,7 +49,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
-from .core import AtomTable, Program, Rule, compile_masks, ensure_shared, satisfies_reduct
+from .core import AtomTable, Program, Rule, TruthTables, ensure_shared, table_masks
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import mask_to_set as _masked
@@ -205,19 +206,17 @@ def se_models(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> SESet:
     """All SE-models of the program over the universe (default: its atoms),
-    by the definition: Y a model of P, X a model of the reduct P^Y."""
+    by the definition: Y a model of P, X a model of the reduct P^Y.  On the
+    truth tables of ``core.TruthTables``: the models come from one table,
+    and the heres of Y are the submasks of Y that the table of what P^Y
+    rejects leaves out."""
     atoms = sorted(prog.atom_ids if universe is None else universe)
     budget.check(len(atoms), "SE-model enumeration")
-    compiled = compile_masks(prog, atoms)
+    kernel = TruthTables(prog, atoms)
     by_there = {}
-    for ymask in range(1 << len(atoms)):
-        # the rules that some subset of Y can violate: the others have a
-        # negative body atom in Y or a positive body atom outside it
-        live = [r for r in compiled if not (r[2] & ymask or r[1] & ~ymask)]
-        if satisfies_reduct(live, ymask, ymask):
-            by_there[ymask] = frozenset(
-                x for x in _subset_masks_ascending(ymask) if satisfies_reduct(live, ymask, x)
-            )
+    for y in table_masks(kernel.models()):
+        rejected = kernel.rejections(y)
+        by_there[y] = frozenset(x for x in _subset_masks_ascending(y) if not rejected >> x & 1)
     return SESet.from_masks(prog.table, atoms, by_there)
 
 
@@ -428,9 +427,11 @@ def is_ue_model_dn(
     elimination seeded with a and the atoms of P outside Y leaves standing,
     is X with ``t`` standing too.  S_a depends on Y and a alone: it comes
     from the reduct closure of Y (``dualhorn.reduct_closure``), which the
-    answer-set check shares, and is computed once per atom.  X, the maximal
-    model of a theory that contains P^Y, is then a model of P^Y too, so
-    that check needs no pass of its own.
+    answer-set check shares, and is computed once per atom.  So the first
+    pair with X != Y computes S_a for every a in Y, and the closure keeps
+    the heres that pass (``ReductClosure.ue_heres``); every later pair at
+    Y is a lookup.  X, the maximal model of a theory that contains P^Y, is
+    then a model of P^Y too, so that check needs no pass of its own.
     """
     _require_dual_normal(prog)
     x, y = pair.here, pair.there
@@ -439,7 +440,7 @@ def is_ue_model_dn(
     closure = reduct_closure(prog, y)
     if not closure.model:
         return False
-    return all(closure.survivors(a) == x for a in sorted(y - x))
+    return x == y or x in closure.ue_heres
 
 
 def _ue_disagreement_dn(

@@ -1,11 +1,12 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from dualnorm.common import BudgetExceededError, OracleBudget
 from dualnorm import core
-from dualnorm.core import is_model, reduct, split
+from dualnorm.core import AtomTable, Program, TruthTables, is_model, reduct, split, table_masks, truth_tables
 from dualnorm.gen import random_program, structured_corpus
 from dualnorm.oracle import (
     answer_sets_bf,
@@ -16,6 +17,7 @@ from dualnorm.oracle import (
     strongly_equivalent_bf,
     uniformly_equivalent_bf,
 )
+from dualnorm.seue import SEPair, se_models
 from dualnorm.textio import parse_program
 
 from conftest import ids_of, planted_corpus
@@ -194,3 +196,101 @@ def test_budget_guard():
     p = parse_program("a | b.")
     with pytest.raises(BudgetExceededError):
         models(p, budget=OracleBudget(max_atoms=1))
+
+
+def se_models_by_sets(prog, universe):
+    """SE-models by the definition on sets: Y a model of P within the
+    universe, X a subset of Y that models the reduct P^Y."""
+    return {
+        SEPair(x, y)
+        for y in subsets(sorted(universe))
+        if is_model(y, prog)
+        for x in subsets(sorted(y))
+        if is_model(x, reduct(prog, y))
+    }
+
+
+def test_truth_tables_and_their_masks():
+    assert truth_tables(0) == []
+    assert truth_tables(3) == [0b10101010, 0b11001100, 0b11110000]
+    assert table_masks(0) == []
+    assert table_masks(0b10110) == [1, 2, 4]
+    assert table_masks(1 << 1000 | 1) == [0, 1000]
+
+
+def test_kernel_on_universes_wider_than_the_program():
+    # general programs, over universes of one and two atoms outside at(P):
+    # the atoms outside count as false, as in the set-based reference
+    rng = random.Random(8)
+    for _ in range(60):
+        p = random_program(rng, rng.randint(1, 4), 5)
+        for extra in (["zz"], ["zz", "zy"]):
+            universe = p.atom_ids | {p.table.intern(name) for name in extra}
+            everything = subsets(sorted(universe))
+            assert models(p, universe) == [m for m in everything if is_model(m, p)]
+            assert se_models(p, universe=universe).pairs == se_models_by_sets(p, universe)
+            minimal = [m for m in everything if is_model(m, p) and not any(
+                o < m and is_model(o, p) for o in everything)]
+            assert minimal_models(p, universe) == minimal
+
+
+def test_kernel_on_empty_programs_and_universes():
+    empty = Program.of(AtomTable(), [])
+    falsum = parse_program("#false.")
+    for prog, answer in ((empty, [frozenset()]), (falsum, [])):
+        assert models(prog) == minimal_models(prog) == answer_sets_bf(prog) == answer
+        assert is_answer_set(prog, frozenset()) == bool(answer)
+        assert se_models(prog).pairs == {SEPair(m, m) for m in answer}
+    # k = 0 for a program with atoms: only a rule with a positive body
+    # holds over the empty universe
+    fact, guarded = parse_program("a."), parse_program("a :- b.")
+    assert models(fact, frozenset()) == [] and models(guarded, frozenset()) == [frozenset()]
+    assert se_models(guarded, universe=frozenset()).pairs == {SEPair(frozenset(), frozenset())}
+    assert is_answer_set(guarded, frozenset()) and not is_answer_set(fact, frozenset())
+
+
+def test_kernel_tables_at_twenty_atoms_build_fast():
+    # 20 atoms: 20 tables of 2^20 bits, built by doubling in milliseconds
+    chain = parse_program("\n".join(f"x{i} :- x{i + 1}, not y." for i in range(19)) + "\nx19.")
+    assert len(chain.atom_ids) == 21
+    xs = chain.atom_ids - ids_of(chain, "y")
+    for call in (
+        lambda: models(chain, universe=xs),
+        lambda: is_answer_set(chain, xs),
+        lambda: TruthTables(chain, sorted(xs)).models(),
+    ):
+        start = time.perf_counter()
+        call()
+        assert time.perf_counter() - start < 0.5
+    assert models(chain, universe=xs) == [xs]
+    assert is_answer_set(chain, xs) and not is_answer_set(chain, xs - ids_of(chain, "x0"))
+
+
+def test_rejections_are_what_the_reduct_rejects():
+    # over the program's atoms and a wider universe, bit x of the table is
+    # set exactly when the subset x fails the reduct w.r.t. the model y
+    rng = random.Random(9)
+    for _ in range(60):
+        p = random_program(rng, rng.randint(2, 5), 7)
+        for universe in (p.atom_ids, p.atom_ids | {p.table.intern("zz")}):
+            atoms = sorted(universe)
+            kernel = TruthTables(p, atoms)
+            for y in table_masks(kernel.models()):
+                reduced = reduct(p, frozenset(a for i, a in enumerate(atoms) if y >> i & 1))
+                rejected = kernel.rejections(y)
+                for x, interp in enumerate(subsets(atoms)):
+                    assert (rejected >> x & 1) != is_model(interp, reduced)
+
+
+def test_locally_minimal_models_keep_every_answer_set():
+    # the one-atom filter keeps each answer set and drops only models with
+    # a one-atom-smaller subset modelling their reduct
+    for p in structured_corpus(seed=44, count=150, max_atoms=6, max_rules=8):
+        atoms = sorted(p.atom_ids)
+        kernel = TruthTables(p, atoms)
+        kept = table_masks(kernel.locally_minimal(kernel.models()))
+        for m in table_masks(kernel.models()):
+            y = frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
+            smaller = any(is_model(y - {a}, reduct(p, y)) for a in y)
+            assert (m in kept) == (not smaller)
+            assert answer_set_by_sets(p, y) <= (m in kept)

@@ -148,3 +148,16 @@ def test_parse_cnf3():
         parse_cnf3("klause 1 2 3")
     with pytest.raises(ValueError):
         parse_cnf3("clause 1 0 3")
+
+
+def test_records_keep_fields_given_as_generators():
+    # each field is read once, into a tuple, before it is validated
+    cnf = Cnf3(c for c in [(1, 2, 3)])
+    assert cnf.clauses == ((1, 2, 3),) and cnf.variables() == [1, 2, 3]
+    assert unsat_to_singular(cnf).rules
+    term = lits(("x", True), ("y", False), ("x", True))
+    qbf = Qbf2E((v for v in ["x"]), (v for v in ["y"]), (t for t in [term]))
+    assert qbf == Qbf2E(("x",), ("y",), (term,))
+    assert qbf_eval(qbf) == qbf_eval(Qbf2E(("x",), ("y",), (term,)))
+    with pytest.raises(ValueError):
+        Qbf2E((v for v in ["x"]), (v for v in ["x"]), ())

@@ -315,6 +315,29 @@ def test_ue_test_builds_one_view_per_there_component(monkeypatch):
     assert len(runs) <= 2 * len(joint) * 2 ** (len(joint) - 1)
 
 
+def test_ue_test_caches_the_heres_that_pass(monkeypatch):
+    # the first pair with X != Y runs the elimination once per atom of Y;
+    # every later pair at Y, in any order, is a lookup
+    runs = []
+    run = dualhorn.ReductClosure._continue
+    monkeypatch.setattr(dualhorn.ReductClosure, "_continue", lambda closure, a: runs.append(a) or run(closure, a))
+    rng = random.Random(12)
+    for _ in range(40):
+        p = random_dual_normal_program(rng, rng.randint(1, 5), 6)
+        expected = ue_models(se_models(p)).pairs
+        for y in subsets(p.atom_ids):
+            heres = subsets(y)
+            rng.shuffle(heres)
+            runs.clear()
+            for x in heres:
+                pair = SEPair(x, y)
+                before = len(runs)
+                assert is_ue_model_dn(p, pair) == (pair in expected)
+                if x != y and before:
+                    assert len(runs) == before
+            assert len(runs) <= len(y)
+
+
 def test_one_reduct_closure_serves_both_checks(monkeypatch):
     # the answer-set check of M and the UE tests of the pairs (X, M),
     # interleaved, share the reduct closure of M: it is compiled once, when
