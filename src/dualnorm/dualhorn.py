@@ -264,7 +264,6 @@ class ReductClosure:
         # no reference cycle, and P is rebuilt only for the model test
         self.table, self.program_rules = prog.table, prog.rules
         self.bodies: Optional[list[int]] = None
-        self.survivor_sets: dict[int, Optional[frozenset[int]]] = {}
 
     @cached_property
     def model(self) -> bool:
@@ -293,17 +292,16 @@ class ReductClosure:
 
     @cached_property
     def ue_heres(self) -> set[frozenset[int]]:
-        """The sets S that are S_a for every atom a of I \\ S, where S_a,
-        kept in ``survivor_sets``, is the set of atoms of I that the
-        elimination continued from C0 with ``a`` leaves standing, or None
-        when it eliminates ``t``: the heres X != I of the UE-models (X, I)
-        when I is a model.  P must be dual-normal."""
+        """The sets S that are S_a for every atom a of I \\ S, where S_a is
+        the set of atoms of I that the elimination continued from C0 with
+        ``a`` leaves standing, or None when it eliminates ``t``: the heres
+        X != I of the UE-models (X, I) when I is a model.  P must be
+        dual-normal."""
         self.close()
-        sets = self.survivor_sets
+        counts: Counter = Counter()
         for a in sorted(self.interp):
             added = self._continue(a)
-            sets[a] = None if added is None else self.interp.difference(self.eliminated, added)
-        counts = Counter(sets.values())
+            counts[None if added is None else self.interp.difference(self.eliminated, added)] += 1
         return {s for s, n in counts.items() if s is not None and len(s) + n == len(self.interp)}
 
     def _continue(self, a: int) -> Optional[list[int]]:

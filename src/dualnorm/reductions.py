@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .common import DEFAULT_BUDGET, OracleBudget
 from .core import AtomTable, Program, Rule
-from .textio import _ATOM_NAME_RE, content_lines
+from .textio import content_lines, is_atom_name
 
 Literal = tuple[str, bool]  # (variable name, positive?)
 
@@ -178,7 +178,7 @@ def parse_qbf(text: str) -> Qbf2E:
     """
     def checked(names, lineno):
         for name in names:
-            if not _ATOM_NAME_RE.match(name) or name.startswith("__"):
+            if not is_atom_name(name):
                 raise ValueError(f"line {lineno}: invalid variable name {name!r}")
         return names
 

@@ -15,10 +15,12 @@ used as an atom name.  User atoms may not start with the reserved ``__``
 prefix; parsing with ``allow_generated=True`` lifts that restriction so
 rendered transformation outputs can be read back.
 
-A statement is read per regular-expression match, together with the blanks
-and comments before it.  A token loop reads any statement that match does
-not take: one with a comment inside, ``#false``, and every ill-formed one,
-so the loop reports every error.
+A statement is read from string slices: the text up to its ``.``, split
+at ``:-``, ``|``, ``,`` and whitespace, where each distinct name is checked
+once per parse; blanks and comments before a statement are skipped.  A
+token loop reads any statement the slices do not take: one with a comment
+inside, ``#false``, and every ill-formed one, so the loop reports every
+error.
 
 SE-set files are line oriented: each non-comment line ``x1 x2 ; y1 y2 y3``
 denotes the SE-interpretation (X, Y) with X a subset of Y.  The universe is
@@ -28,6 +30,7 @@ directive line.
 
 from __future__ import annotations
 
+import gc
 import re
 from functools import reduce
 from operator import or_
@@ -56,34 +59,19 @@ _ATOM = r"[a-z_][A-Za-z0-9_]*"
 # One token per match; a match beginning with whitespace or ``%`` is skipped.
 # ``not`` matches as an atom and is told apart by the parser.
 _TOKEN_RE = re.compile(rf"\s+|%[^\n]*|(?P<atom>{_ATOM})|:-|[|,.]|#false(?![A-Za-z0-9_])")
+# Blanks and comments, as many as there are.
+_GAP_RE = re.compile(r"(?:\s|%[^\n]*)*")
 
-# A whole atom name, for the line-oriented readers; the keyword ``not`` is none.
 _ATOM_NAME_RE = re.compile(rf"(?!not\Z){_ATOM}\Z")
 
 
-def _statement_re(allow_generated: bool) -> re.Pattern:
-    """The blanks and comments at a statement start, then, if one follows, a
-    whole statement without a comment inside, its head and body captured.
+def is_atom_name(name: str, allow_generated: bool = False) -> bool:
+    """Whether ``name`` is a whole atom name: not the keyword ``not``, and,
+    unless ``allow_generated``, without the reserved ``__`` prefix."""
+    if _ATOM_NAME_RE.match(name) is None:
+        return False
+    return allow_generated or not name.startswith(RESERVED_PREFIX)
 
-    It accepts only what the token loop reads the same way: its atoms exclude
-    the keyword ``not`` and, unless ``allow_generated``, the reserved prefix.
-    A comment must reach its line end, so no backtracking can read the rest
-    of its line as a statement.
-    """
-    atom = r"(?!not(?![A-Za-z0-9_]))" + ("" if allow_generated else "(?!__)") + _ATOM
-    literal = rf"(?:not\s+)?{atom}"
-    return re.compile(
-        r"(?:\s|%[^\n]*(?![^\n]))*"
-        rf"(?:(?:(?P<head>{atom}(?:\s*\|\s*{atom})*)\s*|(?=:-))"
-        rf"(?::-\s*(?P<body>{literal}(?:\s*,\s*{literal})*)\s*)?\.)?"
-    )
-
-
-_STATEMENT_RE = {flag: _statement_re(flag) for flag in (False, True)}
-# The atoms of a matched head, and the literals of a matched body as
-# ``(not-keyword or "", atom)``, in text order.
-_NAME_RE = re.compile(_ATOM)
-_LITERAL_RE = re.compile(rf"(not\s+)?({_ATOM})")
 
 # Parser states; ``_RULE``, the start of a statement, is the only one a text
 # may end in.  ``_NEXT[state]`` maps a token ("atom", "not" or the
@@ -107,6 +95,19 @@ def _span(text: str, offset: int) -> SourceSpan:
     return SourceSpan(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
+class _NotFast(Exception):
+    """A statement the sliced read does not take; the token loop reads it."""
+
+
+def _ordered(ids: list[int]) -> tuple[int, ...]:
+    """A rule field from two or more ids: the distinct ones in ascending
+    order."""
+    if len(ids) == 2:
+        a, b = ids
+        return (a, b) if a < b else (b, a) if b < a else (a,)
+    return tuple(sorted(set(ids)))
+
+
 def parse_program(
     text: str, table: Optional[AtomTable] = None, allow_generated: bool = False
 ) -> Program:
@@ -114,49 +115,113 @@ def parse_program(
 
     A fresh table is created unless one is supplied; supply a shared table
     when several programs must agree on atom ids; atoms are interned in text
-    order.  A statement is read per match of ``_STATEMENT_RE``: each name in
-    it costs one dict ``get`` on the table, and ``intern`` runs only for a
-    name not yet there; its fields become a rule through ``Rule.of``.  The
-    token loop of :func:`_parse_statement` reads a statement with a comment
-    inside and reports every error.  A :class:`ParseError` reports the
-    line:column of the first offending token, or of the end of the text.
+    order.  Each statement is sliced out up to its ``.`` and split at
+    ``:-``, ``|``, ``,`` and whitespace.  A name is checked with
+    :func:`is_atom_name` and interned once per parse, at its first
+    occurrence; a later one costs a dict ``get``.  When the slices do not
+    take a statement, the blanks and comments before it are skipped and it
+    is sliced again.  The token loop of :func:`_parse_statement` reads what
+    they still do not take (a comment inside a statement, ``#false``,
+    anything ill-formed, a trailing gap that is not blank) and reports
+    every error.  A :class:`ParseError` reports the line:column of the
+    first offending token, or of the end of the text.  The collector is
+    paused while the rules are built, and left as the caller had it.
     """
     if table is None:
         table = AtomTable()
-    lookup = table.lookup
     intern = table.intern
-    find_names = _NAME_RE.findall
-    find_literals = _LITERAL_RE.findall
-    match_statement = _STATEMENT_RE[allow_generated].match
-    rules = []
-    offset = 0
-    while True:
-        m = match_statement(text, offset)
-        offset = m.end()
-        head, body = m.group("head", "body")
-        if head is None and body is None:
-            if offset == len(text):
-                return Program.of(table, rules)
-            rule, offset = _parse_statement(text, offset, table, allow_generated)
+    # each name read so far, and each ``not`` literal by its stripped text
+    ids: dict[str, int] = {}
+    negated: dict[str, int] = {}
+    get_id = ids.get
+    get_negated = negated.get
+
+    def first(name: str) -> int:
+        """The id of a name not read before; raise ``_NotFast`` if it is
+        not an atom name."""
+        if not is_atom_name(name, allow_generated):
+            raise _NotFast
+        aid = ids[name] = intern(name)
+        return aid
+
+    def unseen_literal(lit: str, pos: list[int], neg: list[int]) -> None:
+        """Append the id of a body literal not read before to ``pos`` or,
+        for ``not`` and a name, to ``neg``."""
+        parts = lit.split()
+        if len(parts) == 2 and parts[0] == "not":
+            aid = get_id(parts[1])
+            aid = negated[lit] = first(parts[1]) if aid is None else aid
+            neg.append(aid)
         else:
-            # One dict get per known name, and intern only a new one.  A head
-            # without "|" is one atom, and so is a body that is one name.
-            heads = []
-            if head:
-                for name in find_names(head) if "|" in head else (head,):
-                    aid = lookup(name)
-                    heads.append(intern(name) if aid is None else aid)
-            pos = []
-            neg = []
-            if body and body.isidentifier():
-                aid = lookup(body)
-                pos.append(intern(body) if aid is None else aid)
-            elif body:
-                for keyword, name in find_literals(body):
-                    aid = lookup(name)
-                    (neg if keyword else pos).append(intern(name) if aid is None else aid)
-            rule = Rule.of(heads, pos, neg)
-        rules.append(rule)
+            pos.append(first(lit))
+
+    rules = []
+    append = rules.append
+    find = text.find
+    offset = 0
+    # every Rule is a tracked tuple subclass, so a collection during the
+    # parse would walk all the rules read so far
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while True:
+            dot = find(".", offset)
+            if dot < 0:
+                # no statement is left: anything but blanks and comments
+                # is an error, which the token loop raises
+                if _GAP_RE.match(text, offset).end() < len(text):
+                    _parse_statement(text, offset, table, allow_generated)
+                break
+            head, colon, body = text[offset:dot].partition(":-")
+            try:
+                if "|" in head:
+                    heads = []
+                    for name in head.split("|"):
+                        name = name.strip()
+                        aid = get_id(name)
+                        heads.append(first(name) if aid is None else aid)
+                    heads = _ordered(heads)
+                elif colon and (not head or head.isspace()):  # a constraint
+                    heads = ()
+                else:
+                    name = head.strip()
+                    aid = get_id(name)
+                    heads = (first(name) if aid is None else aid,)
+                pos = []
+                neg = []
+                if colon:
+                    for lit in body.split(","):
+                        lit = lit.strip()
+                        aid = get_id(lit)
+                        if aid is not None:
+                            pos.append(aid)
+                        else:
+                            aid = get_negated(lit)
+                            if aid is not None:
+                                neg.append(aid)
+                            else:
+                                unseen_literal(lit, pos, neg)
+                # a field of one id or none is in order already; with the
+                # fields in order, the rule needs no Rule.of
+                pos = tuple(pos) if len(pos) < 2 else _ordered(pos)
+                neg = tuple(neg) if len(neg) < 2 else _ordered(neg)
+                append(tuple.__new__(Rule, (heads, pos, neg)))
+                offset = dot + 1
+            except _NotFast:
+                gap = _GAP_RE.match(text, offset).end()
+                if gap > offset:
+                    # a comment may come first: slice again after the gap
+                    offset = gap
+                    continue
+                rule, offset = _parse_statement(text, offset, table, allow_generated)
+                append(rule)
+        # the deduplication is the memory peak of the parse: free the dicts
+        ids.clear()
+        negated.clear()
+        return Program.of(table, rules)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _parse_statement(text: str, offset: int, table: AtomTable, allow_generated: bool) -> tuple[Rule, int]:
@@ -249,7 +314,7 @@ def parse_se_set(text: str, table: Optional[AtomTable] = None):
         if ids is None:
             out = set()
             for name in side.split():
-                if not _ATOM_NAME_RE.match(name):
+                if not is_atom_name(name, allow_generated=True):
                     raise ParseError(f"invalid atom name {name!r}", SourceSpan(lineno, 1))
                 out.add(table.intern(name))
             ids = sides[side] = frozenset(out)

@@ -292,7 +292,7 @@ def test_ue_test_builds_one_view_per_there_component(monkeypatch):
     compiled, runs = [], []
     compile_elimination, run = dualhorn.compile_elimination, dualhorn.ReductClosure._continue
     monkeypatch.setattr(dualhorn, "compile_elimination", lambda rules: compiled.append(1) or compile_elimination(rules))
-    monkeypatch.setattr(dualhorn.ReductClosure, "_continue", lambda closure, a: runs.append(a) or run(closure, a))
+    monkeypatch.setattr(dualhorn.ReductClosure, "_continue", lambda closure, a: runs.append((closure, a)) or run(closure, a))
     p = parse_program("a | b | c | d.\nb :- a.\nc | d :- b.\na :- not e.")
     y = ids_of(p, "a b c d")
     verdicts = [is_ue_model_dn(p, SEPair(x, y)) for x in subsets(y)]
@@ -310,7 +310,8 @@ def test_ue_test_builds_one_view_per_there_component(monkeypatch):
     for prog in (p, q):
         closure = prog.reduct_view.closure
         assert closure.interp == joint
-        assert len(closure.survivor_sets) <= len(joint)
+        atoms = [a for ran, a in runs if ran is closure]
+        assert len(set(atoms)) == len(atoms) <= len(joint)
     assert len(compiled) <= 2 * 2 ** len(joint)
     assert len(runs) <= 2 * len(joint) * 2 ** (len(joint) - 1)
 

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import tracemalloc
@@ -272,19 +273,19 @@ def test_corpus_round_trip_structured():
         assert parse_program(render_program(p)).canonical() == p.canonical()
 
 
-def _outcome(text, allow_generated):
-    """The rules and table names of a parse, or its error text and the names
-    interned before the error."""
+def _outcome(text, allow_generated, read=lambda *args: parse_program(*args).rules):
+    """The rules and table names of a read (a parse, by default), or its
+    error text and the names interned before the error."""
     table = AtomTable()
     try:
-        rules = parse_program(text, table, allow_generated).rules
+        rules = read(text, table, allow_generated)
     except ParseError as exc:
         rules = str(exc)
     return rules, [atom.name for atom in table.atoms()]
 
 
 # A comment after each separator and ``not`` keyword, and before each ``.``,
-# keeps every statement from the statement match: the token loop reads it.
+# keeps every statement from the sliced read: the token loop reads it.
 _SEPARATOR_RE = re.compile(r":-|[|,]|(?<![A-Za-z0-9_])not(?= )")
 
 
@@ -313,9 +314,10 @@ def test_statement_match_and_token_loop_agree():
         ("a. % end", False, ["a."]),
         ("a.%", False, ["a."]),
         ("a. b", False, "1:5: expected '.', found 'end of input'"),
-        # all one comment: the statement match must not backtrack into it
+        # all one comment: no statement may be read from inside it
         ("%\ta.||$\n", False, []),
         ("a.\n%\tb.\nc.", False, ["a.", "c."]),
+        ("a\t|\x0bb :-\x0cc,\x0b not\tnotd .\x0c\n#false\t.\x0b", False, ["a | b :- c, not notd.", "#false."]),
     ],
 )
 def test_statement_edge_cases(text, allow_generated, expected):
@@ -409,3 +411,37 @@ def test_statement_match_equals_token_loop(allow_generated):
             rules = parse_program(text, table, allow_generated).rules
             assert rules == _read_by_tokens(text, expected, allow_generated), text
             assert [a.name for a in table.atoms()] == [a.name for a in expected.atoms()], text
+
+
+_MUTATED = [
+    "a | b | a :- c, not d, c.\n% a note. x | y\nnota :- not_b.",
+    "#false.\n:- a, not nota.\nnot_x | a.%",
+    "__g :- not __h, b.\n  b.  % end\n",
+    # str.split and the token pattern's \s must agree on whitespace
+    "a\t|\x0bb :-\x0cc,\x0b not\tnotd .\x0c\n#false\t.\x0b",
+]
+
+
+@pytest.mark.parametrize("text", _MUTATED)
+def test_parse_equals_token_loop_under_mutation(text):
+    mutants = {text[:i] + text[i + 1 :] for i in range(len(text))}
+    mutants |= {text[:i] + c + text[i:] for i in range(len(text) + 1) for c in ".,|:%# \n"}
+    for mutant in sorted(mutants):
+        for allow_generated in (False, True):
+            expected = _outcome(mutant, allow_generated, _read_by_tokens)
+            assert _outcome(mutant, allow_generated) == expected, (mutant, allow_generated)
+
+
+def test_parse_restores_the_collector():
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            parse_program("a :- b.\nc | d :- not a.\n")
+            assert gc.isenabled() == enabled
+            for bad in ("a :- .\nb.", "a.\nb :- c"):
+                with pytest.raises(ParseError):
+                    parse_program(bad)
+                assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
