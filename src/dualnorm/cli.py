@@ -195,12 +195,12 @@ def _run(args, out: TextIO, err: TextIO) -> int:
         return EXIT_POSITIVE
 
     if args.command == "props":
-        se_set = parse_se_set(_read(args.file))
+        se_set = parse_se_set(_read(args.file), budget=budget)
         out.write(json.dumps(se_properties(se_set).to_dict(), sort_keys=True) + "\n")
         return EXIT_POSITIVE
 
     if args.command == "synth":
-        se_set = parse_se_set(_read(args.file))
+        se_set = parse_se_set(_read(args.file), budget=budget)
         if args.source == "se":
             prog = program_from_se_set(se_set)
         else:

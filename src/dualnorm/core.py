@@ -13,11 +13,14 @@ equal to the plain tuple of its fields.
 The exhaustive semantics (``oracle`` and ``seue.se_models``) run on one
 kernel, :class:`TruthTables`: over a universe of k atoms, a set of
 interpretations is an int of 2^k bits, and a rule is tested against all 2^k
-interpretations with one big-int op per literal.
+interpretations with one big-int op per literal.  :class:`SubsetLattice`
+closes such tables along the subset lattice of their positions, one shift
+per bit; ``seue`` holds each SE-set as one table of 4^k bits.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -312,6 +315,19 @@ def truth_tables(k: int) -> list[int]:
     return tables
 
 
+def truth_table(k: int, i: int) -> int:
+    """The table of atom i alone, ``truth_tables(k)[i]``, built by doubling.
+    The table of atom i - 1 is then ``T[i] ^ T[i] >> 2^(i-1)``, one shift
+    and one XOR."""
+    width = 1 << i
+    table = (1 << width) - 1 << width
+    width <<= 1
+    while width >> k == 0:
+        table |= table << width
+        width <<= 1
+    return table
+
+
 class TruthTables:
     """A program over a universe as truth tables: every set of
     interpretations is an int of 2^k bits, bit s for the mask s (bit i of a
@@ -391,13 +407,140 @@ class TruthTables:
 
 def table_masks(table: int) -> list[int]:
     """The set bit positions of a table, the masks it holds, ascending."""
-    bits = format(table, "b")[::-1]
-    out = []
-    i = bits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = bits.find("1", i + 1)
-    return out
+    if table.bit_length() <= _PART_BITS:
+        return _ones(format(table, "b")[::-1])
+    return [r * _PART_BITS + x for r, xs in table_rows(table, _PART_BITS).items() for x in xs]
+
+
+def table_rows(table: int, width: int) -> dict[int, list[int]]:
+    """The rows of ``width`` bits (a power of two) of a table that have a
+    bit set: row r, from bit r * width on, maps to the positions set within
+    it, ascending.  The binary string of a long table is made a part of
+    ``_PART_BITS`` bits (or one row) at a time."""
+    step = max(width, _PART_BITS)
+    if table.bit_length() <= step:
+        parts: Iterable[tuple[int, int]] = [(0, table)]
+    else:
+        data = table.to_bytes((table.bit_length() + 7) // 8, "little")
+        size = step // 8
+        parts = ((i * 8, int.from_bytes(data[i : i + size], "little")) for i in range(0, len(data), size))
+    rows = {}
+    for offset, part in parts:
+        bits = format(part, "b")[::-1]
+        for start in range(0, len(bits), width):
+            row = bits[start : start + width]
+            if "1" in row:
+                rows[(offset + start) // width] = _ones(row)
+    return rows
+
+
+_PART_BITS = 1 << 18
+_ONE = re.compile("1")
+
+
+def _ones(bits: str) -> list[int]:
+    """The indices of the ``1`` characters of a string."""
+    return list(map(re.Match.start, _ONE.finditer(bits)))
+
+
+def table_of_rows(rows: dict[int, int], width: int) -> int:
+    """The table whose row r of ``width`` bits (a power of two) is
+    ``rows[r]`` and whose other rows are empty: the inverse of
+    :func:`table_rows`, made from the rows' bytes when they fill bytes."""
+    if width < 8:
+        return sum(row << r * width for r, row in rows.items())
+    size = width // 8
+    buf = bytearray(size * (max(rows) + 1 if rows else 0))
+    for r, row in rows.items():
+        buf[r * size : (r + 1) * size] = row.to_bytes(size, "little")
+    return int.from_bytes(buf, "little")
+
+
+def submask_table(mask: int) -> int:
+    """The table of the submasks of ``mask``: one shift per atom of it."""
+    table = 1
+    while mask:
+        low = mask & -mask
+        table |= table << low
+        mask ^= low
+    return table
+
+
+def every_table(step: int, count: int) -> int:
+    """The table of the 2^count positions 0, step, 2 * step, ..., by doubling."""
+    table = 1
+    for j in range(count):
+        table |= table << (step << j)
+    return table
+
+
+class SubsetLattice:
+    """The subset lattice of the positions of a table of 2^m bits, position
+    s standing for the mask s.  Adding bit b to the positions in a table is
+    ``table << 2^b & T[b]``, removing it ``(table & T[b]) >> 2^b``, where
+    ``T = truth_tables(m)``.  Up to ``KEPT_BITS`` bits the tables are kept;
+    above, each closure makes them as it goes, from :func:`truth_table` of
+    its highest bit down (the table of bit b - 1 is ``T[b] ^ T[b] >> 2^(b-1)``),
+    so that only one is held at a time."""
+
+    KEPT_BITS = 20  # 2.6 MB of tables
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+        self.kept = truth_tables(m) if m <= self.KEPT_BITS else None
+
+    def tables(self, bits: Iterable[int]) -> Iterable[tuple[int, int]]:
+        """``(2^b, T[b])`` for each index bit b of ``bits``."""
+        if self.kept is not None:
+            return [(1 << b, self.kept[b]) for b in bits]
+        return self._made(sorted(bits, reverse=True))
+
+    def _made(self, bits: list[int]) -> Iterator[tuple[int, int]]:
+        table = None
+        for b in bits:
+            if table is None:
+                table = truth_table(self.m, b)
+            else:
+                for c in range(above - 1, b - 1, -1):
+                    table ^= table >> (1 << c)
+            above = b
+            yield 1 << b, table
+
+    def up(self, table: int, bits: Iterable[int]) -> int:
+        for shift, t in self.tables(bits):
+            table |= table << shift & t
+        return table
+
+    def down(self, table: int, bits: Iterable[int]) -> int:
+        for shift, t in self.tables(bits):
+            table |= (table & t) >> shift
+        return table
+
+    def spread(self, table: int, bits: Iterable[int]) -> int:
+        """The positions that differ from one in ``table`` only in ``bits``."""
+        return self.down(self.up(table, bits), bits)
+
+    def strictly_below(self, below: int, bits: Iterable[int]) -> int:
+        """From a table closed downwards along ``bits``, the positions with
+        a proper superset there along ``bits``: one more step down."""
+        out = 0
+        for shift, t in self.tables(bits):
+            out |= (below & t) >> shift
+        return out
+
+    def per_bit(self, table: int, bits: Sequence[int], lower, higher) -> Iterator[tuple[int, int, int]]:
+        """``(2^i, T[i], C_i)`` for each i of ``bits``, ascending: C_i is
+        ``table`` closed by ``lower`` along the bits below i and by
+        ``higher`` along those above it.  Each half of ``bits`` is closed
+        along the other half once for all its bits, so that the k closures
+        take k log k steps in all."""
+        if len(bits) > 1:
+            half = len(bits) // 2
+            yield from self.per_bit(higher(table, bits[half:]), bits[:half], lower, higher)
+            yield from self.per_bit(lower(table, bits[:half]), bits[half:], lower, higher)
+        elif bits:
+            ((shift, t),) = self.tables(bits)
+            yield shift, t, table
 
 
 def p_t_transform(prog: Program, t: int) -> Program:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError
 from .core import AtomTable, Program, Rule, is_model
@@ -171,27 +171,32 @@ def eliminate(
     occurs: dict[int, list[int]],
     counters: list[int],
     eliminated: set[int],
-    new_atoms: set[int],
+    new_atoms: Iterable[int],
 ) -> tuple[list[int], list[int]]:
-    """Eliminate ``new_atoms`` (none of them in ``eliminated``) and, level by
-    level, every body whose rule has lost all its head atoms.
+    """Eliminate ``new_atoms`` (distinct, none of them in ``eliminated``)
+    and, level by level, every body whose rule has lost all its head atoms.
 
     Consumes ``counters`` and adds to ``eliminated``.  Returns the atoms it
-    eliminated, in level order, and the level bounds, starting at 0.
+    eliminated, in level order, and the level bounds, starting at 0.  Each
+    level is a slice of the one order list, which every newly eliminated
+    body is appended to once, in the order it is reached.
     """
-    order: list[int] = []
+    order = list(new_atoms)
+    eliminated.update(order)
     bounds = [0]
-    while new_atoms:
-        eliminated.update(new_atoms)
-        order.extend(new_atoms)
-        bounds.append(len(order))
-        ready = []
-        for a in new_atoms:
+    start = 0
+    while start < len(order):
+        end = len(order)
+        bounds.append(end)
+        for a in order[start:end]:
             for idx in occurs.get(a, ()):
                 counters[idx] -= 1
                 if counters[idx] == 0:
-                    ready.append(idx)
-        new_atoms = {bodies[idx] for idx in ready} - eliminated
+                    body = bodies[idx]
+                    if body not in eliminated:
+                        eliminated.add(body)
+                        order.append(body)
+        start = end
     return order, bounds
 
 
@@ -218,9 +223,10 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
     if witness:
         return EliminationTrace(prog, t_stem, prog.closure.eliminates_t(prog.m))
     eliminated: set[int] = set()
-    # the first level is built by the same set expression as every later one,
-    # so the order of ``eliminated`` within it does not depend on the route
-    order, bounds = eliminate(bodies, occurs, counters, eliminated, {bodies[idx] for idx in ready} - eliminated)
+    # the first level holds the bodies of the rules with an empty head, each
+    # once, in rule order, as every later level holds the bodies it reaches
+    # in the order it reaches them
+    order, bounds = eliminate(bodies, occurs, counters, eliminated, dict.fromkeys(bodies[idx] for idx in ready))
     return EliminationTrace(prog, t_stem, T_ATOM in eliminated, (tuple(order), tuple(bounds), occurs, bodies))
 
 

@@ -19,19 +19,17 @@ The closure vocabulary on sets of SE-interpretations:
 * splittable: unions of here-components below a diagonal member Z either
   appear at Z or fit under some intermediate (Z', Z) in the set.
 
-``se_models`` reads the models and each reduct off the truth tables of
-``core.TruthTables``.  Every other computation here runs on one view of a
-set, its mask view (``SESet.view``): the sorted universe ``atoms`` and a
-map from each there-mask to the set of its here-masks, where bit i of a
-mask is ``atoms[i]``, the i-th smallest atom id.  Subset tests are mask tests
-(X is a subset of Y when ``x & ~y == 0``; ``<`` on ints compares numbers),
-and the smallest-id atom of a mask, the synthesis's witness atom, is its
-lowest set bit.  ``SEPair`` frozensets are made only at the edge: on the
-first read of ``SESet.pairs``, for an equivalence witness, and from pairs
-given by the caller.  Each flag is one predicate over the view and the
-diagonal; the heres below each diagonal member are gathered once per call
-and serve completeness, and their union closure serves both
-splittability and ``se_closure``.
+A set is one int, its grid (``SESet.grid``): over the k atoms of the
+sorted universe (bit i of a mask is the i-th smallest id), bit y * 2^k + x
+is set when (X, Y) is in the set.  Adding atom i to X moves a bit by 2^i,
+adding it to Y by 2^(k+i), so every question is a few closures of
+``core.SubsetLattice`` over all there-components at once: along x for the
+masks above or below the heres of the same Y, along y for the heres of the
+there-components below Y, and one per atom for unions (X is one iff each
+atom of X is in a here of Y inside X) and for intersections.  The heres by
+there-component (``SESet.view``) and the ``SEPair`` frozensets are made on
+read.  A grid over more than ``GRID_MAX_ATOMS`` atoms is refused with
+``BudgetExceededError``.
 
 Sets of SE-models of dual-normal programs are exactly the complete,
 here-union-closed sets; their UE-model sets are exactly the UE-complete,
@@ -44,18 +42,21 @@ has built, which is complete and here-union-closed by construction.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
-from .core import AtomTable, Program, Rule, TruthTables, ensure_shared, table_masks
+from .common import DEFAULT_BUDGET, BudgetExceededError, OracleBudget, SynthesisPreconditionError
+from .core import AtomTable, Program, Rule, SubsetLattice, TruthTables, ensure_shared, every_table
+from .core import submask_table, table_masks, table_of_rows, table_rows
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import mask_to_set as _masked
 from .core import require_dual_normal as _require_dual_normal
 from .core import submasks_ascending as _subset_masks_ascending
 from .dualhorn import reduct_closure
+
+# The largest universe of a grid: 4^14 bits are 32 MB.
+GRID_MAX_ATOMS = 14
 
 
 class _SEPairFields(NamedTuple):
@@ -75,17 +76,12 @@ class SEPair(_SEPairFields):
         return tuple.__new__(cls, (here, there))
 
 
-# The heres of each there-component of an SE-set, as masks.
-_ByThere = dict[int, AbstractSet[int]]
-
-
 class MaskView(NamedTuple):
-    """An SE-set as bitmasks: ``atoms`` is the sorted universe, bit i of a
-    mask stands for ``atoms[i]``, and ``by_there`` maps each there-mask to
-    the set of its here-masks."""
+    """An SE-set as bitmasks: the sorted universe ``atoms`` (bit i of a mask
+    for ``atoms[i]``) and the set of here-masks of each there-mask."""
 
     atoms: tuple[int, ...]
-    by_there: _ByThere
+    by_there: dict[int, frozenset[int]]
 
     def pair(self, here: int, there: int) -> SEPair:
         return SEPair(_masked(self.atoms, here), _masked(self.atoms, there))
@@ -97,27 +93,52 @@ class MaskView(NamedTuple):
         return MaskView(self.atoms, {y: xs for y, xs in diff.items() if xs})
 
 
-def view_of_pairs(
-    universe: Iterable[int], pairs: Iterable[tuple[frozenset[int], frozenset[int]]]
-) -> MaskView:
-    """The mask view of ``(here, there)`` atom-set pairs over the universe;
-    each distinct atom set becomes a mask once."""
-    atoms = tuple(sorted(universe))
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    grouped: dict[frozenset[int], set[frozenset[int]]] = {}
-    for here, there in pairs:
-        grouped.setdefault(there, set()).add(here)
-    mask = {s: sum(bit[a] for a in s) for s in set(grouped).union(*grouped.values())}
-    return MaskView(atoms, {mask[y]: frozenset(map(mask.__getitem__, xs)) for y, xs in grouped.items()})
+def check_grid_atoms(k: int, budget: OracleBudget = DEFAULT_BUDGET, what: str = "SE-set grid") -> None:
+    budget.check(k, what)
+    if k > GRID_MAX_ATOMS:
+        raise BudgetExceededError(f"{what} over {k} atoms exceeds the grid's limit of {GRID_MAX_ATOMS} atoms")
+
+
+class _Grid(SubsetLattice):
+    """The lattice of a grid over k atoms: the index bits of the here
+    (``x``) and of the there (``y``), and the grid's constant positions."""
+
+    def __init__(self, k: int) -> None:
+        super().__init__(2 * k)
+        n = 1 << k
+        self.k, self.x, self.y = k, range(k), range(k, 2 * k)
+        self.full = (1 << n * n) - 1
+        self.diag = every_table(n + 1, k)  # (Y, Y) for each Y
+        self.empty_x = every_table(n, k)  # (empty, Y)
+        self.full_x = self.empty_x << n - 1  # (every atom, Y)
+
+
+_kept_grid = lru_cache(maxsize=None)(_Grid)
+
+
+def _grid(k: int) -> _Grid:
+    return _kept_grid(k) if 2 * k <= SubsetLattice.KEPT_BITS else _Grid(k)
+
+
+def _not_unions(grid: _Grid, heres: int) -> int:
+    """The (X, Y) with an atom i of X in no here of Y inside X: X is above no here with i."""
+    out = 0
+    for _, t, above in grid.per_bit(heres, grid.x, grid.up, grid.up):
+        out |= t ^ above & t
+    return out
+
+
+def _union_closure(grid: _Grid, heres: int) -> int:
+    """At each Y, the unions of heres of Y, and the empty X if it is a here."""
+    return grid.full ^ (_not_unions(grid, heres) | grid.empty_x) | heres & grid.empty_x
 
 
 class SESet:
     """A finite set of SE-interpretations over a declared universe.
 
     Sets are immutable, and equal when their universes and pairs are (the
-    atom table is not compared).  A set keeps its mask view, ``view``; the
-    frozenset of SEPairs, ``pairs``, is made on its first read when the set
-    was built from masks.
+    atom table is not compared).  A set built from SEPairs makes its grid
+    on first read; the view and the pairs of a grid are made on read.
     """
 
     def __init__(
@@ -130,19 +151,33 @@ class SESet:
         self.__dict__.update(table=table, universe=universe, pairs=pairs)
 
     @classmethod
-    def from_masks(cls, table: AtomTable, atoms: Sequence[int], by_there: _ByThere) -> "SESet":
-        """The set with the mask view ``(atoms, by_there)``: ``atoms`` sorted,
-        each here-mask within its there-mask, no there-mask without heres."""
+    def from_grid(cls, table: AtomTable, atoms: Sequence[int], grid: int) -> "SESet":
+        """The set over the sorted universe ``atoms`` with a grid of pairs (X, Y), X within Y."""
         se_set = object.__new__(cls)
-        se_set.__dict__.update(table=table, universe=frozenset(atoms), view=MaskView(tuple(atoms), by_there))
+        se_set.__dict__.update(table=table, universe=frozenset(atoms), atoms=tuple(atoms), grid=grid)
         return se_set
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
+    def atoms(self) -> tuple[int, ...]:
+        return tuple(sorted(self.universe))
+
+    @cached_property
+    def grid(self) -> int:
+        check_grid_atoms(len(self.atoms))
+        bit = {a: 1 << i for i, a in enumerate(self.atoms)}
+        rows: dict[int, int] = {}
+        for here, there in self.pairs:
+            y = sum(map(bit.__getitem__, there))
+            rows[y] = rows.get(y, 0) | 1 << sum(map(bit.__getitem__, here))
+        return table_of_rows(rows, 1 << len(self.atoms))
+
+    @cached_property
     def view(self) -> MaskView:
-        return view_of_pairs(self.universe, self.pairs)
+        rows = table_rows(self.grid, 1 << len(self.atoms))
+        return MaskView(self.atoms, {y: frozenset(xs) for y, xs in rows.items()})
 
     @cached_property
     def pairs(self) -> frozenset[SEPair]:
@@ -153,7 +188,9 @@ class SESet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.universe == other.universe and self.view.by_there == other.view.by_there
+        if "grid" in self.__dict__ or "grid" in other.__dict__:
+            return self.universe == other.universe and self.grid == other.grid
+        return self.universe == other.universe and self.pairs == other.pairs
 
     def __hash__(self) -> int:
         return hash((self.universe, self.pairs))
@@ -165,7 +202,7 @@ class SESet:
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        return sum(map(len, self.view.by_there.values()))
+        return len(self.__dict__["pairs"]) if "grid" not in self.__dict__ else self.grid.bit_count()
 
     def __contains__(self, pair: SEPair) -> bool:
         return pair in self.pairs
@@ -200,137 +237,93 @@ def se_satisfies(pair: SEPair, rule: Rule) -> bool:
     return any(a in y for a in rule.head) and any(b not in x for b in rule.body_pos)
 
 
-def se_models(
-    prog: Program,
-    universe: Optional[frozenset[int]] = None,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> SESet:
+
+def se_models(prog: Program, universe: Optional[frozenset[int]] = None, budget: OracleBudget = DEFAULT_BUDGET) -> SESet:
     """All SE-models of the program over the universe (default: its atoms),
     by the definition: Y a model of P, X a model of the reduct P^Y.  On the
     truth tables of ``core.TruthTables``: the models come from one table,
-    and the heres of Y are the submasks of Y that the table of what P^Y
-    rejects leaves out."""
+    and the row of each model Y is the table of its submasks less the table
+    of what P^Y rejects."""
     atoms = sorted(prog.atom_ids if universe is None else universe)
-    budget.check(len(atoms), "SE-model enumeration")
+    check_grid_atoms(len(atoms), budget, "SE-model enumeration")
     kernel = TruthTables(prog, atoms)
-    by_there = {}
+    rows = {}
     for y in table_masks(kernel.models()):
-        rejected = kernel.rejections(y)
-        by_there[y] = frozenset(x for x in _subset_masks_ascending(y) if not rejected >> x & 1)
-    return SESet.from_masks(prog.table, atoms, by_there)
-
-
-def _grouped(se_set: SESet) -> tuple[_ByThere, set[int]]:
-    """The heres of each there-component of an SE-set, and its diagonal
-    members (the there-components paired with themselves), as masks."""
-    by_there = se_set.view.by_there
-    return by_there, {y for y, xs in by_there.items() if y in xs}
-
-
-def _ue_heres(y: int, xs: AbstractSet[int]) -> frozenset[int]:
-    """The heres X of the there-component ``y`` with no here X' in ``xs``
-    such that X < X' < Y: ``y`` if present, and the maximal heres below it."""
-    below = xs - {y}
-    tops: list[int] = []
-    covered: set[int] = set()  # the subsets of the maximal heres so far
-    # a here is below some other one exactly when it is below a maximal one,
-    # and every here above it has more atoms, so comes first
-    for x in sorted(below, key=int.bit_count, reverse=True):
-        if x not in covered:
-            tops.append(x)
-            covered.update(_subset_masks_ascending(x))
-    return frozenset(tops).union(xs - below)
+        heres = submask_table(y)
+        rows[y] = heres ^ heres & kernel.rejections(y)
+    return SESet.from_grid(prog.table, atoms, table_of_rows(rows, 1 << len(atoms)))
 
 
 def ue_models(se_set: SESet) -> SESet:
     """Filter an SE-set to its UE-pairs: (X, Y) stays when every (X', Y) in
     the set with X properly below X' already has X' = Y."""
-    atoms, by_there = se_set.view
-    return SESet.from_masks(se_set.table, atoms, {y: _ue_heres(y, xs) for y, xs in by_there.items()})
+    grid, heres = _grid(len(se_set.atoms)), se_set.grid
+    strictly = grid.strictly_below(grid.down(heres ^ heres & grid.diag, grid.x), grid.x)
+    return SESet.from_grid(se_set.table, se_set.atoms, heres ^ heres & strictly)
 
 
-def union_closure(sets: Iterable[int]) -> set[int]:
-    """Closure of masks under (non-empty, finite) unions.  Given in ascending
-    order, a mask that is a union of earlier ones costs one lookup."""
-    closed: set[int] = set()
-    for s in sets:
-        if s not in closed:  # else its unions with members are members already
-            closed |= {s | c for c in closed}
-            closed.add(s)
-    return closed
+class _Flags:
+    """The closure flags of one grid; each flag, and each table that more
+    than one flag reads, is computed on its first read."""
 
+    def __init__(self, se_set: SESet) -> None:
+        self.grid = grid = _grid(len(se_set.atoms))
+        self.heres = heres = se_set.grid
+        self.diag = heres & grid.diag
+        self.rows = grid.down(self.diag, grid.x)  # at each diagonal Y, the subsets of Y
+        self.only_diagonal = grid.up(heres, grid.x) & grid.diag == self.diag  # of the there-components
 
-def _heres_below(by_there: _ByThere, diagonal: set[int]) -> _ByThere:
-    """Each diagonal member Z mapped to the heres of every there-component
-    below Z."""
-    return {z: set().union(*(xs for y, xs in by_there.items() if not y & ~z)) for z in diagonal}
+    @cached_property
+    def below_z(self) -> int:  # at each Y, the heres of the there-components below Y
+        return self.grid.up(self.heres, self.grid.y)
 
+    @cached_property
+    def below_others(self) -> int:  # at each Y, the subsets of its heres other than Y
+        return self.grid.down(self.heres ^ self.diag, self.grid.x)
 
-def _union_closures(below: _ByThere) -> _ByThere:
-    """Each diagonal member mapped to the union closure of its heres below."""
-    return {z: union_closure(sorted(xs)) for z, xs in below.items()}
+    @cached_property
+    def closure(self) -> int:  # at each diagonal Z, the union closure of the heres below Z
+        return _union_closure(self.grid, self.below_z & self.rows)
 
+    @cached_property
+    def complete(self) -> bool:
+        return self.only_diagonal and self.below_z & self.rows == self.heres & self.rows
 
-def _unions_stay_in(xs: AbstractSet[int]) -> bool:
-    """``xs`` is closed under unions.  The masks are joined in ascending
-    order, as in ``union_closure``, and each new union must be in ``xs``."""
-    made: set[int] = set()
-    for s in sorted(xs):
-        if s not in made:
-            joined = {s | c for c in made}
-            if not joined <= xs:
-                return False
-            made |= joined
-            made.add(s)
-    return True
+    @cached_property
+    def closed_here_intersection(self) -> bool:
+        # X is an intersection of heres of Y iff each atom outside X is outside
+        # a here of Y above X; the X of all atoms is exempt, as the empty X is from unions
+        grid, out = self.grid, self.heres | self.grid.full_x
+        for _, t, below in grid.per_bit(self.heres, grid.x, grid.down, grid.down):
+            without = grid.full ^ t
+            out |= without ^ below & without
+        return out == grid.full
 
+    @cached_property
+    def closed_here_union(self) -> bool:
+        return _not_unions(self.grid, self.heres) | self.heres | self.grid.empty_x == self.grid.full
 
-def _complete(by_there: _ByThere, diagonal: set[int], below: _ByThere) -> bool:
-    return by_there.keys() <= diagonal and all(xs <= by_there[z] for z, xs in below.items())
-
-
-def _closed_here_intersection(by_there: _ByThere) -> bool:
-    # X & X2 within Y is the complement in Y of the union of the complements
-    return all(_unions_stay_in({y ^ x for x in xs}) for y, xs in by_there.items())
-
-
-def _closed_here_union(by_there: _ByThere) -> bool:
-    return all(map(_unions_stay_in, by_there.values()))
-
-
-def _ue_complete(by_there: _ByThere, diagonal: set[int]) -> bool:
-    # density: for Y < Z, some here of Z lies in [Y, Z); Y itself when there
-    return (
-        by_there.keys() <= diagonal
-        and all(
-            y in by_there[z] or any(mid != z and not y & ~mid for mid in by_there[z])
-            for y in by_there
-            for z in diagonal
-            if y != z and not y & ~z
+    @cached_property
+    def ue_complete(self) -> bool:
+        # density: each diagonal Y below a diagonal Z lies below a here of Z
+        # other than Z; and the heres of each Y other than Y are an antichain
+        grid, diag = self.grid, self.diag
+        nested = grid.up(diag, grid.y) & self.rows ^ diag
+        return (
+            self.only_diagonal
+            and nested & self.below_others == nested
+            and not self.heres & grid.strictly_below(self.below_others, grid.x)
         )
-        and all(len(_ue_heres(y, xs)) == len(xs) for y, xs in by_there.items())
-    )
 
-
-def _splittable(by_there: _ByThere, closures: _ByThere) -> bool:
-    return all(
-        u in by_there[z] or any(z2 != z and not u & ~z2 for z2 in by_there[z])
-        for z, unions in closures.items()
-        for u in unions
-    )
+    @cached_property
+    def splittable(self) -> bool:
+        return self.closure & (self.heres | self.below_others) == self.closure
 
 
 def se_properties(se_set: SESet) -> SEProperties:
     """Evaluate the five closure flags for a set of SE-interpretations."""
-    by_there, diagonal = _grouped(se_set)
-    below = _heres_below(by_there, diagonal)
-    return SEProperties(
-        complete=_complete(by_there, diagonal, below),
-        closed_here_intersection=_closed_here_intersection(by_there),
-        closed_here_union=_closed_here_union(by_there),
-        ue_complete=_ue_complete(by_there, diagonal),
-        splittable=_splittable(by_there, _union_closures(below)),
-    )
+    flags = _Flags(se_set)
+    return SEProperties(*(getattr(flags, name) for name in SEProperties._fields))
 
 
 def program_from_se_set(se_set: SESet) -> Program:
@@ -342,54 +335,63 @@ def program_from_se_set(se_set: SESet) -> Program:
     pair by a proper rule with at most one positive body atom.  Witness atoms
     are always the smallest candidate id, so output is reproducible.
     """
-    by_there, diagonal = _grouped(se_set)
-    below = _heres_below(by_there, diagonal)
-    if not (_complete(by_there, diagonal, below) and _closed_here_union(by_there)):
-        raise SynthesisPreconditionError(
-            "SE-program synthesis needs a complete, here-union-closed set"
-        )
-    return _synthesize(se_set.table, se_set.view.atoms, by_there)
+    flags = _Flags(se_set)
+    if not (flags.complete and flags.closed_here_union):
+        raise SynthesisPreconditionError("SE-program synthesis needs a complete, here-union-closed set")
+    return _synthesize(se_set.table, se_set.atoms, flags.grid, se_set.grid)
 
 
-def _synthesize(table: AtomTable, atoms: Sequence[int], by_there: _ByThere) -> Program:
-    """The rules of ``program_from_se_set`` for the mask view of a complete,
-    here-union-closed set (every there-component is diagonal)."""
-    # the smallest-id atom of each non-empty mask: its lowest set bit
-    first = [-1] + [atoms[(m & -m).bit_length() - 1] for m in range(1, 1 << len(atoms))]
-    theres = by_there.keys()
-
-    def escape(hat_y: int) -> set[int]:
-        # one atom outside hat_y from each there-component not below it: as
-        # a negative body it leaves the pairs at those components alone
-        return {first[y & ~hat_y] for y in theres if y & ~hat_y}
-
-    rules = []
-    for hat_y in range(1 << len(atoms)):
-        if hat_y not in theres:
-            body = {first[hat_y & ~y] for y in theres if not y & ~hat_y}
-            rules.append(Rule.of((), body, escape(hat_y)))
-
-    for hat_y in sorted(theres):
-        heres = by_there[hat_y]
-        nbody = escape(hat_y)
-        for hat_x in _subset_masks_ascending(hat_y)[:-1]:  # proper subsets
-            if hat_x in heres:
-                continue
-            inside = [x for x in heres if not x & ~hat_x]
-            # here-union closure puts the union of ``inside``, its largest
-            # member, among the heres, so it sits properly below hat_x
-            body = (first[hat_x & ~max(inside)],) if inside else ()
-            head = {first[x & ~hat_x] for x in heres if x & ~hat_x} or (first[hat_y & ~hat_x],)
-            rules.append(Rule.of(head, body, nbody))
-
+def _synthesize(table: AtomTable, atoms: Sequence[int], grid: _Grid, heres: int) -> Program:
+    """The rules of ``program_from_se_set`` for the grid of a complete,
+    here-union-closed set (every there-component is diagonal): one
+    constraint per mask that is no there-component, then one rule per pair
+    (X, Y) missing below a there-component Y, ascending by Y, then by X."""
+    k, x = grid.k, grid.x
+    lattice = SubsetLattice(k)
+    theres = sum(1 << (p >> k) for p in table_masks(heres & grid.diag))
+    full = (1 << (1 << k)) - 1
+    free = full ^ theres
+    # the lowest atom of Y - S for each there-component Y not below S: as a
+    # negative body it leaves the pairs at those components alone
+    nbody = {s: tuple(found) for s, found in _lowest_outside(lattice, theres, x, atoms, full).items()}
+    # the constraint for S has the lowest atom of S - Y for each
+    # there-component Y below S
+    body: dict[int, list[int]] = {}
+    for shift, t, above in lattice.per_bit(theres, x, lambda table, bits: table, lattice.up):
+        for s in table_masks((above ^ above & t) << shift & free):
+            body.setdefault(s, []).append(atoms[shift.bit_length() - 1])
+    rules = [tuple.__new__(Rule, ((), tuple(body.get(s, ())), nbody.get(s, ()))) for s in table_masks(free)]
+    # the rule for (X, Y) has the lowest atom of M - X for each here M of Y
+    # not inside X, and the lowest atom of X outside the union of the heres
+    # inside X, if any (that union is a here, by the closure)
+    missing = grid.down(heres & grid.diag, x) ^ heres
+    heads = _lowest_outside(grid, heres, x, atoms, missing)
+    inside, first, done = grid.up(heres, x) & missing, {}, 0
+    for shift, t, above in grid.per_bit(heres, x, grid.up, grid.up):
+        outside = (t ^ above & t) & inside
+        for p in table_masks(outside ^ outside & done):
+            first[p] = (atoms[shift.bit_length() - 1],)
+        done |= outside
+    rules.extend(
+        tuple.__new__(Rule, (tuple(heads[p]), first.get(p, ()), nbody.get(p >> k, ()))) for p in table_masks(missing)
+    )
     return Program.of(table, rules)
+
+
+def _lowest_outside(lattice: SubsetLattice, members: int, bits: range, atoms: Sequence[int], where: int) -> dict:
+    """Each position S of ``where`` (bit i for ``atoms[i]``) mapped to the
+    lowest atoms of M - S, ascending, over the members M not below S."""
+    out: dict[int, list[int]] = {}
+    for shift, t, above in lattice.per_bit(members, bits, lattice.up, lattice.spread):
+        for s in table_masks((above & t) >> shift & where):
+            out.setdefault(s, []).append(atoms[shift.bit_length() - 1])
+    return out
 
 
 def se_closure(se_set: SESet) -> SESet:
     """Close a set of SE-interpretations: for each diagonal member Z, pair Z
     with every union of here-components lying below Z."""
-    closures = _union_closures(_heres_below(*_grouped(se_set)))
-    return SESet.from_masks(se_set.table, se_set.view.atoms, closures)
+    return SESet.from_grid(se_set.table, se_set.atoms, _Flags(se_set).closure)
 
 
 def program_from_ue_set(se_set: SESet) -> Program:
@@ -399,13 +401,10 @@ def program_from_ue_set(se_set: SESet) -> Program:
     The SE synthesis runs on the closure of the set, which is complete and
     here-union-closed by construction, so its precondition is not checked.
     """
-    by_there, diagonal = _grouped(se_set)
-    closures = _union_closures(_heres_below(by_there, diagonal))
-    if not (_ue_complete(by_there, diagonal) and _splittable(by_there, closures)):
-        raise SynthesisPreconditionError(
-            "UE-program synthesis needs a UE-complete, splittable set"
-        )
-    return _synthesize(se_set.table, se_set.view.atoms, closures)
+    flags = _Flags(se_set)
+    if not (flags.ue_complete and flags.splittable):
+        raise SynthesisPreconditionError("UE-program synthesis needs a UE-complete, splittable set")
+    return _synthesize(se_set.table, se_set.atoms, flags.grid, flags.closure)
 
 
 def is_ue_model_dn(

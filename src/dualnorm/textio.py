@@ -17,10 +17,10 @@ rendered transformation outputs can be read back.
 
 A statement is read from string slices: the text up to its ``.``, split
 at ``:-``, ``|``, ``,`` and whitespace, where each distinct name is checked
-once per parse; blanks and comments before a statement are skipped.  A
-token loop reads any statement the slices do not take: one with a comment
-inside, ``#false``, and every ill-formed one, so the loop reports every
-error.
+once per parse; in a text with a ``%``, the blanks and comments before a
+statement are skipped first.  A token loop reads any statement the slices
+do not take: one with a comment inside, ``#false``, and every ill-formed
+one, so the loop reports every error.
 
 SE-set files are line oriented: each non-comment line ``x1 x2 ; y1 y2 y3``
 denotes the SE-interpretation (X, Y) with X a subset of Y.  The universe is
@@ -36,7 +36,8 @@ from functools import reduce
 from operator import or_
 from typing import Iterator, NamedTuple, Optional
 
-from .core import RESERVED_PREFIX, AtomTable, Program, Rule
+from .common import DEFAULT_BUDGET, OracleBudget
+from .core import RESERVED_PREFIX, AtomTable, Program, Rule, table_masks, table_of_rows
 
 
 class SourceSpan(NamedTuple):
@@ -118,12 +119,12 @@ def parse_program(
     order.  Each statement is sliced out up to its ``.`` and split at
     ``:-``, ``|``, ``,`` and whitespace.  A name is checked with
     :func:`is_atom_name` and interned once per parse, at its first
-    occurrence; a later one costs a dict ``get``.  When the slices do not
-    take a statement, the blanks and comments before it are skipped and it
-    is sliced again.  The token loop of :func:`_parse_statement` reads what
-    they still do not take (a comment inside a statement, ``#false``,
-    anything ill-formed, a trailing gap that is not blank) and reports
-    every error.  A :class:`ParseError` reports the line:column of the
+    occurrence; a later one costs a dict ``get``.  In a text with a ``%``,
+    the blanks and comments before each statement are skipped before it is
+    sliced.  The token loop of :func:`_parse_statement` reads what the
+    slices do not take (a comment inside a statement, ``#false``, anything
+    ill-formed, a trailing gap that is not blank) and reports every
+    error.  A :class:`ParseError` reports the line:column of the
     first offending token, or of the end of the text.  The collector is
     paused while the rules are built, and left as the caller had it.
     """
@@ -159,12 +160,16 @@ def parse_program(
     append = rules.append
     find = text.find
     offset = 0
+    comments = "%" in text
     # every Rule is a tracked tuple subclass, so a collection during the
     # parse would walk all the rules read so far
     collecting = gc.isenabled()
     gc.disable()
     try:
         while True:
+            if comments:
+                # a comment before a statement would fail its slice
+                offset = _GAP_RE.match(text, offset).end()
             dot = find(".", offset)
             if dot < 0:
                 # no statement is left: anything but blanks and comments
@@ -208,11 +213,6 @@ def parse_program(
                 append(tuple.__new__(Rule, (heads, pos, neg)))
                 offset = dot + 1
             except _NotFast:
-                gap = _GAP_RE.match(text, offset).end()
-                if gap > offset:
-                    # a comment may come first: slice again after the gap
-                    offset = gap
-                    continue
                 rule, offset = _parse_statement(text, offset, table, allow_generated)
                 append(rule)
         # the deduplication is the memory peak of the parse: free the dicts
@@ -295,51 +295,81 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 
-def parse_se_set(text: str, table: Optional[AtomTable] = None):
+def parse_se_set(text: str, table: Optional[AtomTable] = None, budget: OracleBudget = DEFAULT_BUDGET):
     """Parse an SE-set file (returns an :class:`dualnorm.seue.SESet`).
 
-    Each distinct side of ``;`` is resolved to atom ids once, and the set
-    is built as its mask view (bit i of a mask is the i-th smallest atom id
-    of the universe) without making an ``SEPair``.
+    Each distinct side of ``;`` is resolved once, to the mask of its atom
+    ids, and each line sets one bit of its there-component's row; the grid
+    is built from the rows once the universe is known, and refused (with
+    ``BudgetExceededError``) over more atoms than the budget or the grid
+    allow.  No ``SEPair`` is made.
     """
-    from .seue import SESet, view_of_pairs
+    from .seue import SESet, check_grid_atoms
 
     if table is None:
         table = AtomTable()
+    masks: dict[str, int] = {}  # each side read so far
+    bits: dict[str, int] = {}  # each name read so far
 
-    sides: dict[str, frozenset[int]] = {}
-
-    def intern_names(side, lineno):
-        ids = sides.get(side)
-        if ids is None:
-            out = set()
-            for name in side.split():
+    def mask_of(side: str, lineno: int) -> int:
+        mask = 0
+        for name in side.split():
+            bit = bits.get(name)
+            if bit is None:
                 if not is_atom_name(name, allow_generated=True):
                     raise ParseError(f"invalid atom name {name!r}", SourceSpan(lineno, 1))
-                out.add(table.intern(name))
-            ids = sides[side] = frozenset(out)
-        return ids
+                bit = bits[name] = 1 << table.intern(name)
+            mask |= bit
+        masks[side] = mask
+        return mask
 
-    pairs = []
-    universe: set[int] = set()
-    for lineno, line in content_lines(text):
-        if line.startswith("#"):
+    heres: dict[int, set[int]] = {}
+    universe = 0
+    comments = "%" in text
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if comments:
+            line = line.split("%", 1)[0]
+        line = line.strip()
+        if not line:
+            continue
+        if line[0] == "#":
             parts = line.split()
             if parts[0] != "#universe":
                 raise ParseError(f"unknown directive {parts[0]!r}", SourceSpan(lineno, 1))
-            universe |= intern_names(" ".join(parts[1:]), lineno)
+            universe |= mask_of(" ".join(parts[1:]), lineno)
             continue
-        if ";" not in line:
+        left, semicolon, right = line.partition(";")
+        if not semicolon:
             raise ParseError("expected 'X ; Y' (missing ';')", SourceSpan(lineno, 1))
-        left, _, right = line.partition(";")
-        here = intern_names(left, lineno)
-        there = intern_names(right, lineno)
-        if not here <= there:
-            extra = ", ".join(table.names_of(here - there))
+        x = masks.get(left)
+        if x is None:
+            x = mask_of(left, lineno)
+        y = masks.get(right)
+        if y is None:
+            y = mask_of(right, lineno)
+        if x & ~y:
+            extra = ", ".join(table.names_of(table_masks(x & ~y)))
             raise ParseError(f"X is not a subset of Y ({extra} missing from Y)", SourceSpan(lineno, 1))
-        pairs.append((here, there))
-    view = view_of_pairs(universe.union(*(there for _, there in pairs)), pairs)
-    return SESet.from_masks(table, view.atoms, view.by_there)
+        xs = heres.get(y)
+        if xs is None:
+            heres[y] = {x}
+        else:
+            xs.add(x)
+    for y in heres:
+        universe |= y
+    atoms = table_masks(universe)
+    check_grid_atoms(len(atoms), budget)
+    # a mask of ids is the grid's mask when the ids are 0 to k - 1, as in a
+    # fresh table; else each mask is remapped once
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    rank = {} if universe == (1 << len(atoms)) - 1 else {m: sum(bit[a] for a in table_masks(m)) for m in masks.values()}
+    rows = {}
+    for y, xs in heres.items():
+        row = 0
+        for x in xs:
+            row |= 1 << rank.get(x, x)
+        rows[rank.get(y, y)] = row
+    return SESet.from_grid(table, atoms, table_of_rows(rows, 1 << len(atoms)))
 
 
 def se_pair_order(table: AtomTable, view) -> tuple[dict[int, list[str]], Iterator[tuple[int, list[int]]]]:

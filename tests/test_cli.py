@@ -243,6 +243,20 @@ def test_budget_exit(files):
         assert code == 3 and "budget" in err
 
 
+def test_props_and_synth_budget(files, tmp_path):
+    # the budget reaches props and synth, and a grid over more than 14 atoms
+    # (4^15 bits) is refused whatever the budget says
+    wide = tmp_path / "wide.se"
+    wide.write_text("".join(f"; a{i}\n" for i in range(15)) + "a0 a14 ; a0 a14\n")
+    for argv in (["props"], ["synth", "--from", "se"], ["synth", "--from", "ue"]):
+        code, out, err = invoke(*argv, str(wide))
+        assert (code, out) == (3, "") and "budget" in err
+        code, out, err = invoke("--budget", "30", *argv, str(wide))
+        assert (code, out) == (3, "") and "budget" in err
+        code, _, err = invoke("--budget", "1", *argv, files["unsplittable.se"])
+        assert code == 3 and "budget" in err
+
+
 def test_deterministic_output(files):
     first = invoke("se", files["disj3.lp"])
     second = invoke("se", files["disj3.lp"])

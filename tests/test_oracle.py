@@ -6,7 +6,7 @@ import pytest
 
 from dualnorm.common import BudgetExceededError, OracleBudget
 from dualnorm import core
-from dualnorm.core import AtomTable, Program, TruthTables, is_model, reduct, split, table_masks, truth_tables
+from dualnorm.core import AtomTable, Program, SubsetLattice, TruthTables, is_model, reduct, split, table_masks, truth_tables
 from dualnorm.gen import random_program, structured_corpus
 from dualnorm.oracle import (
     answer_sets_bf,
@@ -216,6 +216,45 @@ def test_truth_tables_and_their_masks():
     assert table_masks(0) == []
     assert table_masks(0b10110) == [1, 2, 4]
     assert table_masks(1 << 1000 | 1) == [0, 1000]
+
+
+def test_table_rows_and_the_subset_lattice(monkeypatch):
+    # tables longer than one part of the binary string, rows of every width
+    rng = random.Random(9)
+    for size in (0, 3, 64, 1 << 18, (1 << 18) + 5, 3 << 19):
+        table = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size) if size else 0
+        ones = [i for i, c in enumerate(bin(table)[:1:-1]) if c == "1"]
+        assert table_masks(table) == ones
+        for width in (1, 4, 8) if size < 1 << 10 else (1024, 1 << 18, 1 << 20):
+            rows = core.table_rows(table, width)
+            assert [r * width + x for r, xs in rows.items() for x in xs] == ones
+            assert core.table_of_rows({r: table >> r * width & (1 << width) - 1 for r in rows}, width) == table
+    assert [core.submask_table(y) for y in (0, 1, 2, 0b101)] == [1, 0b11, 0b101, 0b110011]
+    assert core.every_table(3, 2) == 0b1001001001
+    # the closures of the lattice, by their definitions, with the tables kept
+    # and with the tables made as the closures go
+    for kept in (True, False):
+        monkeypatch.setattr(SubsetLattice, "KEPT_BITS", 20 if kept else -1)
+        for m in range(6):
+            lattice = SubsetLattice(m)
+            assert (lattice.kept is not None) == kept
+            assert [core.truth_table(m, b) for b in range(m)] == truth_tables(m)
+            for _ in range(20):
+                table = rng.getrandbits(1 << m) & rng.getrandbits(1 << m)
+                bits = sorted(rng.sample(range(m), rng.randint(0, m)))
+                free = sum(1 << b for b in bits)
+                members = table_masks(table)
+                up = sum(1 << s for s in range(1 << m) if any(s & ~free == t & ~free and s & t == t for t in members))
+                down = sum(1 << s for s in range(1 << m) if any(s & ~free == t & ~free and s & t == s for t in members))
+                assert lattice.up(table, bits) == up and lattice.down(table, bits) == down
+                assert lattice.spread(table, bits) == lattice.up(lattice.down(table, bits), bits)
+                strict = sum(1 << s for s in table_masks(down) if any(s | 1 << b in table_masks(down) for b in bits if not s >> b & 1))
+                assert lattice.strictly_below(down, bits) == strict
+                per_bit = list(lattice.per_bit(table, bits, lattice.up, lattice.down))
+                assert [(shift, t) for shift, t, _ in per_bit] == [(1 << b, truth_tables(m)[b]) for b in bits]
+                for b, (_, _, closed) in zip(bits, per_bit):
+                    lower, higher = [c for c in bits if c < b], [c for c in bits if c > b]
+                    assert closed == lattice.down(lattice.up(table, lower), higher)
 
 
 def test_kernel_on_universes_wider_than_the_program():

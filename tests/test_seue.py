@@ -5,7 +5,7 @@ import pytest
 
 from dualnorm.common import ProgramClassError, SynthesisPreconditionError
 from dualnorm.classify import classify_labels
-from dualnorm.core import AtomTable, Program, Rule, is_model, reduct, split
+from dualnorm.core import AtomTable, Program, Rule, SubsetLattice, is_model, reduct, split
 from dualnorm.dualhorn import is_answer_set_dn, max_model_dual_horn
 from dualnorm.gen import (
     close_complete_here_union,
@@ -19,6 +19,7 @@ from dualnorm import dualhorn, seue
 from dualnorm.oracle import is_answer_set, strongly_equivalent_bf, uniformly_equivalent_bf
 from dualnorm.seue import (
     SEPair,
+    SEProperties,
     SESet,
     is_ue_model_dn,
     program_from_se_set,
@@ -221,11 +222,12 @@ def test_program_from_ue_set_examples():
 
 
 def test_synthesis_checks_only_its_precondition(monkeypatch):
-    # the SE synthesis needs no union closure; the UE synthesis builds one per
-    # diagonal member (DISJ3_DUAL has one) and reuses it for the closure
+    # the SE synthesis computes no union closure; the UE synthesis computes
+    # the grid's union fixpoint once, for splittability, and synthesizes
+    # from that closure
     calls = []
-    real = seue.union_closure
-    monkeypatch.setattr(seue, "union_closure", lambda sets: calls.append(1) or real(sets))
+    real = seue._union_closure
+    monkeypatch.setattr(seue, "_union_closure", lambda grid, heres: calls.append(1) or real(grid, heres))
     se_r = se_models(parse_program(DISJ3_DUAL))
     program_from_se_set(se_r)
     assert len(calls) == 0
@@ -655,23 +657,85 @@ def reference_corpus():
         yield base.with_pairs(pairs)
 
 
+def small_se_sets():
+    """SE-sets of 0-5 atoms from one seed: the empty universe, the empty
+    set, a there-component without its diagonal pair, then raw random pair
+    sets (the sparse ones leave many there-components without their
+    diagonal pair), their completions and here-union closures, the UE
+    filters of both, and the SE and UE sets of dual-normal programs.  Atoms
+    are interned out of name order."""
+    table = AtomTable()
+    a = table.intern("a")
+    yield SESet(table)
+    yield SESet(table, frozenset(), {SEPair(frozenset(), frozenset())})
+    yield SESet(table, {a})
+    yield SESet(table, {a}, {SEPair(frozenset(), frozenset({a}))})
+    rng = random.Random(2727)
+    for i in range(200):
+        table = AtomTable()
+        atoms = [table.intern(f"p{j}") for j in rng.sample(range(9), i % 6)]
+        raw = random_se_pairs(rng, atoms, rng.uniform(0.02, 0.6))
+        for pairs in (raw, close_complete_here_union(raw)):
+            se_set = SESet(table, frozenset(atoms), {SEPair(x, y) for x, y in pairs})
+            yield se_set
+            yield SESet(table, se_set.universe, ref_ue_pairs(se_set))
+        if atoms:
+            se = se_models(random_dual_normal_program(rng, len(atoms), 2 * len(atoms)))
+            yield se
+            yield SESet(se.table, se.universe, ref_ue_pairs(se))
+
+
+def agrees_with_the_reference(se_set):
+    """Check the flags, the UE filter, the closure and both syntheses of a
+    set against the frozenset reference; returns the reference flags and
+    the number of syntheses whose precondition holds."""
+    fresh = SESet(se_set.table, se_set.universe, se_set.pairs)  # no grid yet
+    expected = ref_properties(fresh)
+    assert se_properties(fresh).to_dict() == expected
+    assert ue_models(fresh).pairs == ref_ue_pairs(fresh)
+    closures = ref_union_closures(*ref_grouped(fresh))
+    assert se_closure(fresh).pairs == {SEPair(u, z) for z, us in closures.items() for u in us}
+    built = 0
+    for kind, synthesize in (("se", program_from_se_set), ("ue", program_from_ue_set)):
+        want = ref_program_from(kind, fresh)
+        if want is None:
+            with pytest.raises(SynthesisPreconditionError):
+                synthesize(fresh)
+        else:
+            assert synthesize(fresh).rules == want.rules
+            built += 1
+    return expected, built
+
+
 def test_mask_view_agrees_with_the_frozenset_reference():
     falses = Counter()
     built = 0
     for se_set in reference_corpus():
-        fresh = SESet(se_set.table, se_set.universe, se_set.pairs)  # no view yet
-        expected = ref_properties(fresh)
-        assert se_properties(fresh).to_dict() == expected
+        expected, n = agrees_with_the_reference(se_set)
         falses.update(flag for flag, value in expected.items() if not value)
-        assert ue_models(fresh).pairs == ref_ue_pairs(fresh)
-        for kind, synthesize in (("se", program_from_se_set), ("ue", program_from_ue_set)):
-            want = ref_program_from(kind, fresh)
-            if want is None:
-                with pytest.raises(SynthesisPreconditionError):
-                    synthesize(fresh)
-            else:
-                assert synthesize(fresh).rules == want.rules
-                built += 1
+        built += n
     # every flag fails somewhere and holds somewhere in the 300 sets
     assert len(falses) == 5 and max(falses.values()) < 300, falses
     assert built > 100
+
+
+def test_grid_agrees_with_the_frozenset_reference_on_small_sets():
+    falses, trues = Counter(), Counter()
+    sizes = Counter()
+    for se_set in small_se_sets():
+        expected, _ = agrees_with_the_reference(se_set)
+        for flag, value in expected.items():
+            (trues if value else falses)[flag, len(se_set.universe)] += 1
+        sizes[len(se_set.universe)] += 1
+    # each flag fails and holds at each size from two atoms up
+    assert set(sizes) == set(range(6))
+    assert all(falses[flag, k] and trues[flag, k] for flag in SEProperties._fields for k in range(2, 6))
+
+
+def test_grid_with_its_tables_made_as_it_goes(monkeypatch):
+    # over more atoms than the lattice keeps tables for, each closure makes
+    # them from its highest bit down
+    monkeypatch.setattr(SubsetLattice, "KEPT_BITS", -1)
+    for i, se_set in enumerate(small_se_sets()):
+        if i % 3 == 0:
+            agrees_with_the_reference(se_set)

@@ -20,7 +20,7 @@ from dualnorm.textio import (
     write_dimacs,
 )
 
-from conftest import DISJ3
+from conftest import DISJ3, sparse_text
 
 
 def test_parse_basic_rule():
@@ -430,6 +430,22 @@ def test_parse_equals_token_loop_under_mutation(text):
         for allow_generated in (False, True):
             expected = _outcome(mutant, allow_generated, _read_by_tokens)
             assert _outcome(mutant, allow_generated) == expected, (mutant, allow_generated)
+
+
+def test_commented_statements_parse_like_plain_ones(monkeypatch):
+    # a comment line before every rule, one of them with a dot in it, is
+    # skipped before the statement is sliced: the same rules and names, and
+    # no statement goes to the token loop
+    loops = []
+    token_loop = textio._parse_statement
+    monkeypatch.setattr(textio, "_parse_statement", lambda *args: loops.append(1) or token_loop(*args))
+    plain = sparse_text(31, 10_000, "general")
+    commented = "".join(f"% rule {i}.\n{line}\n" for i, line in enumerate(plain.splitlines()))
+    for allow_generated in (False, True):
+        expected = parse_program(plain, allow_generated=allow_generated)
+        got = parse_program(commented, allow_generated=allow_generated)
+        assert got.rules == expected.rules and got.table.atoms() == expected.table.atoms()
+    assert loops == []
 
 
 def test_parse_restores_the_collector():
