@@ -16,12 +16,12 @@ from typing import Optional, TextIO
 
 from .classify import classify_labels
 from .common import BudgetExceededError, OracleBudget, ProgramClassError, SynthesisPreconditionError
-from .core import AtomTable, Program, require_dual_normal
+from .core import AtomTable, Program, mask_to_set, require_dual_normal
 from .dualhorn import answer_sets_dn, elimination_fixpoint, pmm
 # equivalent_as is unused here, but perfbench/tracing.py swaps this name on cli.
 from .oracle import answer_sets_bf, equivalent_as  # noqa: F401
 from .satenc import answer_sets_via_sat, base_var, program_cnf
-from .seue import _ue_disagreement_dn, se_models, se_properties, ue_models, program_from_se_set, program_from_ue_set
+from .seue import SEPair, _ue_disagreement_dn, se_models, se_properties, ue_models, program_from_se_set, program_from_ue_set
 from .reductions import parse_cnf3, parse_qbf, qbf_to_program, unsat_to_singular
 from .textio import (
     ParseError,
@@ -143,7 +143,7 @@ def _print_answer_sets(prog: Program, answer_sets, out: TextIO, as_json: bool) -
 
 
 def _se_set_json(se_set) -> list[dict]:
-    names, order = se_pair_order(se_set.table, se_set.view)
+    names, order = se_pair_order(se_set.table, se_set.atoms, se_set.rows)
     return [{"here": names[x], "there": names[y]} for y, xs in order for x in xs]
 
 
@@ -228,9 +228,11 @@ def _run(args, out: TextIO, err: TextIO) -> int:
             for prog in (p, q):
                 se_set = se_models(prog, universe=joint, budget=budget)
                 model_sets.append(ue_models(se_set) if args.mode == "uniform" else se_set)
-            diff = model_sets[0].view.symmetric_difference(model_sets[1].view)
-            _, order = se_pair_order(table, diff)
-            witness = next((diff.pair(xs[0], y) for y, xs in order), None)
+            a, b = (s.rows for s in model_sets)
+            diff = {y: a.get(y, 0) ^ b.get(y, 0) for y in a.keys() | b.keys()}
+            atoms = model_sets[0].atoms
+            _, order = se_pair_order(table, atoms, {y: row for y, row in diff.items() if row})
+            witness = next((SEPair(mask_to_set(atoms, xs[0]), mask_to_set(atoms, y)) for y, xs in order), None)
         if witness is None:
             return EXIT_POSITIVE
         out.write(render_se_pair(witness, table) + "\n")

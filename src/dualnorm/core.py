@@ -15,13 +15,13 @@ kernel, :class:`TruthTables`: over a universe of k atoms, a set of
 interpretations is an int of 2^k bits, and a rule is tested against all 2^k
 interpretations with one big-int op per literal.  :class:`SubsetLattice`
 closes such tables along the subset lattice of their positions, one shift
-per bit; ``seue`` holds each SE-set as one table of 4^k bits.
+per bit; ``seue`` lays each SE-set out as one table of 2^k bits a row.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import ProgramClassError
@@ -406,32 +406,12 @@ class TruthTables:
 
 
 def table_masks(table: int) -> list[int]:
-    """The set bit positions of a table, the masks it holds, ascending."""
+    """The set bit positions of a table, the masks it holds, ascending.  The
+    binary string of a table longer than ``_PART_BITS`` bits is made a part
+    of that many bits at a time."""
     if table.bit_length() <= _PART_BITS:
         return _ones(format(table, "b")[::-1])
-    return [r * _PART_BITS + x for r, xs in table_rows(table, _PART_BITS).items() for x in xs]
-
-
-def table_rows(table: int, width: int) -> dict[int, list[int]]:
-    """The rows of ``width`` bits (a power of two) of a table that have a
-    bit set: row r, from bit r * width on, maps to the positions set within
-    it, ascending.  The binary string of a long table is made a part of
-    ``_PART_BITS`` bits (or one row) at a time."""
-    step = max(width, _PART_BITS)
-    if table.bit_length() <= step:
-        parts: Iterable[tuple[int, int]] = [(0, table)]
-    else:
-        data = table.to_bytes((table.bit_length() + 7) // 8, "little")
-        size = step // 8
-        parts = ((i * 8, int.from_bytes(data[i : i + size], "little")) for i in range(0, len(data), size))
-    rows = {}
-    for offset, part in parts:
-        bits = format(part, "b")[::-1]
-        for start in range(0, len(bits), width):
-            row = bits[start : start + width]
-            if "1" in row:
-                rows[(offset + start) // width] = _ones(row)
-    return rows
+    return [r * _PART_BITS + x for r, part in table_rows(table, _PART_BITS).items() for x in table_masks(part)]
 
 
 _PART_BITS = 1 << 18
@@ -443,10 +423,24 @@ def _ones(bits: str) -> list[int]:
     return list(map(re.Match.start, _ONE.finditer(bits)))
 
 
+def table_rows(table: int, width: int) -> dict[int, int]:
+    """The rows of ``width`` bits (a power of two) of a table that have a
+    bit set: row r is the table's bits from r * width on.  Rows that fill
+    bytes are read from the table's bytes; narrower ones are shifted out."""
+    if width < 8:
+        rows = {r: table >> r * width & (1 << width) - 1 for r in range(-(-table.bit_length() // width))}
+    else:
+        size = width // 8
+        data = table.to_bytes(-(-table.bit_length() // 8), "little")
+        rows = {i // size: int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)}
+    return {r: row for r, row in rows.items() if row}
+
+
 def table_of_rows(rows: dict[int, int], width: int) -> int:
     """The table whose row r of ``width`` bits (a power of two) is
     ``rows[r]`` and whose other rows are empty: the inverse of
-    :func:`table_rows`, made from the rows' bytes when they fill bytes."""
+    :func:`table_rows`.  Rows that fill bytes are written as bytes;
+    narrower ones are shifted into place."""
     if width < 8:
         return sum(row << r * width for r, row in rows.items())
     size = width // 8
@@ -474,20 +468,25 @@ def every_table(step: int, count: int) -> int:
     return table
 
 
+@lru_cache(maxsize=None)
+def _kept_tables(m: int) -> tuple[int, ...]:
+    return tuple(truth_tables(m))
+
+
 class SubsetLattice:
     """The subset lattice of the positions of a table of 2^m bits, position
     s standing for the mask s.  Adding bit b to the positions in a table is
     ``table << 2^b & T[b]``, removing it ``(table & T[b]) >> 2^b``, where
-    ``T = truth_tables(m)``.  Up to ``KEPT_BITS`` bits the tables are kept;
-    above, each closure makes them as it goes, from :func:`truth_table` of
-    its highest bit down (the table of bit b - 1 is ``T[b] ^ T[b] >> 2^(b-1)``),
-    so that only one is held at a time."""
+    ``T = truth_tables(m)``.  Up to ``KEPT_BITS`` bits the tables are kept,
+    once for each m; above, each closure makes them as it goes, from
+    :func:`truth_table` of its highest bit down (the table of bit b - 1 is
+    ``T[b] ^ T[b] >> 2^(b-1)``), so that only one is held at a time."""
 
     KEPT_BITS = 20  # 2.6 MB of tables
 
     def __init__(self, m: int) -> None:
         self.m = m
-        self.kept = truth_tables(m) if m <= self.KEPT_BITS else None
+        self.kept = _kept_tables(m) if m <= self.KEPT_BITS else None
 
     def tables(self, bits: Iterable[int]) -> Iterable[tuple[int, int]]:
         """``(2^b, T[b])`` for each index bit b of ``bits``."""

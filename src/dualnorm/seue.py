@@ -19,17 +19,19 @@ The closure vocabulary on sets of SE-interpretations:
 * splittable: unions of here-components below a diagonal member Z either
   appear at Z or fit under some intermediate (Z', Z) in the set.
 
-A set is one int, its grid (``SESet.grid``): over the k atoms of the
-sorted universe (bit i of a mask is the i-th smallest id), bit y * 2^k + x
-is set when (X, Y) is in the set.  Adding atom i to X moves a bit by 2^i,
-adding it to Y by 2^(k+i), so every question is a few closures of
-``core.SubsetLattice`` over all there-components at once: along x for the
-masks above or below the heres of the same Y, along y for the heres of the
-there-components below Y, and one per atom for unions (X is one iff each
-atom of X is in a here of Y inside X) and for intersections.  The heres by
-there-component (``SESet.view``) and the ``SEPair`` frozensets are made on
-read.  A grid over more than ``GRID_MAX_ATOMS`` atoms is refused with
-``BudgetExceededError``.
+A set keeps its rows (``SESet.rows``): over the k atoms of the sorted
+universe (bit i of a mask is the i-th smallest id), each there-mask Y maps
+to the table of its here-masks, an int of 2^k bits.  The UE filter, the
+flags, the closure and the syntheses lay the rows out in one int, a grid
+(``_Grid``) with bit r * 2^k + x set when (X, Y) is in the set and Y is
+its r-th row.  Adding atom i to X moves a bit by 2^i, so each question is
+a few closures of ``core.SubsetLattice`` over all there-components at
+once: along x for the masks above or below the heres of the same Y, one
+per atom for unions (X is one iff each atom of X is in a here of Y inside
+X) and for intersections, and, for the heres of the there-components
+below Y, an OR across rows: row by row when the set has few rows, else a
+closure along y over a row for every mask.  The flags, the closure and
+the syntheses refuse more than 14 atoms with ``BudgetExceededError``.
 
 Sets of SE-models of dual-normal programs are exactly the complete,
 here-union-closed sets; their UE-model sets are exactly the UE-complete,
@@ -42,10 +44,11 @@ has built, which is complete and here-union-closed by construction.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .common import DEFAULT_BUDGET, BudgetExceededError, OracleBudget, SynthesisPreconditionError
+from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
 from .core import AtomTable, Program, Rule, SubsetLattice, TruthTables, ensure_shared, every_table
 from .core import submask_table, table_masks, table_of_rows, table_rows
 # Bound under private names: perfbench/tracing.py pins the code, names included,
@@ -55,8 +58,8 @@ from .core import require_dual_normal as _require_dual_normal
 from .core import submasks_ascending as _subset_masks_ascending
 from .dualhorn import reduct_closure
 
-# The largest universe of a grid: 4^14 bits are 32 MB.
-GRID_MAX_ATOMS = 14
+# Flags, closure and syntheses: a grid with a row for every mask is 4^14 bits, 32 MB.
+_GRID_BUDGET = OracleBudget(max_atoms=14)
 
 
 class _SEPairFields(NamedTuple):
@@ -76,48 +79,49 @@ class SEPair(_SEPairFields):
         return tuple.__new__(cls, (here, there))
 
 
-class MaskView(NamedTuple):
-    """An SE-set as bitmasks: the sorted universe ``atoms`` (bit i of a mask
-    for ``atoms[i]``) and the set of here-masks of each there-mask."""
-
-    atoms: tuple[int, ...]
-    by_there: dict[int, frozenset[int]]
-
-    def pair(self, here: int, there: int) -> SEPair:
-        return SEPair(_masked(self.atoms, here), _masked(self.atoms, there))
-
-    def symmetric_difference(self, other: "MaskView") -> "MaskView":
-        """The pairs in exactly one of two views over the same atoms."""
-        heres = lambda view, y: view.by_there.get(y, frozenset())
-        diff = {y: heres(self, y) ^ heres(other, y) for y in self.by_there.keys() | other.by_there.keys()}
-        return MaskView(self.atoms, {y: xs for y, xs in diff.items() if xs})
-
-
-def check_grid_atoms(k: int, budget: OracleBudget = DEFAULT_BUDGET, what: str = "SE-set grid") -> None:
-    budget.check(k, what)
-    if k > GRID_MAX_ATOMS:
-        raise BudgetExceededError(f"{what} over {k} atoms exceeds the grid's limit of {GRID_MAX_ATOMS} atoms")
-
-
 class _Grid(SubsetLattice):
-    """The lattice of a grid over k atoms: the index bits of the here
-    (``x``) and of the there (``y``), and the grid's constant positions."""
+    """The grid of a set over k atoms: rows of 2^k bits in one int, bit
+    r * 2^k + x set when (X, ``ys[r]``) is in the set, with the lattice of
+    its positions (the index bits of the here are ``x``).  With fewer pairs
+    of rows than 4^k bits have words of ``WORD`` bits, ``ys`` is the
+    there-masks of the set, ascending, padded with empty rows to a power of
+    two, and ``below`` goes row by row; else ``ys`` is every mask, and
+    ``below`` is a closure along the index bits of the there, ``y``.  The
+    constants are the positions (Y, Y) and (empty, Y) of the rows."""
 
-    def __init__(self, k: int) -> None:
-        super().__init__(2 * k)
-        n = 1 << k
-        self.k, self.x, self.y = k, range(k), range(k, 2 * k)
-        self.full = (1 << n * n) - 1
-        self.diag = every_table(n + 1, k)  # (Y, Y) for each Y
-        self.empty_x = every_table(n, k)  # (empty, Y)
-        self.full_x = self.empty_x << n - 1  # (every atom, Y)
+    WORD = 64
 
+    def __init__(self, se_set: SESet) -> None:
+        self.k = k = len(se_set.atoms)
+        rows, width = se_set.rows, 1 << k
+        self.by_row = len(rows) ** 2 * self.WORD < 1 << 2 * k
+        if self.by_row:
+            self.ys = ys = sorted(rows)
+            lg = max(len(ys) - 1, 0).bit_length()
+            self.heres = table_of_rows(dict(enumerate(map(rows.__getitem__, ys))), width)
+            self.diag = table_of_rows({r: 1 << y for r, y in enumerate(ys)}, width)
+        else:
+            self.ys, lg = range(width), k
+            self.heres = table_of_rows(rows, width)
+            self.diag = every_table(width + 1, k)
+        super().__init__(k + lg)
+        self.x, self.y = range(k), range(k, k + lg)
+        self.full = (1 << (width << lg)) - 1
+        self.empty_x = every_table(width, lg)
 
-_kept_grid = lru_cache(maxsize=None)(_Grid)
+    def below(self, table: int) -> int:
+        """At the row of each there-mask Z, the OR of the rows of ``table``
+        at the there-masks within Z."""
+        if not self.by_row:
+            return self.up(table, self.y)
+        ys, width = self.ys, 1 << self.k
+        rows = table_rows(table, width)
+        below = {r: reduce(or_, (row for s, row in rows.items() if ys[s] & ~z == 0), 0) for r, z in enumerate(ys)}
+        return table_of_rows(below, width)
 
-
-def _grid(k: int) -> _Grid:
-    return _kept_grid(k) if 2 * k <= SubsetLattice.KEPT_BITS else _Grid(k)
+    def rows_of(self, table: int) -> dict[int, int]:
+        """The rows of a table of the grid, by there-mask."""
+        return {self.ys[r]: row for r, row in table_rows(table, 1 << self.k).items()}
 
 
 def _not_unions(grid: _Grid, heres: int) -> int:
@@ -137,8 +141,11 @@ class SESet:
     """A finite set of SE-interpretations over a declared universe.
 
     Sets are immutable, and equal when their universes and pairs are (the
-    atom table is not compared).  A set built from SEPairs makes its grid
-    on first read; the view and the pairs of a grid are made on read.
+    atom table is not compared).  A set keeps its rows, ``rows``: each
+    there-mask Y maps to the table of its here-masks (bit X set when (X, Y)
+    is in the set; bit i of a mask is ``atoms[i]``).  The rows of a set
+    built from SEPairs, and the SEPairs of one built from rows, are made on
+    first read.
     """
 
     def __init__(
@@ -151,10 +158,11 @@ class SESet:
         self.__dict__.update(table=table, universe=universe, pairs=pairs)
 
     @classmethod
-    def from_grid(cls, table: AtomTable, atoms: Sequence[int], grid: int) -> "SESet":
-        """The set over the sorted universe ``atoms`` with a grid of pairs (X, Y), X within Y."""
+    def from_rows(cls, table: AtomTable, atoms: Sequence[int], rows: dict[int, int]) -> "SESet":
+        """The set over the sorted universe ``atoms`` with the rows ``rows``:
+        each here-mask within its there-mask, no row empty."""
         se_set = object.__new__(cls)
-        se_set.__dict__.update(table=table, universe=frozenset(atoms), atoms=tuple(atoms), grid=grid)
+        se_set.__dict__.update(table=table, universe=frozenset(atoms), atoms=tuple(atoms), rows=rows)
         return se_set
 
     def __setattr__(self, name, value):
@@ -165,35 +173,27 @@ class SESet:
         return tuple(sorted(self.universe))
 
     @cached_property
-    def grid(self) -> int:
-        check_grid_atoms(len(self.atoms))
+    def rows(self) -> dict[int, int]:
         bit = {a: 1 << i for i, a in enumerate(self.atoms)}
         rows: dict[int, int] = {}
         for here, there in self.pairs:
             y = sum(map(bit.__getitem__, there))
             rows[y] = rows.get(y, 0) | 1 << sum(map(bit.__getitem__, here))
-        return table_of_rows(rows, 1 << len(self.atoms))
-
-    @cached_property
-    def view(self) -> MaskView:
-        rows = table_rows(self.grid, 1 << len(self.atoms))
-        return MaskView(self.atoms, {y: frozenset(xs) for y, xs in rows.items()})
+        return rows
 
     @cached_property
     def pairs(self) -> frozenset[SEPair]:
-        atoms, by_there = self.view
-        sets = {m: _masked(atoms, m) for m in set(by_there).union(*by_there.values())}
-        return frozenset(SEPair(sets[x], sets[y]) for y, xs in by_there.items() for x in xs)
+        atoms, heres = self.atoms, {y: table_masks(row) for y, row in self.rows.items()}
+        sets = {m: _masked(atoms, m) for m in set(heres).union(*heres.values())}
+        return frozenset(SEPair(sets[x], sets[y]) for y, xs in heres.items() for x in xs)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if "grid" in self.__dict__ or "grid" in other.__dict__:
-            return self.universe == other.universe and self.grid == other.grid
-        return self.universe == other.universe and self.pairs == other.pairs
+        return self.universe == other.universe and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.pairs))
+        return hash((self.universe, frozenset(self.rows.items())))
 
     def __repr__(self) -> str:
         return f"SESet(table={self.table!r}, universe={self.universe!r}, pairs={self.pairs!r})"
@@ -202,7 +202,7 @@ class SESet:
         return iter(self.pairs)
 
     def __len__(self) -> int:
-        return len(self.__dict__["pairs"]) if "grid" not in self.__dict__ else self.grid.bit_count()
+        return sum(row.bit_count() for row in self.rows.values())
 
     def __contains__(self, pair: SEPair) -> bool:
         return pair in self.pairs
@@ -237,7 +237,6 @@ def se_satisfies(pair: SEPair, rule: Rule) -> bool:
     return any(a in y for a in rule.head) and any(b not in x for b in rule.body_pos)
 
 
-
 def se_models(prog: Program, universe: Optional[frozenset[int]] = None, budget: OracleBudget = DEFAULT_BUDGET) -> SESet:
     """All SE-models of the program over the universe (default: its atoms),
     by the definition: Y a model of P, X a model of the reduct P^Y.  On the
@@ -245,21 +244,21 @@ def se_models(prog: Program, universe: Optional[frozenset[int]] = None, budget: 
     and the row of each model Y is the table of its submasks less the table
     of what P^Y rejects."""
     atoms = sorted(prog.atom_ids if universe is None else universe)
-    check_grid_atoms(len(atoms), budget, "SE-model enumeration")
+    budget.check(len(atoms), "SE-model enumeration")
     kernel = TruthTables(prog, atoms)
     rows = {}
     for y in table_masks(kernel.models()):
         heres = submask_table(y)
         rows[y] = heres ^ heres & kernel.rejections(y)
-    return SESet.from_grid(prog.table, atoms, table_of_rows(rows, 1 << len(atoms)))
+    return SESet.from_rows(prog.table, atoms, rows)
 
 
 def ue_models(se_set: SESet) -> SESet:
     """Filter an SE-set to its UE-pairs: (X, Y) stays when every (X', Y) in
     the set with X properly below X' already has X' = Y."""
-    grid, heres = _grid(len(se_set.atoms)), se_set.grid
-    strictly = grid.strictly_below(grid.down(heres ^ heres & grid.diag, grid.x), grid.x)
-    return SESet.from_grid(se_set.table, se_set.atoms, heres ^ heres & strictly)
+    grid = _Grid(se_set)
+    strictly = grid.strictly_below(grid.down(grid.heres & ~grid.diag, grid.x), grid.x)
+    return SESet.from_rows(se_set.table, se_set.atoms, grid.rows_of(grid.heres & ~strictly))
 
 
 class _Flags:
@@ -267,15 +266,16 @@ class _Flags:
     than one flag reads, is computed on its first read."""
 
     def __init__(self, se_set: SESet) -> None:
-        self.grid = grid = _grid(len(se_set.atoms))
-        self.heres = heres = se_set.grid
+        _GRID_BUDGET.check(len(se_set.atoms), "SE-set grid")
+        self.grid = grid = _Grid(se_set)
+        self.heres = heres = grid.heres
         self.diag = heres & grid.diag
         self.rows = grid.down(self.diag, grid.x)  # at each diagonal Y, the subsets of Y
         self.only_diagonal = grid.up(heres, grid.x) & grid.diag == self.diag  # of the there-components
 
     @cached_property
     def below_z(self) -> int:  # at each Y, the heres of the there-components below Y
-        return self.grid.up(self.heres, self.grid.y)
+        return self.grid.below(self.heres)
 
     @cached_property
     def below_others(self) -> int:  # at each Y, the subsets of its heres other than Y
@@ -293,7 +293,7 @@ class _Flags:
     def closed_here_intersection(self) -> bool:
         # X is an intersection of heres of Y iff each atom outside X is outside
         # a here of Y above X; the X of all atoms is exempt, as the empty X is from unions
-        grid, out = self.grid, self.heres | self.grid.full_x
+        grid, out = self.grid, self.heres | self.grid.empty_x << (1 << self.grid.k) - 1
         for _, t, below in grid.per_bit(self.heres, grid.x, grid.down, grid.down):
             without = grid.full ^ t
             out |= without ^ below & without
@@ -308,7 +308,7 @@ class _Flags:
         # density: each diagonal Y below a diagonal Z lies below a here of Z
         # other than Z; and the heres of each Y other than Y are an antichain
         grid, diag = self.grid, self.diag
-        nested = grid.up(diag, grid.y) & self.rows ^ diag
+        nested = grid.below(diag) & self.rows ^ diag
         return (
             self.only_diagonal
             and nested & self.below_others == nested
@@ -338,7 +338,7 @@ def program_from_se_set(se_set: SESet) -> Program:
     flags = _Flags(se_set)
     if not (flags.complete and flags.closed_here_union):
         raise SynthesisPreconditionError("SE-program synthesis needs a complete, here-union-closed set")
-    return _synthesize(se_set.table, se_set.atoms, flags.grid, se_set.grid)
+    return _synthesize(se_set.table, se_set.atoms, flags.grid, flags.heres)
 
 
 def _synthesize(table: AtomTable, atoms: Sequence[int], grid: _Grid, heres: int) -> Program:
@@ -346,14 +346,13 @@ def _synthesize(table: AtomTable, atoms: Sequence[int], grid: _Grid, heres: int)
     here-union-closed set (every there-component is diagonal): one
     constraint per mask that is no there-component, then one rule per pair
     (X, Y) missing below a there-component Y, ascending by Y, then by X."""
-    k, x = grid.k, grid.x
+    k, x, ys = grid.k, grid.x, grid.ys
     lattice = SubsetLattice(k)
-    theres = sum(1 << (p >> k) for p in table_masks(heres & grid.diag))
-    full = (1 << (1 << k)) - 1
-    free = full ^ theres
+    theres = sum(1 << ys[p >> k] for p in table_masks(heres & grid.diag))
+    free = (1 << (1 << k)) - 1 ^ theres
     # the lowest atom of Y - S for each there-component Y not below S: as a
     # negative body it leaves the pairs at those components alone
-    nbody = {s: tuple(found) for s, found in _lowest_outside(lattice, theres, x, atoms, full).items()}
+    nbody = {s: tuple(found) for s, found in _lowest_outside(lattice, theres, x, atoms, -1).items()}
     # the constraint for S has the lowest atom of S - Y for each
     # there-component Y below S
     body: dict[int, list[int]] = {}
@@ -373,7 +372,7 @@ def _synthesize(table: AtomTable, atoms: Sequence[int], grid: _Grid, heres: int)
             first[p] = (atoms[shift.bit_length() - 1],)
         done |= outside
     rules.extend(
-        tuple.__new__(Rule, (tuple(heads[p]), first.get(p, ()), nbody.get(p >> k, ()))) for p in table_masks(missing)
+        tuple.__new__(Rule, (tuple(heads[p]), first.get(p, ()), nbody.get(ys[p >> k], ()))) for p in table_masks(missing)
     )
     return Program.of(table, rules)
 
@@ -391,7 +390,8 @@ def _lowest_outside(lattice: SubsetLattice, members: int, bits: range, atoms: Se
 def se_closure(se_set: SESet) -> SESet:
     """Close a set of SE-interpretations: for each diagonal member Z, pair Z
     with every union of here-components lying below Z."""
-    return SESet.from_grid(se_set.table, se_set.atoms, _Flags(se_set).closure)
+    flags = _Flags(se_set)
+    return SESet.from_rows(se_set.table, se_set.atoms, flags.grid.rows_of(flags.closure))
 
 
 def program_from_ue_set(se_set: SESet) -> Program:

@@ -34,10 +34,10 @@ import gc
 import re
 from functools import reduce
 from operator import or_
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import RESERVED_PREFIX, AtomTable, Program, Rule, table_masks, table_of_rows
+from .core import RESERVED_PREFIX, AtomTable, Program, Rule, table_masks
 
 
 class SourceSpan(NamedTuple):
@@ -288,8 +288,9 @@ def render_program(prog: Program) -> str:
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """``(lineno, line)`` for each line that is not blank once its ``%``
     comment is cut and its ends stripped; lines count from 1."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if "%" in line:
+            line = line.split("%", 1)[0].strip()
         if line:
             yield lineno, line
 
@@ -299,12 +300,12 @@ def parse_se_set(text: str, table: Optional[AtomTable] = None, budget: OracleBud
     """Parse an SE-set file (returns an :class:`dualnorm.seue.SESet`).
 
     Each distinct side of ``;`` is resolved once, to the mask of its atom
-    ids, and each line sets one bit of its there-component's row; the grid
-    is built from the rows once the universe is known, and refused (with
-    ``BudgetExceededError``) over more atoms than the budget or the grid
-    allow.  No ``SEPair`` is made.
+    ids, and each line sets one bit of its there-component's row; once the
+    universe is known (and within the budget, else ``BudgetExceededError``),
+    each distinct mask is remapped once to the set's masks.  No ``SEPair``
+    is made.
     """
-    from .seue import SESet, check_grid_atoms
+    from .seue import SESet
 
     if table is None:
         table = AtomTable()
@@ -325,13 +326,7 @@ def parse_se_set(text: str, table: Optional[AtomTable] = None, budget: OracleBud
 
     heres: dict[int, set[int]] = {}
     universe = 0
-    comments = "%" in text
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if comments:
-            line = line.split("%", 1)[0]
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line[0] == "#":
             parts = line.split()
             if parts[0] != "#universe":
@@ -355,35 +350,38 @@ def parse_se_set(text: str, table: Optional[AtomTable] = None, budget: OracleBud
             heres[y] = {x}
         else:
             xs.add(x)
-    for y in heres:
-        universe |= y
+    universe = reduce(or_, heres, universe)
     atoms = table_masks(universe)
-    check_grid_atoms(len(atoms), budget)
-    # a mask of ids is the grid's mask when the ids are 0 to k - 1, as in a
-    # fresh table; else each mask is remapped once
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    rank = {} if universe == (1 << len(atoms)) - 1 else {m: sum(bit[a] for a in table_masks(m)) for m in masks.values()}
-    rows = {}
-    for y, xs in heres.items():
-        row = 0
-        for x in xs:
-            row |= 1 << rank.get(x, x)
-        rows[rank.get(y, y)] = row
-    return SESet.from_grid(table, atoms, table_of_rows(rows, 1 << len(atoms)))
+    budget.check(len(atoms), "SE-set")
+    bit = {1 << a: 1 << i for i, a in enumerate(atoms)}
+    rank = {}
+    for mask in masks.values():
+        rest, out = mask, 0
+        while rest:
+            low = rest & -rest
+            out |= bit[low]
+            rest ^= low
+        rank[mask] = out
+    rows = {rank[y]: sum(map((1).__lshift__, map(rank.__getitem__, xs))) for y, xs in heres.items()}
+    return SESet.from_rows(table, atoms, rows)
 
 
-def se_pair_order(table: AtomTable, view) -> tuple[dict[int, list[str]], Iterator[tuple[int, list[int]]]]:
+def se_pair_order(
+    table: AtomTable, atoms: Sequence[int], rows: dict[int, int]
+) -> tuple[dict[int, list[str]], Iterator[tuple[int, list[int]]]]:
     """The one order of SE-pair output (text, JSON and equivalence
-    witnesses) for a mask view: by the names of the there-component, then
-    by those of the here-component.  Returns the sorted names of every mask
-    of the view, each named once, and a lazy walk that yields each
-    there-mask with its here-masks in that order (a there-component's heres
-    are sorted when the walk reaches it)."""
-    atom_names = [table.name_of(a) for a in view.atoms]
-    masks = set(view.by_there).union(*view.by_there.values())
+    witnesses) for the rows of a set (``SESet.rows``; bit i of a mask is
+    ``atoms[i]``): by the names of the there-component, then by those of
+    the here-component.  Returns the sorted names of every mask of the
+    rows, each named once, and a lazy walk that yields each there-mask with
+    its here-masks in that order (a there-component's heres are sorted
+    when the walk reaches it)."""
+    atom_names = [table.name_of(a) for a in atoms]
+    heres = {y: table_masks(row) for y, row in rows.items()}
+    masks = set(heres).union(*heres.values())
     names = {m: sorted(name for i, name in enumerate(atom_names) if m >> i & 1) for m in masks}
     key = names.__getitem__
-    return names, ((y, sorted(view.by_there[y], key=key)) for y in sorted(view.by_there, key=key))
+    return names, ((y, sorted(heres[y], key=key)) for y in sorted(heres, key=key))
 
 
 def render_se_pair(pair, table: AtomTable) -> str:
@@ -398,13 +396,11 @@ def render_se_set(se_set) -> str:
     A ``#universe`` directive is emitted only when the universe exceeds the
     union of the Y components (otherwise the pairs alone are lossless).
     The pairs come in the order of :func:`se_pair_order`, read from the
-    set's mask view (bit i of a mask is the i-th smallest atom id of the
-    universe); each distinct mask is named and joined once.
+    set's rows; each distinct mask is named and joined once.
     """
-    view = se_set.view
-    names, order = se_pair_order(se_set.table, view)
+    names, order = se_pair_order(se_set.table, se_set.atoms, se_set.rows)
     lines = []
-    if reduce(or_, view.by_there, 0) != (1 << len(view.atoms)) - 1:
+    if reduce(or_, se_set.rows, 0) != (1 << len(se_set.atoms)) - 1:
         lines.append("#universe " + " ".join(se_set.table.names_of(se_set.universe)))
     joined = {mask: " ".join(atom_names) for mask, atom_names in names.items()}
     for y, xs in order:

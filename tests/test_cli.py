@@ -257,6 +257,22 @@ def test_props_and_synth_budget(files, tmp_path):
         assert code == 3 and "budget" in err
 
 
+def test_se_ue_and_equiv_take_more_atoms_than_a_grid(tmp_path):
+    # se, ue and equiv read the rows of SE-sets, not the grid, so 15 atoms
+    # are within the default budget
+    facts = "".join(f"a{i}.\n" for i in range(2, 15))
+    p, q = tmp_path / "p.lp", tmp_path / "q.lp"
+    p.write_text("a0 :- not a1.\na1 :- not a0.\n" + facts)
+    q.write_text("a0 | a1.\n" + facts)
+    code, out, _ = invoke("se", str(p))
+    assert code == 0 and len(out.splitlines()) == 6
+    (_, ue_p, _), (code, ue_q, _) = invoke("ue", str(p)), invoke("ue", str(q))
+    assert code == 0 and ue_p == ue_q and len(ue_q.splitlines()) == 5
+    assert invoke("equiv", str(p), str(q), "--mode", "uniform") == (0, "", "")
+    rest = " ".join(sorted(f"a{i}" for i in range(2, 15)))
+    assert invoke("equiv", str(p), str(q), "--mode", "strong") == (1, f"{rest} ; a0 a1 {rest}\n", "")
+
+
 def test_deterministic_output(files):
     first = invoke("se", files["disj3.lp"])
     second = invoke("se", files["disj3.lp"])

@@ -227,8 +227,8 @@ def test_table_rows_and_the_subset_lattice(monkeypatch):
         assert table_masks(table) == ones
         for width in (1, 4, 8) if size < 1 << 10 else (1024, 1 << 18, 1 << 20):
             rows = core.table_rows(table, width)
-            assert [r * width + x for r, xs in rows.items() for x in xs] == ones
-            assert core.table_of_rows({r: table >> r * width & (1 << width) - 1 for r in rows}, width) == table
+            assert [r * width + x for r, row in rows.items() for x in table_masks(row)] == ones
+            assert all(rows.values()) and core.table_of_rows(rows, width) == table
     assert [core.submask_table(y) for y in (0, 1, 2, 0b101)] == [1, 0b11, 0b101, 0b110011]
     assert core.every_table(3, 2) == 0b1001001001
     # the closures of the lattice, by their definitions, with the tables kept

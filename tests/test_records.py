@@ -151,8 +151,8 @@ def test_fields_cannot_be_assigned(record, field):
 def test_program_and_se_set_attributes_cannot_be_assigned():
     p = Program.of(AtomTable(), [Rule((0,), (), ())])
     se_set = SESet(p.table, frozenset({0}), [SEPair(frozenset(), frozenset({0}))])
-    assert p.atom_ids == frozenset({0}) and se_set.view.atoms == (0,)  # cached on first read
-    for obj, name in ((p, "rules"), (p, "table"), (p, "atom_ids"), (se_set, "pairs"), (se_set, "view")):
+    assert p.atom_ids == frozenset({0}) and se_set.rows == {1: 1}  # cached on first read
+    for obj, name in ((p, "rules"), (p, "table"), (p, "atom_ids"), (se_set, "pairs"), (se_set, "rows")):
         with pytest.raises(AttributeError):
             setattr(obj, name, getattr(obj, name))
     for name in ("rules", "atom_ids"):

@@ -739,3 +739,27 @@ def test_grid_with_its_tables_made_as_it_goes(monkeypatch):
     for i, se_set in enumerate(small_se_sets()):
         if i % 3 == 0:
             agrees_with_the_reference(se_set)
+
+
+@pytest.mark.parametrize("by_row", [True, False])
+def test_grid_in_either_layout(monkeypatch, by_row):
+    # the rows of the set, padded, or a row for every mask, whatever the
+    # number of rows
+    monkeypatch.setattr(seue._Grid, "WORD", 0 if by_row else 1 << 40)
+    for i, se_set in enumerate(small_se_sets()):
+        if i % 2 == 0:
+            agrees_with_the_reference(se_set)
+    for i, se_set in enumerate(reference_corpus()):
+        if i % 10 == 0:
+            agrees_with_the_reference(se_set)
+
+
+def test_grid_of_few_rows_holds_only_those_rows():
+    # the chain a0 <- a1 <- ... <- a13 has 15 models: its grid is 16 rows of
+    # 2^14 bits, not 4^14 bits
+    prog = parse_program("".join(f"a{i} :- a{i + 1}.\n" for i in range(13)))
+    se_set = se_models(prog)
+    grid = seue._Grid(se_set)
+    assert grid.by_row and len(grid.ys) == 15 and grid.full.bit_length() == 16 << 14
+    agrees_with_the_reference(se_set)
+    agrees_with_the_reference(ue_models(se_set))
