@@ -1,7 +1,9 @@
-"""Shared error types and the enumeration budget guard."""
+"""Shared error types, the enumeration budget guard and the collector pause."""
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from typing import NamedTuple
 
 
@@ -31,3 +33,20 @@ class OracleBudget(NamedTuple):
 
 
 DEFAULT_BUDGET = OracleBudget()
+
+
+def collector_paused(fn):
+    """``fn`` with the cyclic collector off for the call, and left as the
+    caller had it on every exit: for calls that build no reference cycle."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused

@@ -40,6 +40,8 @@ class AtomTable:
 
     def __init__(self) -> None:
         self._names: list[str] = []
+        # the name of an id: the list's own lookup, no Python frame a call
+        self.name_of: Callable[[int], str] = self._names.__getitem__
         self._ids: dict[str, int] = {}
         self._registry: dict[tuple, int] = {}
 
@@ -65,9 +67,6 @@ class AtomTable:
 
     def id_of(self, name: str) -> int:
         return self._ids[name]
-
-    def name_of(self, aid: int) -> str:
-        return self._names[aid]
 
     def names_of(self, aids: Iterable[int]) -> list[str]:
         """Names of the given atoms in name-lexicographic order."""

@@ -35,17 +35,20 @@ Variables (``Var``) and formula nodes are immutable tuples, built, hashed
 and compared in C.  A variable's hash is the hash of its field tuple.  A
 formula node is the tuple of its class tag and its fields, so nodes of
 different classes never compare equal, and the clausifier, the evaluator
-and the node count dispatch on the tag.
+and the node count dispatch on the tag.  ``build_f``, ``tseitin_cnf`` and
+``enumerate_models`` run with the cyclic collector paused: they make many
+tracked tuples and lists and no reference cycle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .common import BudgetExceededError
+from .common import BudgetExceededError, collector_paused
 from .core import Program
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
@@ -188,6 +191,11 @@ class FIff(Formula):
 TRUE = FConst(True)
 FALSE = FConst(False)
 
+# Build nodes from their tuples without the Python-level ``__new__``.
+_new_fvar = partial(tuple.__new__, FVar)
+_new_fand = partial(tuple.__new__, FAnd)
+_new_fiff = partial(tuple.__new__, FIff)
+
 
 def conj(args: Sequence[Formula]) -> Formula:
     """Conjunction; empty is true, singletons collapse."""
@@ -277,9 +285,7 @@ def _base_nodes(atoms: Sequence[int]) -> dict[int, Formula]:
 
 
 def _level_nodes(atoms: Sequence[int], m: int, i: int) -> dict[Optional[int], Formula]:
-    nodes: dict[Optional[int], Formula] = {a: FVar(level_var(a, m, i)) for a in atoms}
-    nodes[None] = FVar(level_var(None, m, i))
-    return nodes
+    return {a: _new_fvar((_VAR, _new_var(("level", a, m, i)))) for a in (*atoms, None)}
 
 
 def _eliminations(prog: Program, atoms: Sequence[int], base: dict[int, Formula]) -> list[tuple]:
@@ -297,7 +303,7 @@ def _eliminations(prog: Program, atoms: Sequence[int], base: dict[int, Formula])
 
 def _f0(m: int, atoms: Sequence[int], nodes: dict, base: dict[int, Formula]) -> Formula:
     parts: list[Formula] = [FNot(nodes[m]), nodes[None]]
-    parts.extend(FIff(nodes[a], base[a]) for a in atoms if a != m)
+    parts.extend(_new_fiff((_IFF, nodes[a], base[a])) for a in atoms if a != m)
     return FAnd(tuple(parts))
 
 
@@ -310,8 +316,8 @@ def _fi(eliminations: list[tuple], m: int, prev: dict, cur: dict) -> Formula:
         if a == m:
             continue
         survival = conj([disj([prev[h] for h in head] + negs) for head, negs in rules])
-        parts.append(FIff(cur[a], FAnd((prev[a], survival))))
-    return FAnd(tuple(parts)) if len(parts) > 1 else parts[0]
+        parts.append(_new_fiff((_IFF, cur[a], _new_fand((_AND, (prev[a], survival))))))
+    return _new_fand((_AND, tuple(parts))) if len(parts) > 1 else parts[0]
 
 
 def _fmod(prog: Program, base: dict[int, Formula]) -> Formula:
@@ -348,6 +354,7 @@ def build_fmod(prog: Program) -> Formula:
     return _fmod(prog, _base_nodes(sorted(prog.atom_ids)))
 
 
+@collector_paused
 def build_f(prog: Program) -> Formula:
     """The full encoding: the candidate is a classical model, and for every
     atom it contains, the elimination chain for excluding that atom kills t
@@ -380,9 +387,7 @@ def declared_vars(prog: Program) -> list[Var]:
     out.append(PAD)
     for m in atoms:
         for i in range(p + 1):
-            for a in atoms:
-                out.append(level_var(a, m, i))
-            out.append(level_var(None, m, i))
+            out += [_new_var(("level", a, m, i)) for a in (*atoms, None)]
     return out
 
 
@@ -427,7 +432,8 @@ def _fold(f: Formula, found: list[Var]) -> Formula:
 
     Appends to ``found`` the variable of every FVar occurrence in the result
     (what a pruned subtree appended is cut off again).  A node none of whose
-    children changed is returned as it is.
+    children changed is returned as it is.  FVar arguments of a
+    conjunction or disjunction are taken in place, without a call.
     """
     tag = f[0]
     if tag == _VAR:
@@ -446,6 +452,10 @@ def _fold(f: Formula, found: list[Var]) -> Formula:
         flat = []
         same = True
         for arg in f[1]:
+            if arg[0] == _VAR:
+                found.append(arg[1])
+                flat.append(arg)
+                continue
             g = _fold(arg, found)
             if g[0] == _CONST:
                 if g[1] != is_and:
@@ -487,6 +497,7 @@ def _fold(f: Formula, found: list[Var]) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+@collector_paused
 def tseitin_cnf(
     f: Formula,
     ensure_vars: Optional[Sequence[Var]] = None,
@@ -518,7 +529,7 @@ def tseitin_cnf(
         if tag == _NOT:
             return -encode(node[1])
         if tag == _AND or tag == _OR:
-            lits = [encode(a) for a in node[1]]
+            lits = [var_index[a[1]] if a[0] == _VAR else encode(a) for a in node[1]]
             next_var += 1
             aux = next_var
             if tag == _AND:
@@ -627,8 +638,12 @@ class _Dpll:
 
     Values and watch lists are lists indexed by the signed literal (``-v``
     lands at ``len - v``, past every positive index); levels and reasons are
-    indexed by variable.  A clause that implies a literal keeps it at
-    position 0.
+    indexed by variable.  A longer clause is a list that keeps a literal it
+    implies at position 0.  A binary clause, learnt ones included, is an
+    implication entry (MiniSat: Eén & Sörensson 2003): each of its literals'
+    watch lists holds the other literal, which is the reason of what it
+    implies.  The entries stand where the clause's two watches would, so
+    propagation, conflicts and steps are those of a watched binary list.
     """
 
     def __init__(self, cnf: CnfInstance, project: Iterable[int]):
@@ -642,15 +657,12 @@ class _Dpll:
         # the formula vouches for a projection only over its own variables
         in_formula = not self.project or self.project[-1] <= len(self.var_index)
         self.formula = cnf.formula if in_formula else None
-        self.order = self.project + [v for v in range(1, num_vars + 1) if v not in self.projected]
-        self.pos = [0] * (num_vars + 1)
-        for i, v in enumerate(self.order):
-            self.pos[v] = i
+        self.order = self.project + list(filterfalse(self.projected.__contains__, range(1, num_vars + 1)))
         self.next = 0  # every variable before order[next] is assigned
         self.value: list[Optional[bool]] = [None] * (2 * num_vars + 1)
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
+        self.watches: list[list] = [[] for _ in repeat(None, 2 * num_vars + 1)]
         self.level = [0] * (num_vars + 1)
-        self.reason: list[Optional[list[int]]] = [None] * (num_vars + 1)
+        self.reason: list[list[int] | int | None] = [None] * (num_vars + 1)
         self.seen = [False] * (num_vars + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []  # trail length at each decision
@@ -669,21 +681,29 @@ class _Dpll:
             n = len(clause)
             if n == 2:
                 a, b = clause
-                c = [a, b] if a != b else [a]
+                if a != b:
+                    watches[a].append(b)
+                    watches[b].append(a)
+                    continue
+                c = [a]
             elif n == 3:
                 a, b, d = clause
-                c = [a, b, d] if a != b != d != a else list(dict.fromkeys(clause))
+                if a != b != d != a:
+                    c = [a, b, d]
+                    watches[a].append(c)
+                    watches[b].append(c)
+                    continue
+                c = list(dict.fromkeys(clause))
             else:
                 c = list(dict.fromkeys(clause))
             if len(c) > 1:
-                watches[c[0]].append(c)
-                watches[c[1]].append(c)
+                self._watch(c)
             elif not c or value[c[0]] is False:
                 self.unsat = True
             elif value[c[0]] is None:
                 self._assign(c[0], None)
 
-    def _assign(self, lit: int, reason: Optional[list[int]]) -> None:
+    def _assign(self, lit: int, reason: list[int] | int | None) -> None:
         self.value[lit] = True
         self.value[-lit] = False
         self.level[abs(lit)] = len(self.trail_lim)
@@ -693,47 +713,70 @@ class _Dpll:
     def _propagate(self) -> Optional[list[int]]:
         """Unit propagation of the trail from the queue head: a falsified
         clause, or None at the fixpoint."""
-        value, watches, trail, level, reason = self.value, self.watches, self.trail, self.level, self.reason
+        value, watches = self.value, self.watches
+        trail, level, reason = self.trail, self.level, self.reason
         lvl = len(self.trail_lim)
-        while self.qhead < len(trail):
-            false_lit = -trail[self.qhead]
-            self.qhead += 1
-            self.steps += 1
-            ws = watches[false_lit]
-            i = j = 0
-            end = len(ws)
-            while i < end:
-                c = ws[i]
-                i += 1
-                if c[0] == false_lit:
-                    c[0] = c[1]
-                    c[1] = false_lit
-                first = c[0]
-                if value[first]:
-                    ws[j] = c
-                    j += 1
-                    continue
-                for k in range(2, len(c)):
-                    lit = c[k]
-                    if value[lit] is not False:
-                        c[1] = lit
-                        c[k] = false_lit
-                        watches[lit].append(c)
-                        break
-                else:
-                    ws[j] = c
-                    j += 1
-                    if value[first] is False:
-                        ws[j:] = ws[i:]
-                        return c
-                    value[first] = True
-                    value[-first] = False
-                    var = first if first > 0 else -first
-                    level[var] = lvl
-                    reason[var] = c
-                    trail.append(first)
-            del ws[j:]
-        return None
+        start = qhead = self.qhead
+        try:
+            while qhead < len(trail):
+                false_lit = -trail[qhead]
+                qhead += 1
+                ws = watches[false_lit]
+                i = j = 0
+                end = len(ws)
+                while i < end:
+                    c = ws[i]
+                    i += 1
+                    if type(c) is int:  # a binary clause: c is its other literal
+                        ws[j] = c
+                        j += 1
+                        known = value[c]
+                        if known:
+                            continue
+                        if known is False:
+                            ws[j:] = ws[i:]
+                            return [c, false_lit]
+                        value[c] = True
+                        value[-c] = False
+                        var = c if c > 0 else -c
+                        level[var] = lvl
+                        reason[var] = false_lit
+                        trail.append(c)
+                        continue
+                    if c[0] == false_lit:
+                        c[0] = c[1]
+                        c[1] = false_lit
+                    first = c[0]
+                    if value[first]:
+                        ws[j] = c
+                        j += 1
+                        continue
+                    k, n = 2, len(c)
+                    while k < n:
+                        lit = c[k]
+                        if value[lit] is not False:
+                            c[1] = lit
+                            c[k] = false_lit
+                            watches[lit].append(c)
+                            break
+                        k += 1
+                    else:
+                        ws[j] = c
+                        j += 1
+                        if value[first] is False:
+                            ws[j:] = ws[i:]
+                            return c
+                        value[first] = True
+                        value[-first] = False
+                        var = first if first > 0 else -first
+                        level[var] = lvl
+                        reason[var] = c
+                        trail.append(first)
+                del ws[j:]
+            return None
+        finally:
+            self.qhead = qhead
+            self.steps += qhead - start
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learning: the learnt clause, with the negated UIP first
@@ -763,6 +806,8 @@ class _Dpll:
             if not pending:
                 break
             clause = reason[abs(uip)]
+            if type(clause) is int:
+                clause = (clause,)
         for v in marked:
             seen[v] = False
         learnt[0] = -uip
@@ -775,7 +820,10 @@ class _Dpll:
     def _backjump(self, lvl: int) -> None:
         """Undo every level above ``lvl``."""
         start = self.trail_lim[lvl]
-        self.next = self.pos[abs(self.trail[start])]
+        v = abs(self.trail[start])
+        # the order is the projection, then every other variable ascending
+        i = bisect_left(self.project, v)
+        self.next = i if v in self.projected else len(self.project) + v - 1 - i
         value = self.value
         for lit in self.trail[start:]:
             value[lit] = value[-lit] = None
@@ -783,13 +831,22 @@ class _Dpll:
         del self.trail_lim[lvl:]
         self.qhead = start
 
+    def _watch(self, c: list[int]) -> None:
+        """Watch a clause of distinct literals: a binary one as two
+        implication entries, a longer one by its first two literals."""
+        if len(c) == 2:
+            self.watches[c[0]].append(c[1])
+            self.watches[c[1]].append(c[0])
+        else:
+            self.watches[c[0]].append(c)
+            self.watches[c[1]].append(c)
+
     def _add_asserting(self, clause: list[int]) -> None:
         """Add a clause whose first literal is unassigned and whose others
         are false, and assign that literal."""
         if len(clause) > 1:
-            self.watches[clause[0]].append(clause)
-            self.watches[clause[1]].append(clause)
-        self._assign(clause[0], clause)
+            self._watch(clause)
+        self._assign(clause[0], clause[1] if len(clause) == 2 else clause)
 
     def projections(self, max_steps: int) -> Iterator[frozenset[int]]:
         """Yield the true projection variables of each distinct projection
@@ -839,6 +896,7 @@ class _Dpll:
             self._add_asserting(blocking)
 
 
+@collector_paused
 def enumerate_models(
     cnf: CnfInstance,
     project: Iterable[int],

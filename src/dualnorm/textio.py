@@ -30,13 +30,12 @@ directive line.
 
 from __future__ import annotations
 
-import gc
 import re
 from functools import reduce
 from operator import or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .common import DEFAULT_BUDGET, OracleBudget
+from .common import DEFAULT_BUDGET, OracleBudget, collector_paused
 from .core import RESERVED_PREFIX, AtomTable, Program, Rule, table_masks
 
 
@@ -109,6 +108,9 @@ def _ordered(ids: list[int]) -> tuple[int, ...]:
     return tuple(sorted(set(ids)))
 
 
+# every Rule is a tracked tuple subclass, so a collection during the parse
+# would walk all the rules read so far
+@collector_paused
 def parse_program(
     text: str, table: Optional[AtomTable] = None, allow_generated: bool = False
 ) -> Program:
@@ -126,7 +128,7 @@ def parse_program(
     ill-formed, a trailing gap that is not blank) and reports every
     error.  A :class:`ParseError` reports the line:column of the
     first offending token, or of the end of the text.  The collector is
-    paused while the rules are built, and left as the caller had it.
+    paused for the call, and left as the caller had it.
     """
     if table is None:
         table = AtomTable()
@@ -161,67 +163,59 @@ def parse_program(
     find = text.find
     offset = 0
     comments = "%" in text
-    # every Rule is a tracked tuple subclass, so a collection during the
-    # parse would walk all the rules read so far
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        while True:
-            if comments:
-                # a comment before a statement would fail its slice
-                offset = _GAP_RE.match(text, offset).end()
-            dot = find(".", offset)
-            if dot < 0:
-                # no statement is left: anything but blanks and comments
-                # is an error, which the token loop raises
-                if _GAP_RE.match(text, offset).end() < len(text):
-                    _parse_statement(text, offset, table, allow_generated)
-                break
-            head, colon, body = text[offset:dot].partition(":-")
-            try:
-                if "|" in head:
-                    heads = []
-                    for name in head.split("|"):
-                        name = name.strip()
-                        aid = get_id(name)
-                        heads.append(first(name) if aid is None else aid)
-                    heads = _ordered(heads)
-                elif colon and (not head or head.isspace()):  # a constraint
-                    heads = ()
-                else:
-                    name = head.strip()
+    while True:
+        if comments:
+            # a comment before a statement would fail its slice
+            offset = _GAP_RE.match(text, offset).end()
+        dot = find(".", offset)
+        if dot < 0:
+            # no statement is left: anything but blanks and comments
+            # is an error, which the token loop raises
+            if _GAP_RE.match(text, offset).end() < len(text):
+                _parse_statement(text, offset, table, allow_generated)
+            break
+        head, colon, body = text[offset:dot].partition(":-")
+        try:
+            if "|" in head:
+                heads = []
+                for name in head.split("|"):
+                    name = name.strip()
                     aid = get_id(name)
-                    heads = (first(name) if aid is None else aid,)
-                pos = []
-                neg = []
-                if colon:
-                    for lit in body.split(","):
-                        lit = lit.strip()
-                        aid = get_id(lit)
+                    heads.append(first(name) if aid is None else aid)
+                heads = _ordered(heads)
+            elif colon and (not head or head.isspace()):  # a constraint
+                heads = ()
+            else:
+                name = head.strip()
+                aid = get_id(name)
+                heads = (first(name) if aid is None else aid,)
+            pos = []
+            neg = []
+            if colon:
+                for lit in body.split(","):
+                    lit = lit.strip()
+                    aid = get_id(lit)
+                    if aid is not None:
+                        pos.append(aid)
+                    else:
+                        aid = get_negated(lit)
                         if aid is not None:
-                            pos.append(aid)
+                            neg.append(aid)
                         else:
-                            aid = get_negated(lit)
-                            if aid is not None:
-                                neg.append(aid)
-                            else:
-                                unseen_literal(lit, pos, neg)
-                # a field of one id or none is in order already; with the
-                # fields in order, the rule needs no Rule.of
-                pos = tuple(pos) if len(pos) < 2 else _ordered(pos)
-                neg = tuple(neg) if len(neg) < 2 else _ordered(neg)
-                append(tuple.__new__(Rule, (heads, pos, neg)))
-                offset = dot + 1
-            except _NotFast:
-                rule, offset = _parse_statement(text, offset, table, allow_generated)
-                append(rule)
-        # the deduplication is the memory peak of the parse: free the dicts
-        ids.clear()
-        negated.clear()
-        return Program.of(table, rules)
-    finally:
-        if collecting:
-            gc.enable()
+                            unseen_literal(lit, pos, neg)
+            # a field of one id or none is in order already; with the
+            # fields in order, the rule needs no Rule.of
+            pos = tuple(pos) if len(pos) < 2 else _ordered(pos)
+            neg = tuple(neg) if len(neg) < 2 else _ordered(neg)
+            append(tuple.__new__(Rule, (heads, pos, neg)))
+            offset = dot + 1
+        except _NotFast:
+            rule, offset = _parse_statement(text, offset, table, allow_generated)
+            append(rule)
+    # the deduplication is the memory peak of the parse: free the dicts
+    ids.clear()
+    negated.clear()
+    return Program.of(table, rules)
 
 
 def _parse_statement(text: str, offset: int, table: AtomTable, allow_generated: bool) -> tuple[Rule, int]:
@@ -261,13 +255,16 @@ def _parse_statement(text: str, offset: int, table: AtomTable, allow_generated: 
 
 
 def render_rule(rule: Rule, table: AtomTable) -> str:
-    head = " | ".join(table.name_of(a) for a in rule.head)
-    body = [table.name_of(a) for a in rule.body_pos]
-    body += [f"not {table.name_of(a)}" for a in rule.body_neg]
-    if body:
-        sep = " :- " if head else ":- "
-        return f"{head}{sep}{', '.join(body)}."
-    return f"{head}." if head else "#false."
+    name = table.name_of
+    head, pos, neg = rule
+    heads = " | ".join(map(name, head))
+    if not pos and not neg:
+        return f"{heads}." if head else "#false."
+    body = ", ".join(map(name, pos))
+    if neg:
+        negs = "not " + ", not ".join(map(name, neg))
+        body = f"{body}, {negs}" if pos else negs
+    return f"{heads} :- {body}." if head else f":- {body}."
 
 
 def render_program(prog: Program) -> str:
@@ -278,7 +275,8 @@ def render_program(prog: Program) -> str:
     """
     if not prog.rules:
         return ""
-    return "\n".join(render_rule(r, prog.table) for r in prog.rules) + "\n"
+    table = prog.table
+    return "\n".join([render_rule(r, table) for r in prog.rules]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +415,16 @@ def write_dimacs(cnf) -> str:
     """Serialize a CnfInstance as DIMACS CNF.
 
     A comment block maps variable indices to their structured names (Tseitin
-    auxiliaries carry no name and are omitted from the block).
+    auxiliaries carry no name and are omitted from the block).  Each clause
+    is written by one ``%`` format for its length.
     """
-    out = []
-    for idx in sorted(cnf.var_names):
-        out.append(f"c {idx} = {cnf.var_names[idx]}")
-    out.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    out.extend(" ".join(map(str, clause)) + " 0" for clause in cnf.clauses)
+    names = cnf.var_names
+    out = [f"c {idx} = {names[idx]}" for idx in sorted(names)]
+    clauses = cnf.clauses
+    out.append(f"p cnf {cnf.num_vars} {len(clauses)}")
+    widest = max(map(len, clauses), default=0)
+    formats = ["%d " * n + "0" if n else " 0" for n in range(widest + 1)]
+    out += [formats[len(clause)] % tuple(clause) for clause in clauses]
     return "\n".join(out) + "\n"
 
 

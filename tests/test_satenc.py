@@ -239,6 +239,40 @@ def test_clausification_leaves_no_cycle():
         gc.enable()
 
 
+def test_encoding_and_search_restore_the_collector():
+    import gc
+
+    from dualnorm.common import collector_paused
+    from dualnorm.satenc import CnfInstance
+
+    assert collector_paused(gc.isenabled)() is False
+    good = parse_program("a | b.\nc :- a.\nd :- not c.\ne | f :- d.")
+    cnf = program_cnf(good)
+    calls = [
+        (lambda: build_f(good), None),
+        (lambda: build_f(parse_program("a :- b, c.")), ProgramClassError),
+        (lambda: tseitin_cnf(build_f(good)), None),
+        (lambda: tseitin_cnf(FAnd((FVar(base_var(0)), "x"))), TypeError),
+        (lambda: enumerate_models(cnf, range(1, 7)), None),
+        (lambda: enumerate_models(cnf, [cnf.num_vars + 1]), ValueError),
+        (lambda: enumerate_models(CnfInstance(2, [(1, 3)], {}), [1]), ValueError),
+        (lambda: enumerate_models(cnf, [1], max_steps=3), BudgetExceededError),
+    ]
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for call, error in calls:
+                if error is None:
+                    call()
+                else:
+                    with pytest.raises(error):
+                        call()
+                assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
 def test_enumerate_models_step_cap():
     p = parse_program("a | b.\nc :- a.\nd :- not c.\ne | f :- d.")
     cnf = program_cnf(p)
@@ -362,8 +396,8 @@ def test_level_chain_matches_elimination_engine():
         checked += 1
 
 
-def test_dpll_against_truth_table():
-    # the enumerator must find exactly the projected satisfying assignments
+def _dpll_corpus():
+    """``(nv, clauses, proj)`` for the truth-table tests of the solver."""
     rng = random.Random(31)
     for _ in range(120):
         nv = rng.randint(1, 8)
@@ -372,7 +406,7 @@ def test_dpll_against_truth_table():
             width = rng.randint(1, 3)
             clauses.append(tuple(rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(width)))
         proj = sorted(rng.sample(range(1, nv + 1), rng.randint(1, nv)))
-        _check_against_truth_table(nv, clauses, proj)
+        yield nv, clauses, proj
     # conflict-heavy 3-CNFs near the threshold, projected to scattered
     # variables: learning, backjumping and the blocking clause together
     for _ in range(60):
@@ -382,7 +416,83 @@ def test_dpll_against_truth_table():
             for _ in range(round(4.2 * nv))
         ]
         proj = rng.sample(range(1, nv + 1), rng.randint(2, nv - 2))
+        yield nv, clauses, proj
+
+
+def test_dpll_against_truth_table():
+    # the enumerator must find exactly the projected satisfying assignments
+    for nv, clauses, proj in _dpll_corpus():
         _check_against_truth_table(nv, clauses, proj)
+
+
+# Recorded while every clause was a list watched twice: the step count of
+# each search of _dpll_corpus() and of 24 program encodings, and digests of
+# their projections in discovery order with their steps.  Binary clauses,
+# now entries in the watch lists, must propagate in the same order.
+DPLL_STEPS = 4081
+DPLL_RUNS_SHA256 = "18b2454c1871e05cfcd479ed3668895a1516c015490df5279952d83ecbc73698"
+ENCODING_STEPS = [
+    5839, 7480, 11552, 1765, 336, 1718, 639, 2990, 431, 1202, 823, 4510,
+    493, 982, 8391, 1482, 6118, 2981, 189, 614, 330, 1625, 1518, 1677,
+]
+ENCODING_RUNS_SHA256 = "0b44d7007b546e7d812fc5c772d78ab57d29e3688f4d15ce1fd2003fd7470523"
+
+
+def test_dpll_order_and_steps_are_unchanged():
+    import json
+    from dualnorm.satenc import CnfInstance
+
+    def run(cnf, proj):
+        solver = satenc._Dpll(cnf, proj)
+        return [[sorted(m) for m in solver.projections(50_000_000)], solver.steps]
+
+    def digest(runs):
+        return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+    runs = [run(CnfInstance(nv, clauses, {}), proj) for nv, clauses, proj in _dpll_corpus()]
+    assert sum(steps for _, steps in runs) == DPLL_STEPS
+    assert digest(runs) == DPLL_RUNS_SHA256
+    rng = random.Random(17)
+    runs = []
+    while len(runs) < len(ENCODING_STEPS):
+        p = random_dual_normal_program(rng, rng.randint(5, 9), rng.randint(5, 12))
+        if len(p.atom_ids) >= 5:
+            cnf = program_cnf(p)
+            runs.append(run(cnf, [cnf.var_index[base_var(a)] for a in sorted(p.atom_ids)]))
+    assert [steps for _, steps in runs] == ENCODING_STEPS
+    assert digest(runs) == ENCODING_RUNS_SHA256
+
+
+def test_binary_clauses_against_truth_table(monkeypatch):
+    conflicts, asserted = [], []
+
+    class Recording(satenc._Dpll):
+        def _analyze(self, conflict):
+            conflicts.append(list(conflict))
+            return super()._analyze(conflict)
+
+        def _add_asserting(self, clause):
+            asserted.append(list(clause))
+            super()._add_asserting(clause)
+
+    monkeypatch.setattr(satenc, "_Dpll", Recording)
+    cases = [
+        (2, [(1, -1)], [1, 2]),  # a tautology
+        (2, [(1, -1), (-2, 2), (1, 2)], [1, 2]),
+        (3, [(2, 2), (-2, 1, 3)], [1, 2, 3]),  # a duplicate: the unit 2
+        (3, [(-2, -2), (2, 3)], [3]),
+        (3, [(-1,), (-2,), (1, 2)], [3]),  # false at level 0
+        (3, [(1, 2), (-1,), (-2,)], [1, 3]),
+        (3, [(3, -1), (-3, -1)], [1]),  # a conflict on a binary clause at level 0
+        (2, [(1, 2), (1, -2)], [1]),  # and above it, with a binary reason
+        (4, [(-1, 3), (-2, -3), (-1, 4), (-4, -2)], [1, 2]),
+        (3, [(1, 2, 3)], [1, 2]),  # blocking clauses over two variables
+        (4, [(-1, 2, 3), (4, -3)], [2, 4]),
+    ]
+    for nv, clauses, proj in cases:
+        _check_against_truth_table(nv, clauses, proj)
+    assert any(len(c) == 2 for c in conflicts)
+    assert any(len(c) == 2 for c in asserted)
 
 
 def _check_against_truth_table(nv, clauses, proj):

@@ -16,6 +16,7 @@ from dualnorm.textio import (
     parse_program,
     parse_se_set,
     render_program,
+    render_rule,
     render_se_set,
     write_dimacs,
 )
@@ -147,13 +148,32 @@ def test_render_examples():
     falsum = parse_program("#false.")
     assert falsum.rules == (Rule.of(()),) and render_program(falsum) == "#false.\n"
     assert parse_program("a.\n#false. % no model\n").rules == (Rule.of((0,)), Rule.of(()))
+    mixed = parse_program("#false.\n:- not a.\n:- a, b.\na | b :- not c, not d.\nc :- a, not b.\n")
+    assert render_program(mixed) == _reference_render(mixed)
+
+
+def _reference_render(prog):
+    """The rendering rule by rule through ``name_of``."""
+    lines = []
+    for rule in prog.rules:
+        head = " | ".join(prog.table.name_of(a) for a in rule.head)
+        body = [prog.table.name_of(a) for a in rule.body_pos]
+        body += [f"not {prog.table.name_of(a)}" for a in rule.body_neg]
+        if body:
+            lines.append(f"{head}{' :- ' if head else ':- '}{', '.join(body)}.")
+        else:
+            lines.append(f"{head}." if head else "#false.")
+    return "".join(line + "\n" for line in lines)
 
 
 def test_round_trip_fuzz():
     rng = random.Random(5)
     for _ in range(150):
         p = random_program(rng, rng.randint(1, 6), 8)
-        again = parse_program(render_program(p))
+        text = render_program(p)
+        assert text == _reference_render(p)
+        assert [render_rule(r, p.table) for r in p.rules] == text.splitlines()
+        again = parse_program(text)
         assert again.canonical() == p.canonical()
 
 
@@ -249,6 +269,19 @@ def test_write_dimacs_header_only():
 
     cnf = CnfInstance(num_vars=3, clauses=[], var_index={})
     assert write_dimacs(cnf).splitlines()[-1] == "p cnf 3 0"
+
+
+def test_write_dimacs_clause_lines():
+    from dualnorm.satenc import CnfInstance, base_var
+
+    # one format per clause length: the empty clause is " 0", and a hand-built
+    # instance may hold its clauses as lists
+    clauses = [(), (3,), (-1, 2, -3, 4, -5), (1, -2, 3, -4, 5, -6), [2, -4], [], (-6,)]
+    cnf = CnfInstance(6, clauses, {base_var(0): 1, base_var(1): 2}, namer=lambda v: f"x{v.atom}")
+    assert write_dimacs(cnf) == (
+        "c 1 = x0\nc 2 = x1\np cnf 6 7\n 0\n3 0\n-1 2 -3 4 -5 0\n"
+        "1 -2 3 -4 5 -6 0\n2 -4 0\n 0\n-6 0\n"
+    )
 
 
 def test_dimacs_models_decode_to_answer_sets():
