@@ -10,12 +10,14 @@ A :class:`Rule` is a named tuple of its three fields, so it is built, hashed
 and compared in C: its hash is the hash of its field tuple, and it compares
 equal to the plain tuple of its fields.
 
-The exhaustive semantics (``oracle`` and ``seue.se_models``) run on one
-kernel, :class:`TruthTables`: over a universe of k atoms, a set of
-interpretations is an int of 2^k bits, and a rule is tested against all 2^k
-interpretations with one big-int op per literal.  :class:`SubsetLattice`
-closes such tables along the subset lattice of their positions, one shift
-per bit; ``seue`` lays each SE-set out as one table of 2^k bits a row.
+The exhaustive semantics and the SE-set questions run on one kernel,
+:class:`SubsetLattice`: a set of masks is an int of 2^m bits, and adding or
+removing bit b of every mask in it is one shift and one AND with the truth
+table of b, kept once per m up to 20 bits.  :class:`TruthTables` is the
+lattice of a universe of k atoms with a program's rules as tables, so that
+a rule is tested against all 2^k interpretations with one big-int op per
+literal (``oracle`` and ``seue.se_models``); ``seue`` lays each SE-set out
+as one table of 2^k bits a row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .common import ProgramClassError
+from .common import OracleBudget, ProgramClassError
 
 RESERVED_PREFIX = "__"
 
@@ -58,12 +60,6 @@ class AtomTable:
             self._names.append(name)
             self._ids[name] = aid
         return aid
-
-    @property
-    def lookup(self) -> Callable[[str], Optional[int]]:
-        """A function from a name to its id, or None when it is not interned:
-        the name dict's own ``get``, which runs no Python frame a call."""
-        return self._ids.get
 
     def id_of(self, name: str) -> int:
         return self._ids[name]
@@ -122,9 +118,9 @@ class Rule(NamedTuple):
         return tuple.__new__(
             Rule,
             (
-                _sorted_ids(head) if head else (),
-                _sorted_ids(body_pos) if body_pos else (),
-                _sorted_ids(body_neg) if body_neg else (),
+                sorted_ids(head) if head else (),
+                sorted_ids(body_pos) if body_pos else (),
+                sorted_ids(body_neg) if body_neg else (),
             ),
         )
 
@@ -160,7 +156,7 @@ class Rule(NamedTuple):
         return len(self.head) + len(self.body_pos) + len(self.body_neg)
 
 
-def _sorted_ids(atoms: Iterable[int]) -> tuple[int, ...]:
+def sorted_ids(atoms: Iterable[int]) -> tuple[int, ...]:
     """The distinct atoms in ascending order; a list or tuple of at most one
     atom is already that, and one of two is put in order by comparing them."""
     if isinstance(atoms, (list, tuple)):
@@ -218,14 +214,6 @@ class Program:
     def dual_normal(self) -> bool:
         """Every proper rule has at most one positive body atom."""
         return all(r.is_dual_normal for r in self.rules)
-
-    @cached_property
-    def rules_by_pos_body(self) -> dict[tuple[int, ...], tuple[Rule, ...]]:
-        """The rules grouped by positive body, each group in program order."""
-        out: dict[tuple[int, ...], list[Rule]] = {}
-        for r in self.rules:
-            out.setdefault(r.body_pos, []).append(r)
-        return {body: tuple(rules) for body, rules in out.items()}
 
     def atom_names(self) -> list[str]:
         return self.table.names_of(self.atom_ids)
@@ -301,23 +289,9 @@ def reduct(prog: Program, interp: frozenset[int]) -> Program:
     return Program.of(prog.table, kept)
 
 
-def truth_tables(k: int) -> list[int]:
-    """The truth table of each of k atoms: ``T[i]`` is an int of 2^k bits
-    whose bit s is set when the mask s holds bit i.  Each step doubles the
-    width, so building them costs about their size, k * 2^k bits."""
-    tables: list[int] = []
-    width = 1
-    for _ in range(k):
-        tables = [t | t << width for t in tables]
-        tables.append((1 << width) - 1 << width)
-        width <<= 1
-    return tables
-
-
 def truth_table(k: int, i: int) -> int:
-    """The table of atom i alone, ``truth_tables(k)[i]``, built by doubling.
-    The table of atom i - 1 is then ``T[i] ^ T[i] >> 2^(i-1)``, one shift
-    and one XOR."""
+    """The truth table of atom i of k: an int of 2^k bits whose bit s is
+    set when the mask s holds bit i, built by doubling."""
     width = 1 << i
     table = (1 << width) - 1 << width
     width <<= 1
@@ -327,81 +301,26 @@ def truth_table(k: int, i: int) -> int:
     return table
 
 
-class TruthTables:
-    """A program over a universe as truth tables: every set of
-    interpretations is an int of 2^k bits, bit s for the mask s (bit i of a
-    mask is ``atoms[i]``).  A rule's reduct rejects the AND of its literals'
-    tables (positive body in, head out), so each test costs one big-int op
-    per literal for all 2^k interpretations at once.  Adding atom i to the
-    masks of a table without it is ``table << (1 << i) & T[i]``: a mask
-    with atom i carries out of bit i and drops out.
+def _tables_down(k: int, bits: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """``(2^b, T[b])`` for each bit b of ``bits``, which descend: the first
+    is :func:`truth_table`, and each one below is made from the last, the
+    table of bit b - 1 being ``T[b] ^ T[b] >> 2^(b-1)``, one shift and one
+    XOR, so that only one table is held at a time."""
+    table = None
+    for b in bits:
+        if table is None:
+            table = truth_table(k, b)
+        else:
+            for c in range(above - 1, b - 1, -1):
+                table ^= table >> (1 << c)
+        above = b
+        yield 1 << b, table
 
-    Rules with a positive-body atom outside the universe are satisfied by
-    every subset of it and dropped; head and negative-body atoms outside it
-    are false.  ``kept`` ORs the reduct rejections of the rules whose
-    negative body misses the universe; ``split`` pairs each other rule's
-    rejections with the interpretations its negative body meets, those for
-    which the reduct drops it.  With r rules in ``split`` the kernel holds
-    (k + 2r + 1) * 2^k bits, no complement among them: at 22 atoms, some
-    11 MB of atom tables and 1 MB per such rule.
-    """
 
-    def __init__(self, prog: Program, atoms: Sequence[int]) -> None:
-        self.tables = truth_tables(len(atoms))
-        self.full = full = (1 << (1 << len(atoms))) - 1
-        column = dict(zip(atoms, self.tables))
-        self.kept, self.split = 0, []
-        for r in prog.rules:
-            if not all(a in column for a in r.body_pos):
-                continue
-            rejects, blocked = full, 0
-            for a in r.body_pos:
-                rejects &= column[a]
-            for a in r.head:
-                rejects &= ~column.get(a, 0)
-            for a in r.body_neg:
-                blocked |= column.get(a, 0)
-            if blocked:
-                self.split.append((blocked, rejects))
-            else:
-                self.kept |= rejects
-
-    def models(self) -> int:
-        """The classical models."""
-        rejected = self.kept
-        for blocked, rejects in self.split:
-            rejected |= rejects & ~blocked
-        return self.full ^ rejected
-
-    def rejections(self, mask: int) -> int:
-        """What the reduct w.r.t. the interpretation ``mask`` rejects."""
-        rejected = self.kept
-        for blocked, rejects in self.split:
-            if not blocked >> mask & 1:
-                rejected |= rejects
-        return rejected
-
-    def locally_minimal(self, interps: int) -> int:
-        """The M in ``interps`` such that no M - {a} with a in M models the
-        reduct P^M: for each atom, the masks with it whose set without it
-        fails a rule they keep.  One shift per atom and rule."""
-        for i, t in enumerate(self.tables):
-            fails = self.kept << (1 << i) & t
-            for blocked, rejects in self.split:
-                shifted = rejects << (1 << i) & t
-                fails |= shifted ^ (shifted & blocked)
-            interps &= ~(t ^ fails)
-        return interps
-
-    def strict_up(self, table: int) -> int:
-        """The interpretations with a proper subset in ``table``: close it
-        upwards one atom at a time, then add one more atom (2k shifts)."""
-        strict = 0
-        for i, t in enumerate(self.tables):
-            table |= table << (1 << i) & t
-        for i, t in enumerate(self.tables):
-            strict |= table << (1 << i) & t
-        return strict
+def truth_tables(k: int) -> list[int]:
+    """``truth_table(k, i)`` for each of k atoms: the highest one, then
+    each one below made from the one above it."""
+    return [t for _, t in _tables_down(k, range(k - 1, -1, -1))][::-1]
 
 
 def table_masks(table: int) -> list[int]:
@@ -477,9 +396,8 @@ class SubsetLattice:
     s standing for the mask s.  Adding bit b to the positions in a table is
     ``table << 2^b & T[b]``, removing it ``(table & T[b]) >> 2^b``, where
     ``T = truth_tables(m)``.  Up to ``KEPT_BITS`` bits the tables are kept,
-    once for each m; above, each closure makes them as it goes, from
-    :func:`truth_table` of its highest bit down (the table of bit b - 1 is
-    ``T[b] ^ T[b] >> 2^(b-1)``), so that only one is held at a time."""
+    once for each m; above, each closure makes them as it goes, from its
+    highest bit down (:func:`_tables_down`)."""
 
     KEPT_BITS = 20  # 2.6 MB of tables
 
@@ -491,18 +409,7 @@ class SubsetLattice:
         """``(2^b, T[b])`` for each index bit b of ``bits``."""
         if self.kept is not None:
             return [(1 << b, self.kept[b]) for b in bits]
-        return self._made(sorted(bits, reverse=True))
-
-    def _made(self, bits: list[int]) -> Iterator[tuple[int, int]]:
-        table = None
-        for b in bits:
-            if table is None:
-                table = truth_table(self.m, b)
-            else:
-                for c in range(above - 1, b - 1, -1):
-                    table ^= table >> (1 << c)
-            above = b
-            yield 1 << b, table
+        return _tables_down(self.m, sorted(bits, reverse=True))
 
     def up(self, table: int, bits: Iterable[int]) -> int:
         for shift, t in self.tables(bits):
@@ -526,6 +433,14 @@ class SubsetLattice:
             out |= (below & t) >> shift
         return out
 
+    def strictly_above(self, above: int, bits: Iterable[int]) -> int:
+        """From a table closed upwards along ``bits``, the positions with a
+        proper subset there along ``bits``: one more step up."""
+        out = 0
+        for shift, t in self.tables(bits):
+            out |= above << shift & t
+        return out
+
     def per_bit(self, table: int, bits: Sequence[int], lower, higher) -> Iterator[tuple[int, int, int]]:
         """``(2^i, T[i], C_i)`` for each i of ``bits``, ascending: C_i is
         ``table`` closed by ``lower`` along the bits below i and by
@@ -539,6 +454,87 @@ class SubsetLattice:
         elif bits:
             ((shift, t),) = self.tables(bits)
             yield shift, t, table
+
+
+class TruthTables(SubsetLattice):
+    """A program over a universe as truth tables: the subset lattice of the
+    masks of its k atoms (bit i of a mask is ``atoms[i]``), where every set
+    of interpretations is an int of 2^k bits, bit s for the mask s, and the
+    column of ``atoms[i]`` is the lattice's ``T[i]``.  A rule's reduct
+    rejects the AND of its literals' columns (positive body in, head out),
+    so each test costs one big-int op per literal for all 2^k
+    interpretations at once.
+
+    Rules with a positive-body atom outside the universe are satisfied by
+    every subset of it and dropped; head and negative-body atoms outside it
+    are false.  ``unblocked`` ORs the reduct rejections of the rules whose
+    negative body misses the universe; ``split`` pairs each other rule's
+    rejections with the interpretations its negative body meets, those for
+    which the reduct drops it.  With r rules in ``split`` the kernel holds
+    (k + 2r + 1) * 2^k bits, no complement among them: at 22 atoms, some
+    11 MB of columns, the lattice's kept tables up to 20 atoms, and 1 MB
+    per such rule.
+    """
+
+    def __init__(self, prog: Program, atoms: Sequence[int]) -> None:
+        k = len(atoms)
+        super().__init__(k)
+        # the rules read every column, so above KEPT_BITS the kernel keeps
+        # the tables it makes for them
+        self.kept = self.kept or tuple(truth_tables(k))
+        self.atoms = atoms
+        self.full = full = (1 << (1 << k)) - 1
+        column = dict(zip(atoms, self.kept))
+        self.unblocked, self.split = 0, []
+        for r in prog.rules:
+            if not all(a in column for a in r.body_pos):
+                continue
+            rejects, blocked = full, 0
+            for a in r.body_pos:
+                rejects &= column[a]
+            for a in r.head:
+                rejects &= ~column.get(a, 0)
+            for a in r.body_neg:
+                blocked |= column.get(a, 0)
+            if blocked:
+                self.split.append((blocked, rejects))
+            else:
+                self.unblocked |= rejects
+
+    @classmethod
+    def over(cls, prog: Program, universe: Optional[frozenset[int]], budget: OracleBudget, what: str) -> "TruthTables":
+        """The kernel over the sorted universe (default: the program's
+        atoms), which ``budget`` bounds for the enumeration ``what``."""
+        atoms = sorted(prog.atom_ids if universe is None else universe)
+        budget.check(len(atoms), what)
+        return cls(prog, atoms)
+
+    def models(self) -> int:
+        """The classical models."""
+        rejected = self.unblocked
+        for blocked, rejects in self.split:
+            rejected |= rejects & ~blocked
+        return self.full ^ rejected
+
+    def rejections(self, mask: int) -> int:
+        """What the reduct w.r.t. the interpretation ``mask`` rejects."""
+        rejected = self.unblocked
+        for blocked, rejects in self.split:
+            if not blocked >> mask & 1:
+                rejected |= rejects
+        return rejected
+
+    def locally_minimal(self, interps: int) -> int:
+        """The M in ``interps`` such that no M - {a} with a in M models the
+        reduct P^M: for each atom, the masks with it whose set without it
+        fails a rule they keep.  One shift per atom and rule."""
+        for shift, t in self.tables(range(self.m)):
+            fails = self.unblocked << shift & t
+            for blocked, rejects in self.split:
+                shifted = rejects << shift & t
+                fails |= shifted ^ (shifted & blocked)
+            interps &= ~(t ^ fails)
+        return interps
 
 
 def p_t_transform(prog: Program, t: int) -> Program:

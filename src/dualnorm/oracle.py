@@ -2,10 +2,11 @@
 
 Everything here applies the definitions to every subset of a declared
 universe at once, on the truth tables of ``core.TruthTables`` (k * 2^k
-bits, some 11 MB at the default 22-atom budget, plus 2^(k+1) bits per rule
-with a negative body, built per call), so models come out in
-subset-lexicographic order.  ``minimal_models`` drops the models with a
-proper subset among the models: the strict up-closure of their table.
+bits of atom tables, kept once per size up to 20 atoms and some 11 MB at
+the default 22-atom budget, plus 2^(k+1) bits per rule with a negative
+body), so models come out in subset-lexicographic order.
+``minimal_models`` drops the models with a proper subset among the models:
+the strict up-closure of their table along the subset lattice.
 ``answer_sets_bf`` drops, for all M at once, each model M with an atom a
 such that M - {a} models P^M, and tests each model left as
 ``is_answer_set`` does: over the universe M, where the rules whose negative
@@ -35,20 +36,14 @@ __all__ = [
 ]
 
 
-def _kernel(prog: Program, universe: Optional[frozenset[int]], budget: OracleBudget, what: str):
-    atoms = sorted(prog.atom_ids if universe is None else universe)
-    budget.check(len(atoms), what)
-    return atoms, TruthTables(prog, atoms)
-
-
 def models(
     prog: Program,
     universe: Optional[frozenset[int]] = None,
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> list[frozenset[int]]:
     """All classical models within the universe, in subset-lex order."""
-    atoms, kernel = _kernel(prog, universe, budget, "model enumeration")
-    return [mask_to_set(atoms, m) for m in table_masks(kernel.models())]
+    kernel = TruthTables.over(prog, universe, budget, "model enumeration")
+    return [mask_to_set(kernel.atoms, m) for m in table_masks(kernel.models())]
 
 
 def minimal_models(
@@ -57,16 +52,18 @@ def minimal_models(
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> list[frozenset[int]]:
     """Inclusion-minimal classical models."""
-    atoms, kernel = _kernel(prog, universe, budget, "minimal-model enumeration")
-    found = kernel.models()
-    return [mask_to_set(atoms, m) for m in table_masks(found & ~kernel.strict_up(found))]
+    kernel = TruthTables.over(prog, universe, budget, "minimal-model enumeration")
+    found, every = kernel.models(), range(kernel.m)
+    above = kernel.strictly_above(kernel.up(found, every), every)
+    return [mask_to_set(kernel.atoms, m) for m in table_masks(found & ~above)]
 
 
 def _is_answer(prog: Program, interp: frozenset[int]) -> bool:
-    """The kernel over the universe M = ``interp``, whose ``kept`` rules are
-    P^M: M is an answer set when P^M has no model in M but M itself."""
+    """The kernel over the universe M = ``interp``, whose ``unblocked``
+    rules are P^M: M is an answer set when P^M has no model in M but M
+    itself."""
     kernel = TruthTables(prog, sorted(interp))
-    return kernel.full ^ kernel.kept == kernel.full ^ kernel.full >> 1
+    return kernel.full ^ kernel.unblocked == kernel.full ^ kernel.full >> 1
 
 
 def answer_sets_bf(
@@ -76,9 +73,9 @@ def answer_sets_bf(
     """All answer sets, by definition: M a minimal model of the reduct P^M.
     The models with no one-atom-smaller subset modelling P^M are found for
     all M at once, and each is then tested over its own atoms."""
-    atoms, kernel = _kernel(prog, None, budget, "answer-set enumeration")
+    kernel = TruthTables.over(prog, None, budget, "answer-set enumeration")
     candidates = table_masks(kernel.locally_minimal(kernel.models()))
-    return [m for m in (mask_to_set(atoms, c) for c in candidates) if _is_answer(prog, m)]
+    return [m for m in (mask_to_set(kernel.atoms, c) for c in candidates) if _is_answer(prog, m)]
 
 
 def is_answer_set(

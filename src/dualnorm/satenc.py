@@ -292,13 +292,13 @@ def _eliminations(prog: Program, atoms: Sequence[int], base: dict[int, Formula])
     """Each atom in order, then t (None), with its proper elimination rules
     (the rules with it as the one positive body, or none for t) as pairs of
     head atoms and negative-body nodes."""
-    by_body = prog.rules_by_pos_body
+    by_body: dict[tuple[int, ...], list] = {}
+    for r in prog.rules:
+        if r.head:
+            by_body.setdefault(r.body_pos, []).append((r.head, [base[b] for b in r.body_neg]))
     keys: list[tuple[Optional[int], tuple[int, ...]]] = [(a, (a,)) for a in atoms]
     keys.append((None, ()))
-    return [
-        (a, [(r.head, [base[b] for b in r.body_neg]) for r in by_body.get(body, ()) if r.head])
-        for a, body in keys
-    ]
+    return [(a, by_body.get(body, [])) for a, body in keys]
 
 
 def _f0(m: int, atoms: Sequence[int], nodes: dict, base: dict[int, Formula]) -> Formula:

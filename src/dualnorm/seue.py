@@ -243,14 +243,12 @@ def se_models(prog: Program, universe: Optional[frozenset[int]] = None, budget: 
     truth tables of ``core.TruthTables``: the models come from one table,
     and the row of each model Y is the table of its submasks less the table
     of what P^Y rejects."""
-    atoms = sorted(prog.atom_ids if universe is None else universe)
-    budget.check(len(atoms), "SE-model enumeration")
-    kernel = TruthTables(prog, atoms)
+    kernel = TruthTables.over(prog, universe, budget, "SE-model enumeration")
     rows = {}
     for y in table_masks(kernel.models()):
         heres = submask_table(y)
         rows[y] = heres ^ heres & kernel.rejections(y)
-    return SESet.from_rows(prog.table, atoms, rows)
+    return SESet.from_rows(prog.table, kernel.atoms, rows)
 
 
 def ue_models(se_set: SESet) -> SESet:

@@ -36,7 +36,7 @@ from operator import or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, collector_paused
-from .core import RESERVED_PREFIX, AtomTable, Program, Rule, table_masks
+from .core import RESERVED_PREFIX, AtomTable, Program, Rule, mask_to_set, sorted_ids, table_masks
 
 
 class SourceSpan(NamedTuple):
@@ -97,15 +97,6 @@ def _span(text: str, offset: int) -> SourceSpan:
 
 class _NotFast(Exception):
     """A statement the sliced read does not take; the token loop reads it."""
-
-
-def _ordered(ids: list[int]) -> tuple[int, ...]:
-    """A rule field from two or more ids: the distinct ones in ascending
-    order."""
-    if len(ids) == 2:
-        a, b = ids
-        return (a, b) if a < b else (b, a) if b < a else (a,)
-    return tuple(sorted(set(ids)))
 
 
 # every Rule is a tracked tuple subclass, so a collection during the parse
@@ -182,7 +173,7 @@ def parse_program(
                     name = name.strip()
                     aid = get_id(name)
                     heads.append(first(name) if aid is None else aid)
-                heads = _ordered(heads)
+                heads = sorted_ids(heads)
             elif colon and (not head or head.isspace()):  # a constraint
                 heads = ()
             else:
@@ -205,8 +196,8 @@ def parse_program(
                             unseen_literal(lit, pos, neg)
             # a field of one id or none is in order already; with the
             # fields in order, the rule needs no Rule.of
-            pos = tuple(pos) if len(pos) < 2 else _ordered(pos)
-            neg = tuple(neg) if len(neg) < 2 else _ordered(neg)
+            pos = tuple(pos) if len(pos) < 2 else sorted_ids(pos)
+            neg = tuple(neg) if len(neg) < 2 else sorted_ids(neg)
             append(tuple.__new__(Rule, (heads, pos, neg)))
             offset = dot + 1
         except _NotFast:
@@ -382,6 +373,19 @@ def se_pair_order(
     return names, ((y, sorted(heres[y], key=key)) for y in sorted(heres, key=key))
 
 
+def first_se_difference(a, b):
+    """The first SE-pair, in the order of :func:`se_pair_order`, that is in
+    one of two SESets over one universe and table but not in the other, or
+    None when they are equal: the rows XORed, the first here of the first
+    there-component left."""
+    from .seue import SEPair
+
+    atoms = a.atoms
+    diff = {y: row for y in a.rows.keys() | b.rows.keys() if (row := a.rows.get(y, 0) ^ b.rows.get(y, 0))}
+    _, order = se_pair_order(a.table, atoms, diff)
+    return next((SEPair(mask_to_set(atoms, xs[0]), mask_to_set(atoms, y)) for y, xs in order), None)
+
+
 def render_se_pair(pair, table: AtomTable) -> str:
     x = " ".join(table.names_of(pair.here))
     y = " ".join(table.names_of(pair.there))
@@ -405,6 +409,13 @@ def render_se_set(se_set) -> str:
         there = joined[y]
         lines.extend(f"{joined[x]} ; {there}" if x else f"; {there}" for x in xs)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def se_set_json(se_set) -> list[dict]:
+    """The pairs of an SESet as ``{"here": names, "there": names}`` objects,
+    in the order of :func:`se_pair_order`."""
+    names, order = se_pair_order(se_set.table, se_set.atoms, se_set.rows)
+    return [{"here": names[x], "there": names[y]} for y, xs in order for x in xs]
 
 
 # ---------------------------------------------------------------------------

@@ -227,3 +227,4 @@ def test_rule_of_sorts_and_dedups(make, atoms):
     rule = Rule.of(make(atoms), make(atoms), make(atoms))
     assert rule == Rule(expected, expected, expected)
     assert all(type(part) is tuple for part in (rule.head, rule.body_pos, rule.body_neg))
+    assert rule.atom_ids() == frozenset(atoms)

@@ -250,6 +250,8 @@ def test_table_rows_and_the_subset_lattice(monkeypatch):
                 assert lattice.spread(table, bits) == lattice.up(lattice.down(table, bits), bits)
                 strict = sum(1 << s for s in table_masks(down) if any(s | 1 << b in table_masks(down) for b in bits if not s >> b & 1))
                 assert lattice.strictly_below(down, bits) == strict
+                strict = sum(1 << s for s in table_masks(up) if any(s ^ 1 << b in table_masks(up) for b in bits if s >> b & 1))
+                assert lattice.strictly_above(up, bits) == strict
                 per_bit = list(lattice.per_bit(table, bits, lattice.up, lattice.down))
                 assert [(shift, t) for shift, t, _ in per_bit] == [(1 << b, truth_tables(m)[b]) for b in bits]
                 for b, (_, _, closed) in zip(bits, per_bit):
@@ -288,8 +290,24 @@ def test_kernel_on_empty_programs_and_universes():
     assert is_answer_set(guarded, frozenset()) and not is_answer_set(fact, frozenset())
 
 
+def test_kernel_with_its_tables_made_as_it_goes(monkeypatch):
+    # the kernel's columns are the lattice's kept tables, or, above
+    # KEPT_BITS, tables made for the kernel; both give the same models,
+    # answer sets and SE-models
+    programs = [random_program(random.Random(seed), 5, 6) for seed in range(40)]
+    calls = (minimal_models, answer_sets_bf, lambda p: se_models(p).rows)
+    kept = [[call(p) for call in calls] for p in programs]
+    monkeypatch.setattr(SubsetLattice, "KEPT_BITS", -1)
+    kernel = TruthTables(programs[0], sorted(programs[0].atom_ids))
+    assert SubsetLattice(kernel.m).kept is None and list(kernel.kept) == truth_tables(kernel.m)
+    assert kernel.kept is not core._kept_tables(kernel.m)
+    assert [[call(p) for call in calls] for p in programs] == kept
+    assert any(len(found) > 1 for found, _, _ in kept) and any(answer for _, answer, _ in kept)
+
+
 def test_kernel_tables_at_twenty_atoms_build_fast():
-    # 20 atoms: 20 tables of 2^20 bits, built by doubling in milliseconds
+    # 20 atoms: 20 tables of 2^20 bits, the highest built by doubling and
+    # each one below by one shift, in milliseconds
     chain = parse_program("\n".join(f"x{i} :- x{i + 1}, not y." for i in range(19)) + "\nx19.")
     assert len(chain.atom_ids) == 21
     xs = chain.atom_ids - ids_of(chain, "y")

@@ -176,6 +176,17 @@ def test_se_pair_requires_here_within_there():
         SEPair(here=frozenset({1, 2}), there=frozenset({1}))
 
 
+def test_se_sets_compare_by_universe_and_pairs():
+    p = parse_program("a :- not b.\nb :- not a.\n")
+    se_set = se_models(p)
+    again = SESet(p.table, se_set.universe, list(se_set))
+    assert again == se_set and hash(again) == hash(se_set)
+    assert SESet(p.table, se_set.universe | {p.table.intern("c")}, list(se_set)) != se_set
+    assert se_set.__eq__(set(se_set)) is NotImplemented and se_set != set(se_set)
+    with pytest.raises(ValueError, match="SE-pair outside the declared universe"):
+        SESet(p.table, {0}, [SEPair(frozenset(), frozenset({0, 1}))])
+
+
 def test_formula_nodes_of_different_classes_differ():
     payload = (FVar(base_var(0)), FConst(True))
     unary = [cls(payload) for cls in (FVar, FConst, FNot, FAnd, FOr)]

@@ -148,6 +148,12 @@ def test_parse_cnf3():
         parse_cnf3("klause 1 2 3")
     with pytest.raises(ValueError):
         parse_cnf3("clause 1 0 3")
+    with pytest.raises(ValueError, match="line 2: literals must be integers"):
+        parse_cnf3("clause 1 2 3\nclause 1 x 3")
+    with pytest.raises(ValueError, match="each clause needs exactly 3 literal slots"):
+        Cnf3(((1, 2, 3), (1, 2)))
+    with pytest.raises(ValueError, match="each term needs exactly 3 literal slots"):
+        Qbf2E(("x",), ("y",), (lits(("x", True), ("y", True)),))
 
 
 def test_records_keep_fields_given_as_generators():

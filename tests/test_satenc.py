@@ -42,8 +42,18 @@ from conftest import planted_corpus
 
 
 def test_rules_with_pos_body():
-    p = parse_program("a :- b.\nc.\nd :- b, not c.")
-    assert p.rules_by_pos_body == {(p.table.id_of("b"),): (p.rules[0], p.rules[2]), (): (p.rules[1],)}
+    # each atom, then t (None), with the proper rules that have it as their
+    # one positive body (none, for t) in program order; constraints have none
+    p = parse_program("a :- b.\nc.\nd :- b, not c.\n:- b.\n#false.")
+    a, b, c, d = atoms = [p.table.id_of(name) for name in "abcd"]
+    base = {x: FVar(base_var(x)) for x in atoms}
+    assert satenc._eliminations(p, atoms, base) == [
+        (a, []),
+        (b, [((a,), []), ((d,), [base[c]])]),
+        (c, []),
+        (d, []),
+        (None, [((c,), [])]),
+    ]
 
 
 def test_build_f0_structure():

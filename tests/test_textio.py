@@ -193,6 +193,10 @@ def test_parse_se_set_examples():
         parse_se_set("a b ; a")
     with pytest.raises(ParseError, match="invalid atom name 'not'"):
         parse_se_set("not ; not")
+    with pytest.raises(ParseError, match=r"^2:1: unknown directive '#atoms'$"):
+        parse_se_set("; a\n#atoms a b")
+    with pytest.raises(ParseError, match=r"^3:1: expected 'X ; Y' \(missing ';'\)$"):
+        parse_se_set("; a\n% a comment\na a")
 
 
 def test_se_set_universe_directive_and_round_trip():
