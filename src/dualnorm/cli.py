@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from .classify import classify_labels
-from .common import BudgetExceededError, OracleBudget, ProgramClassError, SynthesisPreconditionError
+from .common import BudgetExceededError, OracleBudget, ProgramClassError, SynthesisPreconditionError, collector_paused
 from .core import AtomTable, Program, require_dual_normal
 from .dualhorn import answer_sets_dn, elimination_fixpoint, pmm
 # equivalent_as is unused here, but perfbench/tracing.py swaps this name on cli.
@@ -253,8 +253,12 @@ def _run(args, out: TextIO, err: TextIO) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+@collector_paused
 def run(argv: list[str], out: TextIO = None, err: TextIO = None) -> int:
-    """Run one invocation; returns the exit code."""
+    """Run one invocation; returns the exit code.  The cyclic collector is
+    paused for the invocation and left as the caller had it: what it builds
+    has no reference cycle, so refcounting frees it, and a collection would
+    only walk the program it holds."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:

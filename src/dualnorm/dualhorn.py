@@ -50,7 +50,7 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError
+from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError, collector_paused
 from .core import AtomTable, Program, Rule, is_model
 from .textio import render_rule
 # Bound under private names: perfbench/tracing.py pins the code, names included,
@@ -208,20 +208,34 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
     chain is monotone and stabilizes within |at(P)| + 1 steps.  A witness
     from ``pmm`` is answered from the reduct closure of its M; its trace holds
     ``t_eliminated`` and computes the run on first read.  Any other program
-    is compiled here, and its trace holds the run.
+    is compiled and run by :func:`_plain_fixpoint`, and its trace holds the
+    run.
     """
-    witness = type(prog) is _Witness
-    if witness:
-        bad = prog.closure.close()
-    else:
-        bad, bodies, counters, occurs, ready = compile_elimination(prog.rules)
+    if type(prog) is not _Witness:
+        return _plain_fixpoint(prog, t_stem)
+    bad = prog.closure.close()
     if bad is not None:
-        raise ProgramClassError(
-            f"rule '{render_rule(prog.rules[bad], prog.table)}' is not dual-Horn "
-            "(needs |body_pos| <= 1 and no negation)"
-        )
-    if witness:
-        return EliminationTrace(prog, t_stem, prog.closure.eliminates_t(prog.m))
+        raise _not_dual_horn(prog, bad)
+    return EliminationTrace(prog, t_stem, prog.closure.eliminates_t(prog.m))
+
+
+def _not_dual_horn(prog: Program, idx: int) -> ProgramClassError:
+    return ProgramClassError(
+        f"rule '{render_rule(prog.rules[idx], prog.table)}' is not dual-Horn "
+        "(needs |body_pos| <= 1 and no negation)"
+    )
+
+
+@collector_paused
+def _plain_fixpoint(prog: Program, t_stem: str) -> EliminationTrace:
+    """The elimination of a program that is not a witness, with the cyclic
+    collector paused: the compile and the run build no reference cycle, and
+    on a large program a collection would only walk the lists they keep.  A
+    witness's check stays unpaused, as a pause per atom of M would add its
+    fixed cost to every atom."""
+    bad, bodies, counters, occurs, ready = compile_elimination(prog.rules)
+    if bad is not None:
+        raise _not_dual_horn(prog, bad)
     eliminated: set[int] = set()
     # the first level holds the bodies of the rules with an empty head, each
     # once, in rule order, as every later level holds the bodies it reaches

@@ -8,12 +8,14 @@ body), so models come out in subset-lexicographic order.
 ``minimal_models`` drops the models with a proper subset among the models:
 the strict up-closure of their table along the subset lattice.
 ``answer_sets_bf`` drops, for all M at once, each model M with an atom a
-such that M - {a} models P^M, and tests each model left as
-``is_answer_set`` does: over the universe M, where the rules whose negative
-body meets M drop out and the rest are P^M, M is an answer set when P^M has
-no model but M.  Nothing here imports the engines it checks.  These
-functions exist to validate the fast algorithms, not to scale; the
-:class:`OracleBudget` refuses oversized universes.
+such that M - {a} models P^M, and tests each model left on the same
+tables: M is an answer set when no submask of M but M itself escapes the
+rejections of P^M.  ``is_answer_set`` builds the tables over the universe
+M, where the rules whose negative body meets M drop out and the rest are
+P^M, and asks whether P^M has a model in M but M.  Nothing here imports
+the engines it checks.  These functions exist to validate the fast
+algorithms, not to scale; the :class:`OracleBudget` refuses oversized
+universes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, TruthTables, ensure_shared, mask_to_set, table_masks
+from .core import Program, TruthTables, ensure_shared, mask_to_set, submask_table, table_masks
 
 # Re-exported here because the budget is part of the oracle's contract.
 __all__ = [
@@ -72,10 +74,15 @@ def answer_sets_bf(
 ) -> list[frozenset[int]]:
     """All answer sets, by definition: M a minimal model of the reduct P^M.
     The models with no one-atom-smaller subset modelling P^M are found for
-    all M at once, and each is then tested over its own atoms."""
+    all M at once, and each is then tested on the same tables: no subset of
+    M but M itself escapes what P^M rejects."""
     kernel = TruthTables.over(prog, None, budget, "answer-set enumeration")
     candidates = table_masks(kernel.locally_minimal(kernel.models()))
-    return [m for m in (mask_to_set(kernel.atoms, c) for c in candidates) if _is_answer(prog, m)]
+    return [
+        mask_to_set(kernel.atoms, c)
+        for c in candidates
+        if submask_table(c) & ~kernel.rejections(c) == 1 << c
+    ]
 
 
 def is_answer_set(

@@ -11,6 +11,15 @@ constraints re-check the original rules classically, and per-owner seeding
 plus a final constraint demand that the reversed system derive the owner's
 t-copy, which certifies minimality of the guessed model at that owner.
 
+Each translation makes its generated atoms once, through :func:`neg_atom`
+and :func:`copy_atom`, in this order: the complements by atom; then for
+each owner x its own copy ``__c_<x>_<x>`` and the copies of the other
+atoms ascending; then the t-copies by owner.  The copies go into one map
+per owner (y -> copy, None -> t-copy), which the seeding, reversal,
+final-constraint and saturation rules read.  :func:`build_px` runs the same
+reversal on a map that makes a copy on its first read, so alone it
+interns only the copies its rules hold.
+
 The plain translation preserves head-cycle/body-cycle structure (it swaps
 the two) and tightness; the starred variant adds saturation rules
 ``y_x <- t_x`` to make the answer-set correspondence one-to-one, at the
@@ -42,41 +51,73 @@ def copy_atom(prog: Program, y: Optional[int], x: int) -> int:
     return prog.table.generated(("copy", y, x, prog.atom_ids), f"__c_{prog.table.name_of(y)}_{xname}")
 
 
+class _Copies(dict):
+    """The copies owned by one atom x: y -> the copy of y, None -> the
+    t-copy.  A copy missing from the map is made through :func:`copy_atom`
+    when it is first read, so a map interns only the copies read from it."""
+
+    __slots__ = ("prog", "x")
+
+    def __init__(self, prog: Program, x: int) -> None:
+        self.prog, self.x = prog, x
+
+    def __missing__(self, y: Optional[int]) -> int:
+        self[y] = aid = copy_atom(self.prog, y, self.x)
+        return aid
+
+
+def _atom_maps(prog: Program) -> tuple[dict[int, int], dict[int, _Copies]]:
+    """The complement of each atom and the copy map of each owner, every
+    generated atom of the translation made once, in this order: the
+    complements by atom; for each owner, its own copy, then the copies of
+    the other atoms ascending; then the t-copies by owner."""
+    atoms = sorted(prog.atom_ids)
+    neg = {x: neg_atom(prog, x) for x in atoms}
+    copies = {x: _Copies(prog, x) for x in atoms}
+    # reading a copy makes it
+    for x, own in copies.items():
+        for y in (x, *atoms):
+            own[y]
+    for own in copies.values():
+        own[None]
+    return neg, copies
+
+
+def _reversal(prog: Program, own: _Copies) -> list[Rule]:
+    """The reversal of the proper rules for the owner of the copy map
+    ``own``: a rule H <- B+, not B- becomes copy(B+) <- copy(H), not B-,
+    with copy(B+) the t-copy when B+ is empty."""
+    return [
+        Rule.of([own[b] for b in r.body_pos] if r.body_pos else [own[None]], [own[h] for h in r.head], r.body_neg)
+        for r in prog.rules
+        if r.head
+    ]
+
+
 def build_px(prog: Program, x: int) -> Program:
     """The owner-x reversal of the proper rules (after body padding): a rule
-    H <- B+, not B- becomes copy(B+) <- copy(H), not B-."""
+    H <- B+, not B- becomes copy(B+) <- copy(H), not B-.  It interns only
+    the copies its rules hold."""
     if x not in prog.atom_ids:
         raise ValueError(f"atom {prog.table.name_of(x)!r} does not occur in the program")
-    rules = []
-    for r in prog.rules:
-        if not r.head:
-            continue
-        if r.body_pos:
-            new_head = [copy_atom(prog, b, x) for b in r.body_pos]
-        else:
-            new_head = [copy_atom(prog, None, x)]
-        new_pos = [copy_atom(prog, h, x) for h in r.head]
-        rules.append(Rule.of(new_head, new_pos, r.body_neg))
-    return Program.of(prog.table, rules)
+    return Program.of(prog.table, _reversal(prog, _Copies(prog, x)))
 
 
-def _xor_rules(prog: Program) -> list[Rule]:
+def _xor_rules(neg: dict[int, int]) -> list[Rule]:
     rules = []
-    for x in sorted(prog.atom_ids):
-        nx = neg_atom(prog, x)
+    for x, nx in neg.items():
         rules.append(Rule.of((x,), (), (nx,)))
         rules.append(Rule.of((nx,), (), (x,)))
     return rules
 
 
-def _aux_rules(prog: Program) -> list[Rule]:
-    atoms = sorted(prog.atom_ids)
+def _aux_rules(neg: dict[int, int], copies: dict[int, _Copies]) -> list[Rule]:
     rules = []
-    for x in atoms:
-        nx = neg_atom(prog, x)
-        rules.append(Rule.of((copy_atom(prog, x, x),), (), (nx,)))
-        for y in atoms:
-            rules.append(Rule.of((copy_atom(prog, y, x),), (), (nx, y)))
+    for x, nx in neg.items():
+        own = copies[x]
+        rules.append(Rule.of((own[x],), (), (nx,)))
+        for y in neg:
+            rules.append(Rule.of((own[y],), (), (nx, y)))
     return rules
 
 
@@ -86,33 +127,37 @@ def _mod_rules(prog: Program) -> list[Rule]:
     ]
 
 
-def _true_rules(prog: Program) -> list[Rule]:
-    return [
-        Rule.of((), (x,), (copy_atom(prog, None, x),)) for x in sorted(prog.atom_ids)
-    ]
+def _true_rules(copies: dict[int, _Copies]) -> list[Rule]:
+    return [Rule.of((), (x,), (own[None],)) for x, own in copies.items()]
 
 
-def _star_rules(prog: Program, x: int) -> list[Rule]:
-    tx = copy_atom(prog, None, x)
-    return [Rule.of((copy_atom(prog, y, x),), (tx,)) for y in sorted(prog.atom_ids)]
+def _star_rules(own: _Copies, atoms: list[int]) -> list[Rule]:
+    tx = own[None]
+    return [Rule.of((own[y],), (tx,)) for y in atoms]
+
+
+def _translate(prog: Program) -> tuple[list[Rule], dict[int, _Copies]]:
+    """The rules of the plain translation, and the copy maps it made."""
+    neg, copies = _atom_maps(prog)
+    rules = _xor_rules(neg) + _aux_rules(neg, copies)
+    for own in copies.values():
+        rules.extend(_reversal(prog, own))
+    rules.extend(_mod_rules(prog))
+    rules.extend(_true_rules(copies))
+    return rules, copies
 
 
 def translate(prog: Program) -> Program:
     """The head/body-swapping translation (guess, reverse, re-check)."""
-    rules = _xor_rules(prog) + _aux_rules(prog)
-    for x in sorted(prog.atom_ids):
-        rules.extend(build_px(prog, x).rules)
-    rules.extend(_mod_rules(prog))
-    rules.extend(_true_rules(prog))
-    return Program.of(prog.table, rules)
+    return Program.of(prog.table, _translate(prog)[0])
 
 
 def translate_star(prog: Program) -> Program:
     """The translation with saturation rules, giving an answer-set bijection."""
-    out = translate(prog)
-    rules = list(out.rules)
-    for x in sorted(prog.atom_ids):
-        rules.extend(_star_rules(prog, x))
+    rules, copies = _translate(prog)
+    atoms = sorted(prog.atom_ids)
+    for own in copies.values():
+        rules.extend(_star_rules(own, atoms))
     return Program.of(prog.table, rules)
 
 
@@ -133,17 +178,17 @@ def decode_as(prog: Program, interp: frozenset[int]) -> frozenset[int]:
 # Verification harness for the answer-set correspondences
 
 
-def _component(prog: Program, px: Program, m: frozenset[int], x: int, star: bool) -> Program:
-    """Owner-x slice of the translated program's reduct w.r.t. a base guess:
-    the reversed rules ``px`` (from :func:`build_px`) surviving the reduct,
-    the owner's seed facts when the owner is guessed in, and the saturation
-    rules for the starred variant."""
+def _component(prog: Program, atoms: list[int], px: Program, own: _Copies, m: frozenset[int], star: bool) -> Program:
+    """Owner-x slice of the translated program's reduct w.r.t. a base guess,
+    for the owner x of the copy map ``own``: the reversed rules ``px``
+    surviving the reduct, the owner's seed facts when the owner is guessed
+    in, and the saturation rules for the starred variant."""
     rules = list(reduct(px, m).rules)
-    if x in m:
-        rules.append(Rule.of((copy_atom(prog, x, x),)))
-        rules.extend(Rule.of((copy_atom(prog, z, x),)) for z in sorted(prog.atom_ids - m))
+    if own.x in m:
+        rules.append(Rule.of((own[own.x],)))
+        rules.extend(Rule.of((own[z],)) for z in atoms if z not in m)
     if star:
-        rules.extend(_star_rules(prog, x))
+        rules.extend(_star_rules(own, atoms))
     return Program.of(prog.table, rules)
 
 
@@ -160,11 +205,12 @@ def _seeded_minimal_models(
     so it is an answer set exactly when N is one of these minimal models
     and the whole is a classical model of the translation."""
     atoms = sorted(prog.atom_ids)
-    reversals = {x: build_px(prog, x) for x in atoms}
+    copies = {x: _Copies(prog, x) for x in atoms}
+    reversals = {x: Program.of(prog.table, _reversal(prog, own)) for x, own in copies.items()}
     for mask in range(1 << len(atoms)):
         m = mask_to_set(atoms, mask)
         factor_lists = [
-            minimal_models(_component(prog, reversals[x], m, x, star), budget=budget)
+            minimal_models(_component(prog, atoms, reversals[x], copies[x], m, star), budget=budget)
             for x in sorted(m)
         ]
         yield m, [frozenset().union(*combo) for combo in product(*factor_lists)]

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -337,3 +338,63 @@ def test_global_flag_after_the_subcommand_overrides():
     assert (args.budget, args.json) == (9, True)
     args = parse(["solve", "f"])
     assert (args.budget, args.json) == (None, False)
+
+
+def _invocations(files, tmp_path):
+    """One valid invocation of each subcommand (each ``solve`` method and
+    ``translate`` target), with the SE- and UE-model listings of dual3.lp
+    as synthesis inputs."""
+    for command in ("se", "ue"):
+        listing = tmp_path / f"dual3.{command}"
+        listing.write_text(invoke(command, files["dual3.lp"])[1])
+        files = {**files, listing.name: str(listing)}
+    commands = [
+        ("classify", "disj3.lp"),
+        *(("solve", "dual3.lp", "--method", method) for method in ("brute", "dn", "sat")),
+        *(("translate", "dual3.lp", "--to", target) for target in ("normal", "star", "dimacs")),
+        ("se", "disj3.lp"),
+        ("--json", "ue", "dual3.lp"),
+        ("props", "unsplittable.se"),
+        ("synth", "dual3.se", "--from", "se"),
+        ("synth", "dual3.ue", "--from", "ue"),
+        *(("equiv", "dual3.lp", "ab.lp", "--mode", mode) for mode in ("as", "strong", "uniform")),
+        ("equiv", "dual3.lp", "ab.lp", "--mode", "uniform", "--dn-fast"),
+        ("reduce", "qbf", "flip.qbf"),
+        ("reduce", "unsat", "contra.cnf"),
+        ("trace", "ab.lp", "--model", "a", "--exclude", "a"),
+    ]
+    return [[files.get(arg, arg) for arg in command] for command in commands]
+
+
+def test_run_leaves_the_collector_as_the_caller_had_it(files, tmp_path):
+    malformed = tmp_path / "malformed.lp"
+    malformed.write_text("a.\nb :- .\n")
+    refusals = [
+        (["bogus"], 2),
+        (["solve", str(malformed)], 2),
+        (["--budget", "1", "solve", files["disj3.lp"]], 3),
+    ]
+    cases = [(argv, None) for argv in _invocations(files, tmp_path)] + refusals
+    try:
+        for enabled in (True, False):
+            for argv, code in cases:
+                (gc.enable if enabled else gc.disable)()
+                assert invoke(*argv)[0] in ((0, 1) if code is None else (code,)), argv
+                assert gc.isenabled() is enabled, argv
+    finally:
+        gc.enable()
+
+
+def test_run_leaves_no_cyclic_garbage(files, tmp_path):
+    # refcounting must free what an invocation builds, as the collector is
+    # paused for it; the shared parser is built before the first count
+    invocations = _invocations(files, tmp_path)
+    cli._build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in invocations:
+            assert invoke(*argv)[0] in (0, 1), argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()

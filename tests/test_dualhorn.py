@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from collections import Counter
@@ -101,6 +102,31 @@ def test_elimination_rejects_non_dual_horn():
     for w in witnesses:
         with pytest.raises(ProgramClassError, match=r"^rule 'a :- b, c\.'"):
             elimination_fixpoint(w)
+
+
+def test_elimination_restores_the_collector():
+    # a plain program's elimination runs paused, also when it is refused;
+    # a witness's does not pause at all
+    p = parse_program("c :- a.\n:- c.")
+    q = parse_program("a :- b, c.\nb | c.")
+    calls = [
+        (lambda: max_model_dual_horn(p), None),
+        (lambda: max_model_dual_horn(q), ProgramClassError),
+        (lambda: elimination_fixpoint(pmm(p, ids_of(p, "a c"), p.table.id_of("a"))), None),
+        (lambda: elimination_fixpoint(pmm(q, ids_of(q, "a b c"), q.table.id_of("a"))), ProgramClassError),
+    ]
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for call, error in calls:
+                if error is None:
+                    call()
+                else:
+                    with pytest.raises(error):
+                        call()
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_max_model_examples():

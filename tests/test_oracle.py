@@ -7,7 +7,7 @@ import pytest
 from dualnorm.common import BudgetExceededError, OracleBudget
 from dualnorm import core
 from dualnorm.core import AtomTable, Program, SubsetLattice, TruthTables, is_model, reduct, split, table_masks, truth_tables
-from dualnorm.gen import random_program, structured_corpus
+from dualnorm.gen import random_dual_normal_program, random_program, structured_corpus
 from dualnorm.oracle import (
     answer_sets_bf,
     equivalent_as,
@@ -125,6 +125,24 @@ def test_is_answer_set_on_planted_answer_sets_of_four_or_more_atoms():
         assert is_answer_set(p, m) and answer_set_by_sets(p, m)
         for x in near:
             assert is_answer_set(p, x) == (x in expected) == answer_set_by_sets(p, x)
+
+
+def test_answer_sets_bf_agrees_with_is_answer_set_on_every_model():
+    # answer_sets_bf tests its candidates on the kernel it holds;
+    # is_answer_set builds one over each M
+    rng = random.Random(56)
+    corpus = [
+        *(random_program(rng, rng.randint(1, 6), 6) for _ in range(100)),
+        *(random_dual_normal_program(rng, rng.randint(1, 6), 6) for _ in range(100)),
+        *structured_corpus(seed=57, count=100, max_atoms=6, max_rules=8),
+        *(p for p, _, _ in planted_corpus()),
+    ]
+    found = 0
+    for p in corpus:
+        expected = [m for m in models(p) if is_answer_set(p, m)]
+        assert answer_sets_bf(p) == expected
+        found += sum(1 for m in expected if m)
+    assert found > 100
 
 
 def test_oracle_runs_no_reduct_view(monkeypatch):

@@ -5,8 +5,8 @@ import pytest
 from dualnorm import transform
 from dualnorm.classify import classify_labels, is_bcf, is_hcf, is_tight
 from dualnorm.common import OracleBudget
-from dualnorm.core import AtomTable, Program, is_model
-from dualnorm.gen import random_program, structured_corpus
+from dualnorm.core import AtomTable, Program, Rule, is_model, remap
+from dualnorm.gen import random_dual_normal_program, random_program, structured_corpus
 from dualnorm.oracle import answer_sets_bf
 from dualnorm.reductions import parse_qbf, qbf_to_program
 from dualnorm.textio import parse_program, render_program
@@ -176,10 +176,10 @@ def test_checks_fail_on_a_broken_translation(monkeypatch):
 
     assert failures() == (0, 0)
     star_rules = transform._star_rules
-    monkeypatch.setattr(transform, "_true_rules", lambda prog: [])
+    monkeypatch.setattr(transform, "_true_rules", lambda copies: [])
     assert failures() == (219, 219)
     monkeypatch.undo()
-    monkeypatch.setattr(transform, "_star_rules", lambda prog, x: star_rules(prog, x)[:-1])
+    monkeypatch.setattr(transform, "_star_rules", lambda own, atoms: star_rules(own, atoms)[:-1])
     assert failures() == (0, 21)
 
 
@@ -211,3 +211,97 @@ def test_class_and_cycle_swaps_on_corpus():
         if labels.bcf:
             assert is_hcf(plain)
         assert is_tight(p) == is_tight(plain)
+
+
+# A per-occurrence reference: every generated atom is asked of neg_atom or
+# copy_atom at each of its occurrences, as the construction reads.
+
+
+def reference_build_px(prog, x):
+    rules = []
+    for r in prog.rules:
+        if r.head:
+            new_head = [copy_atom(prog, b, x) for b in r.body_pos] if r.body_pos else [copy_atom(prog, None, x)]
+            rules.append(Rule.of(new_head, [copy_atom(prog, h, x) for h in r.head], r.body_neg))
+    return Program.of(prog.table, rules)
+
+
+def reference_translate(prog, star):
+    atoms = sorted(prog.atom_ids)
+    rules = []
+    for x in atoms:
+        rules += [Rule.of((x,), (), (neg_atom(prog, x),)), Rule.of((neg_atom(prog, x),), (), (x,))]
+    for x in atoms:
+        rules.append(Rule.of((copy_atom(prog, x, x),), (), (neg_atom(prog, x),)))
+        rules.extend(Rule.of((copy_atom(prog, y, x),), (), (neg_atom(prog, x), y)) for y in atoms)
+    for x in atoms:
+        rules.extend(reference_build_px(prog, x).rules)
+    rules.extend(Rule.of((), r.body_pos, set(r.head) | set(r.body_neg)) for r in prog.rules)
+    rules.extend(Rule.of((), (x,), (copy_atom(prog, None, x),)) for x in atoms)
+    if star:
+        for x in atoms:
+            rules.extend(Rule.of((copy_atom(prog, y, x),), (copy_atom(prog, None, x),)) for y in atoms)
+    return Program.of(prog.table, rules)
+
+
+def names(table):
+    return [atom.name for atom in table.atoms()]
+
+
+def translation_corpus():
+    """Seeded programs with constraints, ``#false``, facts and other empty
+    positive bodies, and translations of translations."""
+    texts = [
+        "#false.",
+        "a | b.\n#false.",
+        "a.\nb | c :- not a.\n:- b, c.",
+        ":- a.\n:- not b.",
+        "c :- a, not d.\nx.",
+    ]
+    programs = [parse_program(text) for text in texts]
+    rng = random.Random(30)
+    programs += [random_program(rng, rng.randint(1, 4), 6) for _ in range(40)]
+    programs += [random_dual_normal_program(rng, rng.randint(1, 4), 6) for _ in range(40)]
+    programs += structured_corpus(31, 40, max_atoms=4, max_rules=6)
+    programs += [tr(p) for p in programs[:12] for tr in (translate, translate_star)]
+    assert any(not r.head and not r.body_pos and not r.body_neg for p in programs for r in p.rules)
+    assert any(r.head and not r.body_pos for p in programs for r in p.rules)
+    return programs
+
+
+def test_translation_allocates_its_atoms_in_order():
+    # complements by atom; per owner its own copy, then the others
+    # ascending; then the t-copies by owner
+    p = parse_program("a | b.\nc :- a, not b.\n:- c, not a.")
+    translate(p)
+    assert names(p.table) == [
+        "a", "b", "c", "__n_a", "__n_b", "__n_c",
+        "__c_a_a", "__c_b_a", "__c_c_a",
+        "__c_b_b", "__c_a_b", "__c_c_b",
+        "__c_c_c", "__c_a_c", "__c_b_c",
+        "__c_t_a", "__c_t_b", "__c_t_c",
+    ]
+
+
+def test_translation_matches_the_per_occurrence_reference():
+    for p in translation_corpus():
+        for star in (False, True):
+            fast, slow = remap(p, AtomTable()), remap(p, AtomTable())
+            tr = translate_star if star else translate
+            assert tr(fast).rules == reference_translate(slow, star).rules, render_program(p)
+            assert names(fast.table) == names(slow.table)
+            # a second translation over the same table makes no new atom
+            assert tr(fast).rules == reference_translate(slow, star).rules
+            assert names(fast.table) == names(slow.table)
+
+
+def test_build_px_interns_only_the_copies_its_rules_hold():
+    p = parse_program("c :- a, not d.\nx.\n:- a, not e.")
+    build_px(p, p.table.id_of("x"))
+    assert names(p.table) == ["c", "a", "d", "x", "e", "__c_a_x", "__c_c_x", "__c_t_x", "__c_x_x"]
+    for p in translation_corpus():
+        for name in p.atom_names():
+            fast, slow = remap(p, AtomTable()), remap(p, AtomTable())
+            x = fast.table.id_of(name)
+            assert build_px(fast, x).rules == reference_build_px(slow, x).rules
+            assert names(fast.table) == names(slow.table)
