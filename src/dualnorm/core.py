@@ -64,6 +64,10 @@ class AtomTable:
     def id_of(self, name: str) -> int:
         return self._ids[name]
 
+    def describe(self, aid: int) -> str:
+        """An id's quoted name for a message, or the id if no atom has it."""
+        return repr(self._names[aid]) if 0 <= aid < len(self._names) else f"id {aid}"
+
     def names_of(self, aids: Iterable[int]) -> list[str]:
         """Names of the given atoms in name-lexicographic order."""
         return sorted(self._names[a] for a in aids)

@@ -428,7 +428,7 @@ def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
     ``m``, and builds its rule tuple only when it is read.
     """
     if m not in interp:
-        raise ValueError(f"atom {prog.table.name_of(m)!r} is not in the interpretation")
+        raise ValueError(f"atom {prog.table.describe(m)} is not in the interpretation")
     return _Witness(prog.table, reduct_closure(prog, interp), m)
 
 

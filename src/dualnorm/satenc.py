@@ -33,11 +33,12 @@ auxiliary, and changes neither the models found nor their order.
 
 Variables (``Var``) and formula nodes are immutable tuples, built, hashed
 and compared in C.  A variable's hash is the hash of its field tuple.  A
-formula node is the tuple of its class tag and its fields, so nodes of
-different classes never compare equal, and the clausifier, the evaluator
-and the node count dispatch on the tag.  ``build_f``, ``tseitin_cnf`` and
-``enumerate_models`` run with the cyclic collector paused: they make many
-tracked tuples and lists and no reference cycle.
+formula node is a plain tuple, of no class of its own: its tag, then its
+fields.  Nodes with different tags never compare equal, and the folder, the
+clausifier, the evaluator and the node count dispatch on the tag.
+``build_f``, ``tseitin_cnf`` and ``enumerate_models`` run with the cyclic
+collector paused: they make many tracked tuples and lists and no reference
+cycle.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, partial
 from itertools import chain, filterfalse, repeat
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import BudgetExceededError, collector_paused
@@ -107,94 +107,44 @@ def var_display(v: Var, table) -> str:
 # ---------------------------------------------------------------------------
 # Formulas
 
-# The class tag at index 0 of every formula node.
+# A formula node is a plain tuple of its tag and its fields: (_VAR, var),
+# (_CONST, value), (_NOT, arg), (_AND, args), (_OR, args), (_IMPLIES, lhs,
+# rhs) or (_IFF, lhs, rhs), where ``args`` is a tuple of nodes.
 _VAR, _CONST, _NOT, _AND, _OR, _IMPLIES, _IFF = range(7)
 
-
-class Formula(tuple):
-    """A formula node: a tuple of its class tag and its fields, so nodes of
-    different classes never compare equal."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[1:]))
-        return f"{type(self).__name__}({fields})"
+Formula = tuple  # the annotation of a formula node
 
 
-class FVar(Formula):
-    __slots__ = ()
-    _fields = ("var",)
-    var = property(itemgetter(1))
-
-    def __new__(cls, var: Var) -> "FVar":
-        return tuple.__new__(cls, (_VAR, var))
+def FVar(var: Var) -> Formula:
+    return (_VAR, var)
 
 
-class FConst(Formula):
-    __slots__ = ()
-    _fields = ("value",)
-    value = property(itemgetter(1))
-
-    def __new__(cls, value: bool) -> "FConst":
-        return tuple.__new__(cls, (_CONST, value))
+def FConst(value: bool) -> Formula:
+    return (_CONST, value)
 
 
-class FNot(Formula):
-    __slots__ = ()
-    _fields = ("arg",)
-    arg = property(itemgetter(1))
-
-    def __new__(cls, arg: Formula) -> "FNot":
-        return tuple.__new__(cls, (_NOT, arg))
+def FNot(arg: Formula) -> Formula:
+    return (_NOT, arg)
 
 
-class FAnd(Formula):
-    __slots__ = ()
-    _fields = ("args",)
-    args = property(itemgetter(1))
-
-    def __new__(cls, args: tuple[Formula, ...]) -> "FAnd":
-        return tuple.__new__(cls, (_AND, args))
+def FAnd(args: tuple[Formula, ...]) -> Formula:
+    return (_AND, args)
 
 
-class FOr(Formula):
-    __slots__ = ()
-    _fields = ("args",)
-    args = property(itemgetter(1))
-
-    def __new__(cls, args: tuple[Formula, ...]) -> "FOr":
-        return tuple.__new__(cls, (_OR, args))
+def FOr(args: tuple[Formula, ...]) -> Formula:
+    return (_OR, args)
 
 
-class FImplies(Formula):
-    __slots__ = ()
-    _fields = ("lhs", "rhs")
-    lhs = property(itemgetter(1))
-    rhs = property(itemgetter(2))
-
-    def __new__(cls, lhs: Formula, rhs: Formula) -> "FImplies":
-        return tuple.__new__(cls, (_IMPLIES, lhs, rhs))
+def FImplies(lhs: Formula, rhs: Formula) -> Formula:
+    return (_IMPLIES, lhs, rhs)
 
 
-class FIff(Formula):
-    __slots__ = ()
-    _fields = ("lhs", "rhs")
-    lhs = property(itemgetter(1))
-    rhs = property(itemgetter(2))
-
-    def __new__(cls, lhs: Formula, rhs: Formula) -> "FIff":
-        return tuple.__new__(cls, (_IFF, lhs, rhs))
+def FIff(lhs: Formula, rhs: Formula) -> Formula:
+    return (_IFF, lhs, rhs)
 
 
 TRUE = FConst(True)
 FALSE = FConst(False)
-
-# Build nodes from their tuples without the Python-level ``__new__``.
-_new_fvar = partial(tuple.__new__, FVar)
-_new_fand = partial(tuple.__new__, FAnd)
-_new_fiff = partial(tuple.__new__, FIff)
 
 
 def conj(args: Sequence[Formula]) -> Formula:
@@ -203,7 +153,7 @@ def conj(args: Sequence[Formula]) -> Formula:
         return TRUE
     if len(args) == 1:
         return args[0]
-    return FAnd(tuple(args))
+    return (_AND, tuple(args))
 
 
 def disj(args: Sequence[Formula]) -> Formula:
@@ -212,7 +162,7 @@ def disj(args: Sequence[Formula]) -> Formula:
         return FALSE
     if len(args) == 1:
         return args[0]
-    return FOr(tuple(args))
+    return (_OR, tuple(args))
 
 
 def node_count(f: Formula) -> int:
@@ -224,11 +174,8 @@ def node_count(f: Formula) -> int:
         tag = node[0]
         if tag == _AND or tag == _OR:
             stack.extend(node[1])
-        elif tag == _NOT:
-            stack.append(node[1])
-        elif tag == _IMPLIES or tag == _IFF:
-            stack.append(node[1])
-            stack.append(node[2])
+        elif tag != _VAR and tag != _CONST:
+            stack.extend(node[1:])
     return count
 
 
@@ -281,11 +228,11 @@ def eval_formula(f: Formula, assignment: dict[Var, bool]) -> bool:
 
 
 def _base_nodes(atoms: Sequence[int]) -> dict[int, Formula]:
-    return {a: FVar(base_var(a)) for a in atoms}
+    return {a: (_VAR, base_var(a)) for a in atoms}
 
 
 def _level_nodes(atoms: Sequence[int], m: int, i: int) -> dict[Optional[int], Formula]:
-    return {a: _new_fvar((_VAR, _new_var(("level", a, m, i)))) for a in (*atoms, None)}
+    return {a: (_VAR, _new_var(("level", a, m, i))) for a in (*atoms, None)}
 
 
 def _eliminations(prog: Program, atoms: Sequence[int], base: dict[int, Formula]) -> list[tuple]:
@@ -302,9 +249,9 @@ def _eliminations(prog: Program, atoms: Sequence[int], base: dict[int, Formula])
 
 
 def _f0(m: int, atoms: Sequence[int], nodes: dict, base: dict[int, Formula]) -> Formula:
-    parts: list[Formula] = [FNot(nodes[m]), nodes[None]]
-    parts.extend(_new_fiff((_IFF, nodes[a], base[a])) for a in atoms if a != m)
-    return FAnd(tuple(parts))
+    parts: list[Formula] = [(_NOT, nodes[m]), nodes[None]]
+    parts.extend((_IFF, nodes[a], base[a]) for a in atoms if a != m)
+    return (_AND, tuple(parts))
 
 
 def _fi(eliminations: list[tuple], m: int, prev: dict, cur: dict) -> Formula:
@@ -316,15 +263,15 @@ def _fi(eliminations: list[tuple], m: int, prev: dict, cur: dict) -> Formula:
         if a == m:
             continue
         survival = conj([disj([prev[h] for h in head] + negs) for head, negs in rules])
-        parts.append(_new_fiff((_IFF, cur[a], _new_fand((_AND, (prev[a], survival))))))
-    return _new_fand((_AND, tuple(parts))) if len(parts) > 1 else parts[0]
+        parts.append((_IFF, cur[a], (_AND, (prev[a], survival))))
+    return (_AND, tuple(parts)) if len(parts) > 1 else parts[0]
 
 
 def _fmod(prog: Program, base: dict[int, Formula]) -> Formula:
     parts = []
     for r in prog.rules:
         lits: list[Formula] = [base[a] for a in sorted(set(r.head) | set(r.body_neg))]
-        lits.extend(FNot(base[b]) for b in r.body_pos)
+        lits.extend((_NOT, base[b]) for b in r.body_pos)
         parts.append(disj(lits))
     return conj(parts)
 
@@ -333,7 +280,7 @@ def build_f0(prog: Program, m: int) -> Formula:
     """Level 0: the owner atom is eliminated, t survives, every other atom
     survives exactly when the candidate model contains it."""
     if m not in prog.atom_ids:
-        raise ValueError(f"atom {prog.table.name_of(m)!r} does not occur in the program")
+        raise ValueError(f"atom {prog.table.describe(m)} does not occur in the program")
     atoms = sorted(prog.atom_ids)
     return _f0(m, atoms, _level_nodes(atoms, m, 0), _base_nodes(atoms))
 
@@ -342,6 +289,8 @@ def build_fi(prog: Program, m: int, i: int) -> Formula:
     """Level i (1 <= i <= p): each survivor variable is the conjunction of
     its previous level and the survival condition of its elimination rules."""
     _require_dual_normal(prog)
+    if m not in prog.atom_ids:
+        raise ValueError(f"atom {prog.table.describe(m)} does not occur in the program")
     atoms = sorted(prog.atom_ids)
     if not 1 <= i <= len(atoms):
         raise ValueError(f"level {i} out of range 1..{len(atoms)}")
@@ -371,8 +320,8 @@ def build_f(prog: Program) -> Formula:
             cur = _level_nodes(atoms, m, i)
             chain.append(_fi(eliminations, m, prev, cur))
             prev = cur
-        chain.append(FNot(prev[None]))
-        parts.append(FImplies(base[m], FAnd(tuple(chain))))
+        chain.append((_NOT, prev[None]))
+        parts.append((_IMPLIES, base[m], (_AND, tuple(chain))))
     return conj(parts)
 
 
@@ -428,11 +377,11 @@ class CnfInstance:
 
 
 def _fold(f: Formula, found: list[Var]) -> Formula:
-    """Compile constants away; the result contains no FConst unless it is one.
+    """Compile constants away; the result contains no constant unless it is one.
 
-    Appends to ``found`` the variable of every FVar occurrence in the result
+    Appends to ``found`` the variable of every variable node in the result
     (what a pruned subtree appended is cut off again).  A node none of whose
-    children changed is returned as it is.  FVar arguments of a
+    children changed is returned as it is.  Variable arguments of a
     conjunction or disjunction are taken in place, without a call.
     """
     tag = f[0]
@@ -445,7 +394,7 @@ def _fold(f: Formula, found: list[Var]) -> Formula:
         a = _fold(f[1], found)
         if a[0] == _CONST:
             return FALSE if a[1] else TRUE
-        return f if a is f[1] else FNot(a)
+        return f if a is f[1] else (_NOT, a)
     if tag == _AND or tag == _OR:
         is_and = tag == _AND
         mark = len(found)
@@ -468,7 +417,7 @@ def _fold(f: Formula, found: list[Var]) -> Formula:
         if len(flat) > 1:
             if same:
                 return f
-            return FAnd(tuple(flat)) if is_and else FOr(tuple(flat))
+            return (tag, tuple(flat))
         if flat:
             return flat[0]
         return TRUE if is_and else FALSE
@@ -478,7 +427,7 @@ def _fold(f: Formula, found: list[Var]) -> Formula:
         if lhs[0] != _CONST and rhs[0] != _CONST:
             if lhs is f[1] and rhs is f[2]:
                 return f
-            return FImplies(lhs, rhs) if tag == _IMPLIES else FIff(lhs, rhs)
+            return (tag, lhs, rhs)
         if tag == _IMPLIES:
             if lhs[0] == _CONST:
                 if lhs[1]:
@@ -488,12 +437,12 @@ def _fold(f: Formula, found: list[Var]) -> Formula:
             if rhs[1]:
                 del found[mark:]
                 return TRUE
-            return FNot(lhs)
+            return (_NOT, lhs)
         if lhs[0] == _CONST:
             lhs, rhs = rhs, lhs
         if lhs[0] == _CONST:  # both constant
             return TRUE if lhs[1] == rhs[1] else FALSE
-        return lhs if rhs[1] else FNot(lhs)
+        return lhs if rhs[1] else (_NOT, lhs)
     raise TypeError(f"not a formula: {f!r}")
 
 

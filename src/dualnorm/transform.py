@@ -99,7 +99,7 @@ def build_px(prog: Program, x: int) -> Program:
     H <- B+, not B- becomes copy(B+) <- copy(H), not B-.  It interns only
     the copies its rules hold."""
     if x not in prog.atom_ids:
-        raise ValueError(f"atom {prog.table.name_of(x)!r} does not occur in the program")
+        raise ValueError(f"atom {prog.table.describe(x)} does not occur in the program")
     return Program.of(prog.table, _reversal(prog, _Copies(prog, x)))
 
 

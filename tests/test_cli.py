@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -210,6 +211,17 @@ def test_usage_errors(files, tmp_path):
     malformed = tmp_path / "malformed.lp"
     malformed.write_text("a.\nb :- .\n")
     assert invoke("solve", str(malformed)) == (2, "", "parse error: 2:6: expected a body literal, found '.'\n")
+
+
+def test_a_stream_error_is_raised_not_reported_as_a_read_error(files):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EPIPE, "broken pipe")
+
+    err = io.StringIO()
+    with pytest.raises(BrokenPipeError):
+        run(["solve", files["ab.lp"]], BrokenPipe(), err)
+    assert err.getvalue() == ""
 
 
 def test_python_dash_m(files):

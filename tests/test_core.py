@@ -4,10 +4,10 @@ import pytest
 
 from dualnorm.common import ProgramClassError
 from dualnorm.core import (
-    AtomTable, Program, Rule, is_model, p_t_transform, reduct, require_dual_normal, satisfies, split,
+    AtomTable, Program, Rule, is_model, p_t_transform, reduct, remap, require_dual_normal, satisfies, split,
 )
 from dualnorm.dualhorn import answer_sets_dn, is_answer_set_dn
-from dualnorm.gen import random_program, structured_corpus
+from dualnorm.gen import atom_names, random_program, structured_corpus
 from dualnorm.satenc import answer_sets_via_sat, build_f
 from dualnorm.seue import SEPair, is_ue_model_dn, uniformly_equivalent_dn
 from dualnorm.textio import parse_program
@@ -155,6 +155,21 @@ def test_program_dedup_and_sorted_storage():
     assert len(p.rules) == 2
     assert p.rules[0].body_pos == tuple(sorted(p.rules[0].body_pos))
     assert p.rules[1].head == tuple(sorted(p.rules[1].head))
+
+
+def test_program_iterates_and_counts_its_rules():
+    p = parse_program("a | b.\nc :- a.\nc :- a.\n")
+    assert list(p) == list(p.rules) and len(p) == len(p.rules) == 2
+
+
+def test_remap_onto_its_own_table_returns_the_program():
+    p = parse_program("a | b.")
+    assert remap(p, p.table) is p
+
+
+def test_atom_names_switch_to_numbered_names_above_26():
+    assert atom_names(3) == ["a", "b", "c"] and atom_names(26)[-1] == "z"
+    assert atom_names(27) == [f"x{i}" for i in range(27)]
 
 
 def test_empty_program_conventions():

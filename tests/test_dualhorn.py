@@ -208,6 +208,14 @@ def test_pmm_examples():
         pmm(p, ids_of(p, "a"), p.table.id_of("b"))
 
 
+def test_pmm_names_an_atom_outside_the_interpretation_by_its_id():
+    # an id the table lacks is reported as a number; -1 must not name the last atom
+    p = parse_program("a | b.")
+    for m, label in ((999, "id 999"), (-1, "id -1"), (p.table.id_of("b"), "'b'")):
+        with pytest.raises(ValueError, match=f"^atom {label} is not in the interpretation$"):
+            pmm(p, ids_of(p, "a"), m)
+
+
 def test_pmm_is_reduct_of_proper_part_plus_forbidding_constraints():
     for p in structured_corpus(seed=51, count=150, max_atoms=4, max_rules=6):
         proper, _ = split(p)

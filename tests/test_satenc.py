@@ -27,6 +27,7 @@ from dualnorm.satenc import (
     build_fmod,
     conj,
     declared_vars,
+    disj,
     enumerate_models,
     eval_formula,
     interpret_model,
@@ -74,7 +75,7 @@ def test_build_f0_structure():
     )
     three = parse_program("a :- not b, not c.")
     bb = build_f0(three, three.table.id_of("b"))
-    assert sum(isinstance(part, FIff) for part in bb.args) == 2
+    assert sum(part[0] == satenc._IFF for part in bb[1]) == 2
     with pytest.raises(ValueError):
         build_f0(p, p.table.intern("zz"))
 
@@ -92,13 +93,13 @@ def test_build_fi_examples():
             )
         ),
     )
-    assert t_part in f1.args
+    assert t_part in f1[1]
     # atom with no elimination rules keeps only its previous level
     b_part = FIff(
         FVar(level_var(b, a, 1)),
         FAnd((FVar(level_var(b, a, 0)), FConst(True))),
     )
-    assert b_part in f1.args
+    assert b_part in f1[1]
 
     q = parse_program("b :- a, not c.\nd :- a.")
     bq, cq, aq, dq = (q.table.id_of(x) for x in "bcad")
@@ -117,12 +118,42 @@ def test_build_fi_examples():
             )
         ),
     )
-    assert wanted in f.args
+    assert wanted in f[1]
 
     with pytest.raises(ValueError):
         build_fi(p, a, 3)
     with pytest.raises(ProgramClassError):
         build_fi(parse_program("x :- y, z."), 0, 1)
+
+
+def test_build_f0_rejects_an_unknown_atom_id():
+    p = parse_program("a | b.")
+    for m in (999, -1):
+        with pytest.raises(ValueError, match=f"^atom id {m} does not occur in the program$"):
+            build_f0(p, m)
+
+
+def test_build_fi_rejects_an_unknown_atom_id():
+    p = parse_program("a | b.")
+    for m in (999, -1):
+        with pytest.raises(ValueError, match=f"^atom id {m} does not occur in the program$"):
+            build_fi(p, m, 1)
+    with pytest.raises(ValueError, match="^atom 'zz' does not occur in the program$"):
+        build_fi(p, p.table.intern("zz"), 1)
+
+
+def test_var_sort_key_puts_t_between_the_atoms_and_the_levels():
+    vs = [level_var(None, 0, 0), level_var(1, 0, 0), satenc.PAD, base_var(1), base_var(0)]
+    assert sorted(vs, key=var_sort_key) == [
+        base_var(0), base_var(1), satenc.PAD, level_var(1, 0, 0), level_var(None, 0, 0),
+    ]
+
+
+def test_conj_and_disj_collapse_empty_and_single_arguments():
+    x = FVar(base_var(0))
+    assert conj([]) == FConst(True) and disj([]) == FConst(False)
+    assert conj([x]) == x == disj([x])
+    assert conj([x, x]) == FAnd((x, x)) and disj([x, x]) == FOr((x, x))
 
 
 def test_build_fmod():
@@ -541,6 +572,34 @@ def _random_formula(rng, leaves, depth):
     return FIff(left, right) if kind == 2 else FImplies(left, right)
 
 
+def _nodes(f):
+    """Every node of a formula, each occurrence once."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        tag = node[0]
+        if tag == satenc._AND or tag == satenc._OR:
+            stack.extend(node[1])
+        elif tag != satenc._VAR and tag != satenc._CONST:
+            stack.extend(node[1:])
+
+
+def test_formula_nodes_are_exact_tuples():
+    rng = random.Random(29)
+    for _ in range(40):
+        p = random_dual_normal_program(rng, rng.randint(1, 6), rng.randint(0, 9))
+        f = build_f(p)
+        nodes = list(_nodes(f))
+        assert len(nodes) == node_count(f)
+        assert all(type(n) is tuple for n in nodes)
+    leaves = [FVar(base_var(a)) for a in range(4)] + [FConst(True), FConst(False)]
+    for _ in range(300):
+        f = _random_formula(rng, leaves, 3)
+        assert all(type(n) is tuple for n in _nodes(f))
+        assert all(type(n) is tuple for n in _nodes(satenc._fold(f, [])))
+
+
 def test_tseitin_faithful_on_random_formulas():
     rng = random.Random(32)
     table = AtomTable()
@@ -635,11 +694,12 @@ def test_repeated_literals_enumerate_like_their_deduplicated_form(num_vars, clau
 
 
 def _vars_of(f):
-    if isinstance(f, FVar):
-        return {f.var}
-    children = f.args if isinstance(f, (FAnd, FOr)) else (f.arg,) if isinstance(f, FNot) else ()
-    if isinstance(f, (FImplies, FIff)):
-        children = (f.lhs, f.rhs)
+    tag = f[0]
+    if tag == satenc._VAR:
+        return {f[1]}
+    if tag == satenc._CONST:
+        return set()
+    children = f[1] if tag in (satenc._AND, satenc._OR) else f[1:]
     return set().union(*map(_vars_of, children))
 
 

@@ -141,6 +141,16 @@ def test_se_properties_fixtures():
     assert all(props_e.to_dict().values())
 
 
+def test_se_set_repr():
+    table = AtomTable()
+    a = table.intern("a")
+    se_set = SESet(table, frozenset({a}), [SEPair(frozenset(), frozenset({a}))])
+    assert repr(se_set) == (
+        f"SESet(table={table!r}, universe=frozenset({{{a}}}), "
+        f"pairs=frozenset({{SEPair(here=frozenset(), there=frozenset({{{a}}}))}}))"
+    )
+
+
 def test_program_from_se_set_examples():
     # a single empty diagonal pair: everything else must be excluded
     one = parse_se_set(";")

@@ -303,6 +303,8 @@ def test_parse_dimacs_model_lines():
     text = "c comment\ns SATISFIABLE\nv 1 -2 3 0\n"
     assert parse_dimacs_model(text) == frozenset({1, 3})
     assert parse_dimacs_model("1 -2 0") == frozenset({1})
+    # a line stops at its first non-integer token
+    assert parse_dimacs_model("v 1 2 x 3 0\n4 0\n") == frozenset({1, 2, 4})
 
 
 def test_corpus_round_trip_structured():

@@ -295,6 +295,13 @@ def test_translation_matches_the_per_occurrence_reference():
             assert names(fast.table) == names(slow.table)
 
 
+def test_build_px_rejects_an_unknown_atom_id():
+    p = parse_program("a | b.")
+    for x in (999, -1):
+        with pytest.raises(ValueError, match=f"^atom id {x} does not occur in the program$"):
+            build_px(p, x)
+
+
 def test_build_px_interns_only_the_copies_its_rules_hold():
     p = parse_program("c :- a, not d.\nx.\n:- a, not e.")
     build_px(p, p.table.id_of("x"))
