@@ -16,8 +16,9 @@ removing bit b of every mask in it is one shift and one AND with the truth
 table of b, kept once per m up to 20 bits.  :class:`TruthTables` is the
 lattice of a universe of k atoms with a program's rules as tables, so that
 a rule is tested against all 2^k interpretations with one big-int op per
-literal (``oracle`` and ``seue.se_models``); ``seue`` lays each SE-set out
-as one table of 2^k bits a row.
+literal; its :meth:`TruthTables.row` is the one reduct question that the
+``oracle`` and ``seue.se_models`` ask.  ``seue`` keeps each SE-set as its
+rows, one table of 2^k bits a row.
 """
 
 from __future__ import annotations
@@ -478,6 +479,9 @@ class TruthTables(SubsetLattice):
     (k + 2r + 1) * 2^k bits, no complement among them: at 22 atoms, some
     11 MB of columns, the lattice's kept tables up to 20 atoms, and 1 MB
     per such rule.
+
+    :meth:`row` is the one reduct question, which SE-models and answer-set
+    tests ask alike: the submasks of a mask that model the reduct w.r.t. it.
     """
 
     def __init__(self, prog: Program, atoms: Sequence[int]) -> None:
@@ -527,6 +531,12 @@ class TruthTables(SubsetLattice):
             if not blocked >> mask & 1:
                 rejected |= rejects
         return rejected
+
+    def row(self, mask: int) -> int:
+        """The reduct question: the submasks of ``mask`` that model the
+        reduct P^mask.  It is the SE row of a model ``mask``, and a model
+        is an answer set exactly when its row is ``1 << mask``."""
+        return submask_table(mask) & ~self.rejections(mask)
 
     def locally_minimal(self, interps: int) -> int:
         """The M in ``interps`` such that no M - {a} with a in M models the

@@ -7,15 +7,14 @@ the default 22-atom budget, plus 2^(k+1) bits per rule with a negative
 body), so models come out in subset-lexicographic order.
 ``minimal_models`` drops the models with a proper subset among the models:
 the strict up-closure of their table along the subset lattice.
-``answer_sets_bf`` drops, for all M at once, each model M with an atom a
-such that M - {a} models P^M, and tests each model left on the same
-tables: M is an answer set when no submask of M but M itself escapes the
-rejections of P^M.  ``is_answer_set`` builds the tables over the universe
-M, where the rules whose negative body meets M drop out and the rest are
-P^M, and asks whether P^M has a model in M but M.  Nothing here imports
-the engines it checks.  These functions exist to validate the fast
-algorithms, not to scale; the :class:`OracleBudget` refuses oversized
-universes.
+Both answer-set functions ask the kernel's one reduct question,
+``TruthTables.row``: M is an answer set when the submasks of M that model
+P^M are M alone.  ``answer_sets_bf`` first drops, for all M at once, each
+model M with an atom a such that M - {a} models P^M, and asks the rest;
+``is_answer_set`` builds the tables over the universe M and asks of the
+mask of all its atoms.  Nothing here imports the engines it checks.  These
+functions exist to validate the fast algorithms, not to scale; the
+:class:`OracleBudget` refuses oversized universes.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import Program, TruthTables, ensure_shared, mask_to_set, submask_table, table_masks
+from .core import Program, TruthTables, ensure_shared, mask_to_set, table_masks
 
 # Re-exported here because the budget is part of the oracle's contract.
 __all__ = [
@@ -60,40 +59,30 @@ def minimal_models(
     return [mask_to_set(kernel.atoms, m) for m in table_masks(found & ~above)]
 
 
-def _is_answer(prog: Program, interp: frozenset[int]) -> bool:
-    """The kernel over the universe M = ``interp``, whose ``unblocked``
-    rules are P^M: M is an answer set when P^M has no model in M but M
-    itself."""
-    kernel = TruthTables(prog, sorted(interp))
-    return kernel.full ^ kernel.unblocked == kernel.full ^ kernel.full >> 1
-
-
 def answer_sets_bf(
     prog: Program,
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> list[frozenset[int]]:
     """All answer sets, by definition: M a minimal model of the reduct P^M.
     The models with no one-atom-smaller subset modelling P^M are found for
-    all M at once, and each is then tested on the same tables: no subset of
-    M but M itself escapes what P^M rejects."""
+    all M at once, and each is kept when its row (``TruthTables.row``) is M
+    alone."""
     kernel = TruthTables.over(prog, None, budget, "answer-set enumeration")
     candidates = table_masks(kernel.locally_minimal(kernel.models()))
-    return [
-        mask_to_set(kernel.atoms, c)
-        for c in candidates
-        if submask_table(c) & ~kernel.rejections(c) == 1 << c
-    ]
+    return [mask_to_set(kernel.atoms, c) for c in candidates if kernel.row(c) == 1 << c]
 
 
 def is_answer_set(
     prog: Program, interp: frozenset[int], budget: OracleBudget = DEFAULT_BUDGET
 ) -> bool:
     """Answer-set membership by definition over the universe M: M is a model
-    of P and no proper subset of M models P^M.  The budget bounds |M|."""
+    of P and no proper subset of M models P^M: the row of the mask of all of
+    M is that mask alone.  The budget bounds |M|."""
     if not interp <= prog.atom_ids:
         raise ValueError("interpretation contains atoms outside the program")
-    budget.check(len(interp), "answer-set check")
-    return _is_answer(prog, interp)
+    kernel = TruthTables.over(prog, interp, budget, "answer-set check")
+    every = (1 << kernel.m) - 1
+    return kernel.row(every) == 1 << every
 
 
 def equivalent_as(

@@ -19,9 +19,10 @@ The closure vocabulary on sets of SE-interpretations:
 * splittable: unions of here-components below a diagonal member Z either
   appear at Z or fit under some intermediate (Z', Z) in the set.
 
-A set keeps its rows (``SESet.rows``): over the k atoms of the sorted
+A set is its rows (``SESet.rows``): over the k atoms of the sorted
 universe (bit i of a mask is the i-th smallest id), each there-mask Y maps
-to the table of its here-masks, an int of 2^k bits.  The UE filter, the
+to the table of its here-masks, an int of 2^k bits; ``se_models`` reads
+each row from the kernel (``core.TruthTables.row``).  The UE filter, the
 flags, the closure and the syntheses lay the rows out in one int, a grid
 (``_Grid``) with bit r * 2^k + x set when (X, Y) is in the set and Y is
 its r-th row.  Adding atom i to X moves a bit by 2^i, so each question is
@@ -50,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, SynthesisPreconditionError
 from .core import AtomTable, Program, Rule, SubsetLattice, TruthTables, ensure_shared, every_table
-from .core import submask_table, table_masks, table_of_rows, table_rows
+from .core import table_masks, table_of_rows, table_rows
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
 from .core import mask_to_set as _masked
@@ -141,21 +142,26 @@ class SESet:
     """A finite set of SE-interpretations over a declared universe.
 
     Sets are immutable, and equal when their universes and pairs are (the
-    atom table is not compared).  A set keeps its rows, ``rows``: each
-    there-mask Y maps to the table of its here-masks (bit X set when (X, Y)
-    is in the set; bit i of a mask is ``atoms[i]``).  The rows of a set
-    built from SEPairs, and the SEPairs of one built from rows, are made on
-    first read.
+    atom table is not compared).  A set is its rows, ``rows``: over the
+    sorted universe ``atoms``, each there-mask Y maps to the table of its
+    here-masks (bit X set when (X, Y) is in the set; bit i of a mask is
+    ``atoms[i]``).  A set built from SEPairs is laid out as rows at once;
+    its SEPairs, ``pairs``, are made from the rows on first read.
     """
 
     def __init__(
         self, table: AtomTable, universe: Iterable[int] = frozenset(), pairs: Iterable[SEPair] = frozenset()
     ) -> None:
-        universe, pairs = frozenset(universe), frozenset(pairs)
+        universe = frozenset(universe)
+        atoms = tuple(sorted(universe))
+        bit = {a: 1 << i for i, a in enumerate(atoms)}
+        rows: dict[int, int] = {}
         for p in pairs:
             if not p.there <= universe:
                 raise ValueError("SE-pair outside the declared universe")
-        self.__dict__.update(table=table, universe=universe, pairs=pairs)
+            y = sum(map(bit.__getitem__, p.there))
+            rows[y] = rows.get(y, 0) | 1 << sum(map(bit.__getitem__, p.here))
+        self.__dict__.update(table=table, universe=universe, atoms=atoms, rows=rows)
 
     @classmethod
     def from_rows(cls, table: AtomTable, atoms: Sequence[int], rows: dict[int, int]) -> "SESet":
@@ -167,19 +173,6 @@ class SESet:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
-
-    @cached_property
-    def atoms(self) -> tuple[int, ...]:
-        return tuple(sorted(self.universe))
-
-    @cached_property
-    def rows(self) -> dict[int, int]:
-        bit = {a: 1 << i for i, a in enumerate(self.atoms)}
-        rows: dict[int, int] = {}
-        for here, there in self.pairs:
-            y = sum(map(bit.__getitem__, there))
-            rows[y] = rows.get(y, 0) | 1 << sum(map(bit.__getitem__, here))
-        return rows
 
     @cached_property
     def pairs(self) -> frozenset[SEPair]:
@@ -241,13 +234,9 @@ def se_models(prog: Program, universe: Optional[frozenset[int]] = None, budget: 
     """All SE-models of the program over the universe (default: its atoms),
     by the definition: Y a model of P, X a model of the reduct P^Y.  On the
     truth tables of ``core.TruthTables``: the models come from one table,
-    and the row of each model Y is the table of its submasks less the table
-    of what P^Y rejects."""
+    and the row of each model Y is the kernel's ``row(Y)``."""
     kernel = TruthTables.over(prog, universe, budget, "SE-model enumeration")
-    rows = {}
-    for y in table_masks(kernel.models()):
-        heres = submask_table(y)
-        rows[y] = heres ^ heres & kernel.rejections(y)
+    rows = {y: kernel.row(y) for y in table_masks(kernel.models())}
     return SESet.from_rows(prog.table, kernel.atoms, rows)
 
 

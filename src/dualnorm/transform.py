@@ -36,18 +36,27 @@ from .core import AtomTable, Program, Rule, is_model, mask_to_set, reduct, remap
 from .oracle import answer_sets_bf, minimal_models
 
 
+def _require_atom(prog: Program, aid: int) -> None:
+    """Reject an id that is no atom of the program, before anything is interned."""
+    if aid not in prog.atom_ids:
+        raise ValueError(f"atom {prog.table.describe(aid)} does not occur in the program")
+
+
 def neg_atom(prog: Program, x: int) -> int:
     """The complement atom for x, stable per table and input atom set, so
     that it is never an atom of the input itself."""
+    _require_atom(prog, x)
     name = prog.table.name_of(x)
     return prog.table.generated(("neg", x, prog.atom_ids), f"__n_{name}")
 
 
 def copy_atom(prog: Program, y: Optional[int], x: int) -> int:
     """The copy of atom y owned by x; y=None is the copy of the padding atom."""
+    _require_atom(prog, x)
     xname = prog.table.name_of(x)
     if y is None:
         return prog.table.generated(("copy_t", x, prog.atom_ids), f"__c_t_{xname}")
+    _require_atom(prog, y)
     return prog.table.generated(("copy", y, x, prog.atom_ids), f"__c_{prog.table.name_of(y)}_{xname}")
 
 
@@ -98,8 +107,7 @@ def build_px(prog: Program, x: int) -> Program:
     """The owner-x reversal of the proper rules (after body padding): a rule
     H <- B+, not B- becomes copy(B+) <- copy(H), not B-.  It interns only
     the copies its rules hold."""
-    if x not in prog.atom_ids:
-        raise ValueError(f"atom {prog.table.describe(x)} does not occur in the program")
+    _require_atom(prog, x)
     return Program.of(prog.table, _reversal(prog, _Copies(prog, x)))
 
 

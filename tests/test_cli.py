@@ -3,8 +3,10 @@ import gc
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -232,6 +234,29 @@ def test_python_dash_m(files):
         capture_output=True, text=True, env=env, check=False,
     )
     assert (done.returncode, done.stdout, done.stderr) == invoke("classify", files["dual3.lp"])
+
+
+def test_python_dash_m_solves_the_golden_input():
+    golden = Path(__file__).parent / "golden"
+    expected = json.loads((golden / "expected.json").read_text())["solve ab.lp --method sat"]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "dualnorm", "solve", "ab.lp", "--method", "sat"],
+        capture_output=True, text=True, env=env, cwd=golden / "in", check=False,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (expected["exit"], expected["stdout"], "") == (0, "a\nb\n", "")
+
+
+@pytest.mark.parametrize("entry", ["main", "dualnorm", "dualnorm.cli"])
+def test_entry_points_exit_with_the_code_of_run(entry, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["dualnorm", "bogus"])
+    with pytest.raises(SystemExit) as exit_info, warnings.catch_warnings():
+        # running dualnorm.cli as __main__ warns that it is already imported
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cli.main() if entry == "main" else runpy.run_module(entry, run_name="__main__")
+    code, out, err = invoke("bogus")
+    assert (exit_info.value.code, *capsys.readouterr()) == (code, out, err) and code == 2
 
 
 def test_parser_is_built_once(files):

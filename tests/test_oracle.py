@@ -145,6 +145,20 @@ def test_answer_sets_bf_agrees_with_is_answer_set_on_every_model():
     assert found > 100
 
 
+def test_answer_sets_are_the_models_whose_se_row_is_themselves():
+    # M is an answer set iff {X subset of M : X |= P^M} is {M}
+    corpus = [*structured_corpus(5, 400), *(p for p, _, _ in planted_corpus())]
+    found = 0
+    for p in corpus:
+        se = se_models(p)
+        rows = sorted(se.rows.items())
+        expected = [core.mask_to_set(se.atoms, y) for y, row in rows if row == 1 << y]
+        assert answer_sets_bf(p) == expected
+        assert [is_answer_set(p, core.mask_to_set(se.atoms, y)) for y, _ in rows] == [row == 1 << y for y, row in rows]
+        found += len(expected)
+    assert found == 274 + 144
+
+
 def test_oracle_runs_no_reduct_view(monkeypatch):
     def refuse(self, interp):
         raise AssertionError("the oracle read a reduct view")

@@ -296,10 +296,21 @@ def test_translation_matches_the_per_occurrence_reference():
 
 
 def test_build_px_rejects_an_unknown_atom_id():
+    # and so do the generated-atom helpers, before interning anything
     p = parse_program("a | b.")
-    for x in (999, -1):
-        with pytest.raises(ValueError, match=f"^atom id {x} does not occur in the program$"):
-            build_px(p, x)
+    a = p.table.id_of("a")
+    calls = (
+        build_px,
+        neg_atom,
+        lambda p, bad: copy_atom(p, None, bad),
+        lambda p, bad: copy_atom(p, a, bad),
+        lambda p, bad: copy_atom(p, bad, a),
+    )
+    for x in (999, -1, len(p.table)):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^atom id {x} does not occur in the program$"):
+                call(p, x)
+    assert names(p.table) == ["a", "b"]
 
 
 def test_build_px_interns_only_the_copies_its_rules_hold():
