@@ -166,6 +166,8 @@ def _run(args, out: TextIO, err: TextIO) -> int:
         return _print_answer_sets(prog, result, out, args.json)
 
     if args.command == "translate":
+        if args.project and args.to != "dimacs":
+            raise _UsageError("--project requires --to dimacs")
         prog = _load_program(args.file)
         if args.to == "normal":
             out.write(render_program(translate(prog)))

@@ -12,9 +12,13 @@ Both answer-set functions ask the kernel's one reduct question,
 P^M are M alone.  ``answer_sets_bf`` first drops, for all M at once, each
 model M with an atom a such that M - {a} models P^M, and asks the rest;
 ``is_answer_set`` builds the tables over the universe M and asks of the
-mask of all its atoms.  Nothing here imports the engines it checks.  These
-functions exist to validate the fast algorithms, not to scale; the
-:class:`OracleBudget` refuses oversized universes.
+mask of all its atoms.  The model and answer-set functions import none of
+the engines they check; the two equivalence checks do not stand apart
+from ``seue``: ``strongly_equivalent_bf`` compares the SE-sets of
+``seue.se_models``, and ``uniformly_equivalent_bf`` filters them with the
+grid of ``seue.ue_models``.  These functions exist to validate the fast
+algorithms, not to scale; the :class:`OracleBudget` refuses oversized
+universes.
 """
 
 from __future__ import annotations

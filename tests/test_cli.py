@@ -210,6 +210,9 @@ def test_usage_errors(files, tmp_path):
     assert invoke("classify", str(tmp_path)) == (2, "", f"cannot read {tmp_path}\n")
     assert invoke("--seed", "1", "solve", files["ab.lp"])[0] == 2
     assert invoke("--budget", "-1", "solve", files["ab.lp"])[0] == 2
+    for target in ("normal", "star"):
+        projected = invoke("translate", files["ab.lp"], "--to", target, "--project")
+        assert projected == (2, "", "usage error: --project requires --to dimacs\n")
     malformed = tmp_path / "malformed.lp"
     malformed.write_text("a.\nb :- .\n")
     assert invoke("solve", str(malformed)) == (2, "", "parse error: 2:6: expected a body literal, found '.'\n")

@@ -16,17 +16,33 @@ Tompits & Woltran, LPNMR 2004); on every UE-set of a general program it must
 flag UE-complete and splittable exactly the UE-sets of dual-normal programs.
 At 1 and 2 atoms every set of SE-interpretations is checked, so that
 ``complete`` is also tested against realisability.
+
+The syntheses must realise every dual-normal SE-set and UE-set at 1-3
+atoms.  ``se_closure`` must give the least dual-normal set containing a
+complete set: the intersection of the rules' SE-sets that contain it, as
+the family is their intersection closure.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import and_
 
 import pytest
 
 from dualnorm.core import AtomTable, Rule
-from dualnorm.seue import SEPair, SESet, se_properties, se_satisfies
+from dualnorm.seue import (
+    SEPair,
+    SESet,
+    program_from_se_set,
+    program_from_ue_set,
+    se_closure,
+    se_models,
+    se_properties,
+    se_satisfies,
+    ue_models,
+)
 
 
 def _subsets(atoms):
@@ -74,8 +90,8 @@ def _intersection_closure(full: int, generators: set[int]) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def families(k: int):
-    """The universe over k atoms, and the SE-sets of each class's programs."""
+def rule_sets(k: int):
+    """The universe over k atoms, and the SE-sets of each class's rules."""
     universe = Universe(k)
     by_class: dict[str, set[int]] = {"general": set(), "dual_normal": set(), "normal": set(), "both": set()}
     for rule in universe.rules():
@@ -89,6 +105,13 @@ def families(k: int):
             by_class["normal"].add(members)
         if dual_normal and normal:
             by_class["both"].add(members)
+    return universe, by_class
+
+
+@lru_cache(maxsize=None)
+def families(k: int):
+    """The universe over k atoms, and the SE-sets of each class's programs."""
+    universe, by_class = rule_sets(k)
     return universe, {name: _intersection_closure(universe.full, sets) for name, sets in by_class.items()}
 
 
@@ -169,3 +192,53 @@ def test_a_set_built_from_pairs_keeps_them():
     for members in family["general"]:
         se_set = universe.to_se_set(members)
         assert set(se_set) == {pair for i, pair in enumerate(universe.pairs) if members >> i & 1}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_se_synthesis_realises_every_dual_normal_set(k):
+    universe, family = families(k)
+    atoms = frozenset(universe.atoms)
+    failed = []
+    for members in family["dual_normal"]:
+        se_set = universe.to_se_set(members)
+        if se_models(program_from_se_set(se_set), universe=atoms) != se_set:
+            failed.append(members)
+    assert failed == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ue_synthesis_realises_every_dual_normal_ue_set(k):
+    universe = families(k)[0]
+    atoms = frozenset(universe.atoms)
+    failed = []
+    for members in ue_families(k)["dual_normal"]:
+        se_set = universe.to_se_set(members)
+        if ue_models(se_models(program_from_ue_set(se_set), universe=atoms)) != se_set:
+            failed.append(members)
+    assert failed == []
+
+
+def _closure_mismatches(k, sets):
+    """The sets whose ``se_closure`` is not the least dual-normal set
+    containing them: the intersection of the dual-normal rules' SE-sets
+    that contain the set (every SE-interpretation when none does)."""
+    universe, by_class = rule_sets(k)
+    generators, out = by_class["dual_normal"], []
+    for members in sets:
+        least = reduce(and_, (g for g in generators if members & ~g == 0), universe.full)
+        if se_closure(universe.to_se_set(members)) != universe.to_se_set(least):
+            out.append(members)
+    return out
+
+
+def test_se_closure_is_the_least_dual_normal_set_above_every_realisable_set():
+    # every realisable set is complete (see the flag tests above)
+    assert _closure_mismatches(3, families(3)[1]["general"]) == []
+
+
+@pytest.mark.parametrize("k, incomplete_mismatches", [(1, 2), (2, 350)])
+def test_se_closure_is_the_least_dual_normal_set_only_above_complete_sets(k, incomplete_mismatches):
+    universe = families(k)[0]
+    mismatches = _closure_mismatches(k, range(1 << 3**k))
+    assert len(mismatches) == incomplete_mismatches
+    assert not any(se_properties(universe.to_se_set(members)).complete for members in mismatches)

@@ -12,6 +12,7 @@ from dualnorm.reductions import parse_qbf, qbf_to_program
 from dualnorm.textio import parse_program, render_program
 from dualnorm.transform import (
     _seeded_minimal_models,
+    _translate,
     build_px,
     check_trans2,
     check_trans3,
@@ -141,10 +142,10 @@ def test_decomposed_answer_sets_against_brute_force():
     for _ in range(60):
         p = random_program(rng, rng.randint(1, 2), 4)
         for star in (False, True):
-            q = translate_star(p) if star else translate(p)
+            q, copies = _translate(p, star)
             fast = {
                 mp_of(p, m) | n
-                for m, models in _seeded_minimal_models(p, star, big)
+                for m, models in _seeded_minimal_models(p, copies, star, big)
                 for n in models
                 if is_model(mp_of(p, m) | n, q)
             }
