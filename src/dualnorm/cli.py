@@ -143,7 +143,7 @@ def _print_answer_sets(prog: Program, answer_sets, out: TextIO, as_json: bool) -
     return EXIT_POSITIVE if listed else EXIT_NEGATIVE
 
 
-def _run(args, out: TextIO, err: TextIO) -> int:
+def _run(args, out: TextIO) -> int:
     budget = OracleBudget() if args.budget is None else OracleBudget(max_atoms=args.budget)
 
     if args.command == "classify":
@@ -265,7 +265,7 @@ def run(argv: list[str], out: TextIO = None, err: TextIO = None) -> int:
     err = err if err is not None else sys.stderr
     try:
         args = _build_parser().parse_args(argv)
-        return _run(args, out, err)
+        return _run(args, out)
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -472,13 +472,15 @@ class TruthTables(SubsetLattice):
 
     Rules with a positive-body atom outside the universe are satisfied by
     every subset of it and dropped; head and negative-body atoms outside it
-    are false.  ``unblocked`` ORs the reduct rejections of the rules whose
-    negative body misses the universe; ``split`` pairs each other rule's
-    rejections with the interpretations its negative body meets, those for
-    which the reduct drops it.  With r rules in ``split`` the kernel holds
-    (k + 2r + 1) * 2^k bits, no complement among them: at 22 atoms, some
-    11 MB of columns, the lattice's kept tables up to 20 atoms, and 1 MB
-    per such rule.
+    are false.  A rule leaves the reduct by its negative body alone, so
+    ``blocks`` maps each blocking table, the interpretations that meet a
+    negative body and so drop its rules from their reduct, to the OR of
+    those rules' rejections; the rules whose negative body misses the
+    universe are the entry of table 0.  Every reader is linear in the
+    rejections of one entry, so the merge is exact.  With d distinct
+    non-empty blocking tables the kernel holds (k + 2d + 1) * 2^k bits, no
+    complement among them: at 22 atoms, some 11 MB of columns, the
+    lattice's kept tables up to 20 atoms, and 1 MB per blocking table.
 
     :meth:`row` is the one reduct question, which SE-models and answer-set
     tests ask alike: the submasks of a mask that model the reduct w.r.t. it.
@@ -493,7 +495,7 @@ class TruthTables(SubsetLattice):
         self.atoms = atoms
         self.full = full = (1 << (1 << k)) - 1
         column = dict(zip(atoms, self.kept))
-        self.unblocked, self.split = 0, []
+        self.blocks = blocks = {}
         for r in prog.rules:
             if not all(a in column for a in r.body_pos):
                 continue
@@ -504,10 +506,7 @@ class TruthTables(SubsetLattice):
                 rejects &= ~column.get(a, 0)
             for a in r.body_neg:
                 blocked |= column.get(a, 0)
-            if blocked:
-                self.split.append((blocked, rejects))
-            else:
-                self.unblocked |= rejects
+            blocks[blocked] = blocks.get(blocked, 0) | rejects
 
     @classmethod
     def over(cls, prog: Program, universe: Optional[frozenset[int]], budget: OracleBudget, what: str) -> "TruthTables":
@@ -519,15 +518,15 @@ class TruthTables(SubsetLattice):
 
     def models(self) -> int:
         """The classical models."""
-        rejected = self.unblocked
-        for blocked, rejects in self.split:
+        rejected = 0
+        for blocked, rejects in self.blocks.items():
             rejected |= rejects & ~blocked
         return self.full ^ rejected
 
     def rejections(self, mask: int) -> int:
         """What the reduct w.r.t. the interpretation ``mask`` rejects."""
-        rejected = self.unblocked
-        for blocked, rejects in self.split:
+        rejected = 0
+        for blocked, rejects in self.blocks.items():
             if not blocked >> mask & 1:
                 rejected |= rejects
         return rejected
@@ -541,10 +540,10 @@ class TruthTables(SubsetLattice):
     def locally_minimal(self, interps: int) -> int:
         """The M in ``interps`` such that no M - {a} with a in M models the
         reduct P^M: for each atom, the masks with it whose set without it
-        fails a rule they keep.  One shift per atom and rule."""
+        fails a rule they keep.  One shift per atom and negative body."""
         for shift, t in self.tables(range(self.m)):
-            fails = self.unblocked << shift & t
-            for blocked, rejects in self.split:
+            fails = 0
+            for blocked, rejects in self.blocks.items():
                 shifted = rejects << shift & t
                 fails |= shifted ^ (shifted & blocked)
             interps &= ~(t ^ fails)

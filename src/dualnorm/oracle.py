@@ -3,8 +3,9 @@
 Everything here applies the definitions to every subset of a declared
 universe at once, on the truth tables of ``core.TruthTables`` (k * 2^k
 bits of atom tables, kept once per size up to 20 atoms and some 11 MB at
-the default 22-atom budget, plus 2^(k+1) bits per rule with a negative
-body), so models come out in subset-lexicographic order.
+the default 22-atom budget, plus 2^(k+1) bits per distinct negative body,
+whose rules the reduct keeps or drops together), so models come out in
+subset-lexicographic order.
 ``minimal_models`` drops the models with a proper subset among the models:
 the strict up-closure of their table along the subset lattice.
 Both answer-set functions ask the kernel's one reduct question,

@@ -861,10 +861,8 @@ def enumerate_models(
 
 def interpret_model(cnf: CnfInstance, prog: Program, true_vars: frozenset[int]) -> frozenset[int]:
     """Decode an external solver's model (set of true DIMACS variables) to
-    the atoms of the guessed answer set."""
-    return frozenset(
-        v.atom for v, idx in cnf.var_index.items() if v.kind == "base" and idx in true_vars
-    )
+    the atoms of the guessed answer set: those whose base variable is true."""
+    return frozenset(a for a in prog.atom_ids if cnf.var_index[base_var(a)] in true_vars)
 
 
 def answer_sets_via_sat(prog: Program) -> list[frozenset[int]]:

@@ -5,6 +5,7 @@ breaks either hook fail here, not only in the benchmark."""
 
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import dualnorm.cli as cli
 from dualnorm.dualhorn import answer_sets_dn, is_answer_set_dn, max_model_dual_horn
 from dualnorm.textio import parse_program
 
-from conftest import DISJ3_DUAL, ids_of
+from conftest import DISJ3, DISJ3_DUAL, ids_of
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,6 +28,8 @@ def tracing():
 
 
 def test_mirrored_functions_match_their_digests(tracing):
+    if sys.version_info[:2] != tracing.MIRRORED_PYTHON:
+        pytest.skip("the mirror digests are of Python %d.%d bytecode" % tracing.MIRRORED_PYTHON)
     try:
         tracing.check_mirrors()
     except SystemExit as exc:
@@ -34,13 +37,26 @@ def test_mirrored_functions_match_their_digests(tracing):
 
 
 def test_traced_cli_matches_untraced(tracing, tmp_path):
-    prog = tmp_path / "dual3.lp"
+    # between them the invocations call every name the tracer swaps on cli
+    # but equivalent_as, which cli imports only for the swap
+    prog, other, ue_set = tmp_path / "dual3.lp", tmp_path / "disj3.lp", tmp_path / "dual3.ue"
     prog.write_text(DISJ3_DUAL)
+    other.write_text(DISJ3)
+    out = io.StringIO()
+    assert cli.run(["ue", str(prog)], out) == 0
+    ue_set.write_text(out.getvalue())
     invocations = [
-        ["solve", str(prog), "--method", "dn"],
-        ["solve", str(prog), "--method", "sat"],
-        ["equiv", str(prog), str(prog), "--mode", "as"],
+        ["classify", str(prog)],
+        *(["solve", str(prog), "--method", method] for method in ("brute", "dn", "sat")),
+        ["se", str(prog)],
+        ["ue", str(prog)],
+        ["--json", "se", str(prog)],
+        ["props", str(ue_set)],
+        *(["synth", str(ue_set), "--from", source] for source in ("se", "ue")),
+        *(["equiv", str(prog), str(other), "--mode", mode] for mode in ("as", "strong", "uniform")),
         ["equiv", str(prog), str(prog), "--mode", "uniform", "--dn-fast"],
+        *(["translate", str(prog), "--to", to] for to in ("normal", "star")),
+        ["translate", str(prog), "--to", "dimacs", "--project"],
     ]
 
     def outputs():
@@ -53,12 +69,25 @@ def test_traced_cli_matches_untraced(tracing, tmp_path):
     untraced = outputs()
     saved = dict(vars(cli))
     undo = tracing.Tracer().install()
+    reached = set()
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    swapped = {name for name, value in vars(cli).items() if saved.get(name) is not value}
+    for name in swapped:
+        setattr(cli, name, recorded(name, getattr(cli, name)))
     try:
         traced = outputs()
     finally:
         undo()
     assert traced == untraced
     assert all(getattr(cli, name) is value for name, value in saved.items())
+    assert len(swapped) == 19 and reached == swapped - {"equivalent_as"}
 
 
 def test_composed_calls_match_the_program(tracing):

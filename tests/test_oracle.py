@@ -1,12 +1,13 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 from dualnorm.common import BudgetExceededError, OracleBudget
 from dualnorm import core
-from dualnorm.core import AtomTable, Program, SubsetLattice, TruthTables, is_model, reduct, split, table_masks, truth_tables
+from dualnorm.core import AtomTable, Program, Rule, SubsetLattice, TruthTables, is_model, reduct, split, table_masks, truth_tables
 from dualnorm.gen import random_dual_normal_program, random_program, structured_corpus
 from dualnorm.oracle import (
     answer_sets_bf,
@@ -353,6 +354,28 @@ def test_kernel_tables_at_twenty_atoms_build_fast():
         assert time.perf_counter() - start < 0.5
     assert models(chain, universe=xs) == [xs]
     assert is_answer_set(chain, xs) and not is_answer_set(chain, xs - ids_of(chain, "x0"))
+
+
+def test_kernel_keeps_one_table_per_negative_body():
+    # 2 000 two-head rules over 18 atoms, each negating one atom: the
+    # kernel ORs the rejections of the rules with one negative body, so it
+    # holds 18 blocking tables of 2^18 bits, not two tables per rule
+    rng = random.Random(5)
+    table = AtomTable()
+    atoms = [table.intern(f"a{i}") for i in range(18)]
+    rules = set()
+    while len(rules) < 2000:
+        rules.add(Rule.of(rng.sample(atoms, 2), (), (rng.choice(atoms),)))
+    prog = Program.of(table, sorted(rules))
+    tracemalloc.start()
+    try:
+        found = answer_sets_bf(prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert found and all(is_answer_set(prog, m) for m in found)
+    assert len(TruthTables(prog, atoms).blocks) == 18
 
 
 def test_rejections_are_what_the_reduct_rejects():

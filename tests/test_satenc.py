@@ -404,6 +404,11 @@ def test_interpret_model_round_trip():
     a = p.table.id_of("a")
     model_vars = frozenset({cnf.var_index[base_var(a)]})
     assert interpret_model(cnf, p, model_vars) == frozenset({a})
+    # two true atoms and a true level variable, which is not an atom
+    b = p.table.id_of("b")
+    level = next(idx for v, idx in cnf.var_index.items() if v.kind == "level")
+    both = frozenset({cnf.var_index[base_var(a)], cnf.var_index[base_var(b)], level})
+    assert interpret_model(cnf, p, both) == frozenset({a, b})
 
 
 def test_level_chain_matches_elimination_engine():
