@@ -24,9 +24,13 @@ its ``t``.  The witnesses for one ``M`` share all their rules but the last,
 outside ``M``.  What they share is the reduct closure of ``M``
 (:class:`ReductClosure`), which the program's reduct view
 (``Program.reduct_view``) keeps for the last interpretation asked about.
-On first use it compiles P^M alone, seeds the elimination with every atom
-of P outside ``M`` (what the ``:- a.`` rules would eliminate) and closes
-to the fixpoint C0.  The witness for ``m`` eliminates ``t`` iff the
+The view also keeps the program's proper rules compiled for the
+elimination, once per program: a reduct closure is that compile with its
+own copy of the rule counters, in which every rule that P^M drops (its
+negative body meets ``M``) is disabled by a counter that never reaches 0.
+On first use the closure seeds the elimination with every atom of P
+outside ``M`` (what the ``:- a.`` rules would eliminate) and closes to the
+fixpoint C0.  The witness for ``m`` eliminates ``t`` iff the
 elimination continued from C0 with ``m`` does; that run stops at ``t`` or
 at a settled atom, one known to eliminate ``t``, and is undone from a log.
 An ``m`` that succeeds is settled, and the first one also sets off one
@@ -37,7 +41,8 @@ still make the continued runs cost |M| * |P| in all.
 The UE test (``seue.is_ue_model_dn``) reads the same closure for its
 there-component Y: the same run, continued from C0 with an atom a of Y,
 gives the atoms of Y that survive it.
-A witness builds its rule tuple only when it is read.  Its trace is the
+A witness builds its rule tuple, with the deduplicated rules of P^M, only
+when it is read: for its trace or a not-dual-Horn message.  Its trace is the
 one class every elimination returns, built without the run (the eliminated
 atoms, the level bounds and the compiled rules): the run comes from a fresh
 compile of the witness's rules on first read, so every trace is the one a
@@ -51,7 +56,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .common import DEFAULT_BUDGET, OracleBudget, ProgramClassError, collector_paused
-from .core import AtomTable, Program, Rule, is_model
+from .core import AtomTable, Program, ReductView, Rule, is_model
 from .textio import render_rule
 # Bound under private names: perfbench/tracing.py pins the code, names included,
 # of functions here that call them.
@@ -136,34 +141,39 @@ class EliminationTrace:
 
 
 # A rule list compiled for the elimination, as reversed rules ``b <- H`` with
-# an empty positive body read as ``t``: the index of the first rule that is
-# not dual-Horn (or None), each rule's body atom, each rule's head count, the
-# rules each head atom occurs in (in rule order), and the rules with an empty
-# head, which fire at the start.  A plain tuple, as it is built and unpacked
-# once per elimination.
-EliminationView = tuple[Optional[int], list[int], list[int], dict[int, list[int]], list[int]]
+# an empty positive body read as ``t``: the rules with more than one positive
+# body atom, the rules each negated atom occurs in, each rule's body atom,
+# each rule's head count, the rules each head atom occurs in (in rule order),
+# and the rules with an empty head, which fire at the start.  A plain tuple,
+# as it is built and unpacked once per elimination or program.
+EliminationView = tuple[list[int], dict[int, list[int]], list[int], list[int], dict[int, list[int]], list[int]]
 
 
 def compile_elimination(rules: Sequence[Rule]) -> EliminationView:
     """Compile a rule list for the elimination in one pass.  A rule that is
-    not dual-Horn is recorded, not rejected: the elimination rejects it when
-    it runs."""
+    not dual-Horn is recorded, not rejected: a plain elimination rejects a
+    list with one, and a reduct closure one that keeps a rule with more than
+    one positive body atom."""
     t = T_ATOM
-    bad = None
+    wide: list[int] = []
+    negated: dict[int, list[int]] = {}
     bodies: list[int] = []
     counters: list[int] = []
     occurs: dict[int, list[int]] = {}
     ready: list[int] = []
     for idx, (head, pos, neg) in enumerate(rules):
-        if (len(pos) > 1 or neg) and bad is None:
-            bad = idx
+        if neg or len(pos) > 1:
+            if len(pos) > 1:
+                wide.append(idx)
+            for a in neg:
+                negated.setdefault(a, []).append(idx)
         bodies.append(pos[0] if pos else t)
         counters.append(len(head))
         if not head:
             ready.append(idx)
         for h in head:
             occurs.setdefault(h, []).append(idx)
-    return bad, bodies, counters, occurs, ready
+    return wide, negated, bodies, counters, occurs, ready
 
 
 def eliminate(
@@ -213,16 +223,17 @@ def elimination_fixpoint(prog: Program, t_stem: str = "__t") -> EliminationTrace
     """
     if type(prog) is not _Witness:
         return _plain_fixpoint(prog, t_stem)
-    bad = prog.closure.close()
-    if bad is not None:
-        raise _not_dual_horn(prog, bad)
+    if not prog.closure.close():
+        raise _not_dual_horn(prog)
     return EliminationTrace(prog, t_stem, prog.closure.eliminates_t(prog.m))
 
 
-def _not_dual_horn(prog: Program, idx: int) -> ProgramClassError:
+def _not_dual_horn(prog: Program) -> ProgramClassError:
+    """The error for a program that is not dual-Horn, naming its first rule
+    that is not."""
+    rule = next(r for r in prog.rules if not r.is_dual_horn)
     return ProgramClassError(
-        f"rule '{render_rule(prog.rules[idx], prog.table)}' is not dual-Horn "
-        "(needs |body_pos| <= 1 and no negation)"
+        f"rule '{render_rule(rule, prog.table)}' is not dual-Horn (needs |body_pos| <= 1 and no negation)"
     )
 
 
@@ -233,9 +244,9 @@ def _plain_fixpoint(prog: Program, t_stem: str) -> EliminationTrace:
     on a large program a collection would only walk the lists they keep.  A
     witness's check stays unpaused, as a pause per atom of M would add its
     fixed cost to every atom."""
-    bad, bodies, counters, occurs, ready = compile_elimination(prog.rules)
-    if bad is not None:
-        raise _not_dual_horn(prog, bad)
+    wide, negated, bodies, counters, occurs, ready = compile_elimination(prog.rules)
+    if wide or negated:
+        raise _not_dual_horn(prog)
     eliminated: set[int] = set()
     # the first level holds the bodies of the rules with an empty head, each
     # once, in rule order, as every later level holds the bodies it reaches
@@ -262,10 +273,16 @@ def max_model_dual_horn(
 
 
 class ReductClosure:
-    """The reduct closure of an interpretation I: the proper rules of P^I,
-    compiled for the elimination and closed to C0 from every atom of P
-    outside I.  It is built by :func:`reduct_closure`, which keeps the last
-    one in the program's reduct view.
+    """The reduct closure of an interpretation I: the program's compiled
+    proper rules with every rule that P^I drops disabled, closed to C0 from
+    every atom of P outside I.  It is built by :func:`reduct_closure`,
+    which keeps the last one in the program's reduct view.
+
+    A reduct is the shared compile with its own copy of the counters: a
+    disabled rule's counter is set below 0, so no elimination brings it to
+    0 (the rule never fires) or to 1 (the search never follows it).  Rules
+    that P^I keeps twice (they differ only in their negative bodies) are
+    kept twice, which changes no elimination.
 
     Both polynomial checks continue C0 with one atom of I, in one loop,
     :meth:`_continue`.  ``settled`` holds atoms known to eliminate ``t``
@@ -276,10 +293,10 @@ class ReductClosure:
     and an answer-set check ends at its first failure.
     """
 
-    def __init__(self, prog: Program, interp: frozenset[int]) -> None:
+    def __init__(self, prog: Program, interp: frozenset[int], compiled: tuple[list[Rule], EliminationView]) -> None:
         self.interp = interp
-        self.rules = tuple(prog.reduct_view.reduct_proper(interp))
         self.outside = prog.atom_ids - interp
+        self.compiled = compiled
         # P's table and rules, not P, whose reduct view holds this closure:
         # no reference cycle, and P is rebuilt only for the model test
         self.table, self.program_rules = prog.table, prog.rules
@@ -290,19 +307,24 @@ class ReductClosure:
         """Whether I is a model of P."""
         return is_model(self.interp, Program(self.table, self.program_rules))
 
-    def close(self) -> Optional[int]:
-        """Compile the rules and close them to C0, on the first call.
-        Returns the index of the first rule that is not dual-Horn, or None;
-        with such a rule nothing is eliminated."""
+    def close(self) -> bool:
+        """Disable the rules that P^I drops and close the others to C0, on
+        the first call.  Returns whether every rule P^I keeps is dual-Horn
+        once stripped of its negative body; if not, nothing is eliminated."""
         if self.bodies is not None:
-            return self.bad
-        # the rules all have a head, so none fires before the seed
-        self.bad, self.bodies, self.counters, self.occurs, _ = compile_elimination(self.rules)
+            return self.dual_horn
+        self.proper, (wide, negated, self.bodies, counters, self.occurs, _) = self.compiled
+        self.counters = counters = counters.copy()
+        for a in self.interp.intersection(negated):
+            for idx in negated[a]:
+                counters[idx] = -1
+        self.dual_horn = not wide or all(counters[idx] < 0 for idx in wide)
         self.eliminated: set[int] = set()
-        if self.bad is None:
-            eliminate(self.bodies, self.occurs, self.counters, self.eliminated, self.outside)
+        # the proper rules all have a head, so none fires before the seed
+        if self.dual_horn:
+            eliminate(self.bodies, self.occurs, counters, self.eliminated, self.outside)
         self.settled, self.searched, self.t_out = {T_ATOM}, False, T_ATOM in self.eliminated
-        return self.bad
+        return self.dual_horn
 
     def eliminates_t(self, m: int) -> bool:
         """Whether the witness ``pmm(P, I, m)`` eliminates ``t``: whether
@@ -367,7 +389,7 @@ class ReductClosure:
         one live head after C0: eliminating such a rule's head eliminates
         its body."""
         self.searched = True
-        bodies, eliminated, settled, rules = self.bodies, self.eliminated, self.settled, self.rules
+        bodies, eliminated, settled, rules = self.bodies, self.eliminated, self.settled, self.proper
         # those rules per body, in flat arrays (a list per atom would add an
         # object per atom for the garbage collector to walk): ``last[b]`` is
         # the last such rule with body b, ``before[idx]`` the one before
@@ -394,28 +416,32 @@ class ReductClosure:
 
 def reduct_closure(prog: Program, interp: frozenset[int]) -> ReductClosure:
     """The reduct closure of ``interp``: the one the program's reduct view
-    holds when it is for the same set, else a new one, which replaces it."""
+    holds when it is for the same set, else a new one, which replaces it.
+    The first one compiles the program's proper rules for every later one."""
     view = prog.reduct_view
     closure = view.closure
     if closure is None or not (closure.interp is interp or closure.interp == interp):
-        closure = view.closure = ReductClosure(prog, frozenset(interp))
+        if view.compiled is None:
+            proper = [r for r in prog.rules if r.head]
+            view.compiled = proper, compile_elimination(proper)
+        closure = view.closure = ReductClosure(prog, frozenset(interp), view.compiled)
     return closure
 
 
 class _Witness(Program):
-    """A minimality witness from ``pmm``: the reduct closure of its ``M``
-    and the excluded atom ``m``.  Its rules, P^M, then ``:- a.`` for every
-    atom a of P outside ``M`` in ascending order, then ``:- m.``, are built
-    on first read."""
+    """A minimality witness from ``pmm``: the reduct view of P, the reduct
+    closure of its ``M`` and the excluded atom ``m``.  Its rules, the proper
+    rules of P^M, then ``:- a.`` for every atom a of P outside ``M`` in
+    ascending order, then ``:- m.``, are built on first read."""
 
-    def __init__(self, table: AtomTable, closure: ReductClosure, m: int) -> None:
-        self.__dict__.update(table=table, closure=closure, m=m)
+    def __init__(self, table: AtomTable, view: ReductView, closure: ReductClosure, m: int) -> None:
+        self.__dict__.update(table=table, view=view, closure=closure, m=m)
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
         closure = self.closure
         forbidden = [Rule((), (a,), ()) for a in sorted(closure.outside)]
-        return (*closure.rules, *forbidden, Rule((), (self.m,), ()))
+        return (*self.view.reduct_proper(closure.interp), *forbidden, Rule((), (self.m,), ()))
 
 
 def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
@@ -429,7 +455,7 @@ def pmm(prog: Program, interp: frozenset[int], m: int) -> Program:
     """
     if m not in interp:
         raise ValueError(f"atom {prog.table.describe(m)} is not in the interpretation")
-    return _Witness(prog.table, reduct_closure(prog, interp), m)
+    return _Witness(prog.table, prog.reduct_view, reduct_closure(prog, interp), m)
 
 
 def is_answer_set_dn(prog: Program, interp: frozenset[int]) -> bool:

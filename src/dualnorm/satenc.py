@@ -354,7 +354,12 @@ class CnfInstance:
     ``formula`` is the formula ``tseitin_cnf`` clausified, constants folded
     away, over variables of ``var_index``; the enumerator evaluates it to
     stop a model at its projection.  An instance built by hand has none and
-    is searched until every variable is set."""
+    is searched until every variable is set.
+
+    ``in_range`` says that every clause literal is known to be a nonzero
+    literal of a variable in 1..``num_vars``, as ``tseitin_cnf`` makes
+    them: the enumerator checks the literals of an instance without it.
+    Code that adds clauses to an instance with it must keep that so."""
 
     def __init__(
         self,
@@ -369,6 +374,7 @@ class CnfInstance:
         self._namer = namer
 
     formula: Optional[Formula] = None
+    in_range = False
 
     @cached_property
     def var_names(self) -> dict[int, str]:
@@ -532,6 +538,9 @@ def tseitin_cnf(
     del encode, assert_node
     cnf = CnfInstance(next_var, clauses, var_index, namer=namer)
     cnf.formula = g
+    # every literal is an index of var_index or a definition's auxiliary,
+    # up to next_var, or the negation of one
+    cnf.in_range = True
     return cnf
 
 
@@ -619,10 +628,11 @@ class _Dpll:
         self.unsat = False
         self.steps = 0
         clauses = cnf.clauses
-        literals = set(chain.from_iterable(clauses))
-        if literals and (0 in literals or min(literals) < -num_vars or max(literals) > num_vars):
-            bad = next(lit for lit in chain.from_iterable(clauses) if not 0 < abs(lit) <= num_vars)
-            raise ValueError(f"clause literal {bad} is outside variables 1..{num_vars}")
+        if not cnf.in_range:
+            literals = set(chain.from_iterable(clauses))
+            if literals and (0 in literals or min(literals) < -num_vars or max(literals) > num_vars):
+                bad = next(lit for lit in chain.from_iterable(clauses) if not 0 < abs(lit) <= num_vars)
+                raise ValueError(f"clause literal {bad} is outside variables 1..{num_vars}")
         watches, value = self.watches, self.value
         for clause in clauses:
             # the two watches must differ: the short clauses, most of them,
@@ -853,8 +863,9 @@ def enumerate_models(
 ) -> list[frozenset[int]]:
     """All distinct models projected to the given variables, each once, in
     discovery order (deterministic).  One search finds them all, and
-    ``max_steps`` caps its total steps.  A projection variable or clause
-    literal outside ``1..cnf.num_vars`` raises ValueError; ``cnf`` is not
+    ``max_steps`` caps its total steps.  A projection variable outside
+    ``1..cnf.num_vars`` raises ValueError, and so does a clause literal
+    outside it unless ``cnf.in_range`` vouches for them; ``cnf`` is not
     modified."""
     return list(_Dpll(cnf, project).projections(max_steps))
 

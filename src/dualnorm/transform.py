@@ -29,11 +29,12 @@ price of new cycles.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Optional
 
 from .common import DEFAULT_BUDGET, OracleBudget
-from .core import AtomTable, Program, Rule, is_model, mask_to_set, reduct, remap
+from .core import AtomTable, Program, Rule, is_model, mask_to_set, reduct, remap, sorted_ids
 from .oracle import answer_sets_bf, minimal_models
 
 
@@ -64,6 +65,12 @@ def copy_atom(prog: Program, y: Optional[int], x: int) -> int:
 # One owner's copies: y -> the copy of y, None -> the t-copy.
 _CopyMap = dict[Optional[int], int]
 
+# The translation's rules are built on fields already in ascending order:
+# ``_rule(fields)`` skips ``Rule.of``'s sorting, so only the fields whose
+# order is not known are sorted (``sorted_ids``): the copies of two or more
+# atoms, the pair of a complement and a base atom, and a merged negative body.
+_rule = partial(tuple.__new__, Rule)
+
 
 def _atom_maps(prog: Program) -> tuple[dict[int, int], dict[int, _CopyMap]]:
     """The complement of each atom and the copy map of each owner, every
@@ -83,7 +90,13 @@ def _reversal(prog: Program, copy: Callable[[Optional[int]], int]) -> list[Rule]
     to its copy and None to the t-copy: a rule H <- B+, not B- becomes
     copy(B+) <- copy(H), not B-, with copy(B+) the t-copy when B+ is empty."""
     return [
-        Rule.of([copy(b) for b in r.body_pos] if r.body_pos else [copy(None)], [copy(h) for h in r.head], r.body_neg)
+        _rule(
+            (
+                sorted_ids([copy(b) for b in r.body_pos]) if r.body_pos else (copy(None),),
+                sorted_ids([copy(h) for h in r.head]),
+                r.body_neg,
+            )
+        )
         for r in prog.rules
         if r.head
     ]
@@ -100,8 +113,8 @@ def build_px(prog: Program, x: int) -> Program:
 def _xor_rules(neg: dict[int, int]) -> list[Rule]:
     rules = []
     for x, nx in neg.items():
-        rules.append(Rule.of((x,), (), (nx,)))
-        rules.append(Rule.of((nx,), (), (x,)))
+        rules.append(_rule(((x,), (), (nx,))))
+        rules.append(_rule(((nx,), (), (x,))))
     return rules
 
 
@@ -109,25 +122,26 @@ def _aux_rules(neg: dict[int, int], copies: dict[int, _CopyMap]) -> list[Rule]:
     rules = []
     for x, nx in neg.items():
         own = copies[x]
-        rules.append(Rule.of((own[x],), (), (nx,)))
+        rules.append(_rule(((own[x],), (), (nx,))))
         for y in neg:
-            rules.append(Rule.of((own[y],), (), (nx, y)))
+            rules.append(_rule(((own[y],), (), (nx, y) if nx < y else (y, nx))))
     return rules
 
 
 def _mod_rules(prog: Program) -> list[Rule]:
     return [
-        Rule.of((), r.body_pos, set(r.head) | set(r.body_neg)) for r in prog.rules
+        _rule(((), r.body_pos, sorted_ids({*r.head, *r.body_neg}) if r.head and r.body_neg else r.head or r.body_neg))
+        for r in prog.rules
     ]
 
 
 def _true_rules(copies: dict[int, _CopyMap]) -> list[Rule]:
-    return [Rule.of((), (x,), (own[None],)) for x, own in copies.items()]
+    return [_rule(((), (x,), (own[None],))) for x, own in copies.items()]
 
 
 def _star_rules(own: _CopyMap, atoms: list[int]) -> list[Rule]:
     tx = own[None]
-    return [Rule.of((own[y],), (tx,)) for y in atoms]
+    return [_rule(((own[y],), (tx,), ())) for y in atoms]
 
 
 def _translate(prog: Program, star: bool) -> tuple[Program, dict[int, _CopyMap]]:

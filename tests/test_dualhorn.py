@@ -7,7 +7,7 @@ import pytest
 
 from dualnorm import dualhorn
 from dualnorm.common import ProgramClassError
-from dualnorm.core import AtomTable, Program, Rule, is_model, reduct, split
+from dualnorm.core import AtomTable, Program, Rule, is_model, mask_to_set, reduct, satisfies, split
 from dualnorm.dualhorn import (
     answer_sets_dn,
     elimination_fixpoint,
@@ -17,7 +17,7 @@ from dualnorm.dualhorn import (
 )
 from dualnorm.gen import random_dual_normal_program, random_program, structured_corpus
 from dualnorm.oracle import answer_sets_bf, is_answer_set, models
-from dualnorm.textio import parse_program
+from dualnorm.textio import parse_program, render_rule
 
 from conftest import ids_of, planted_corpus
 
@@ -286,31 +286,37 @@ def test_witnesses_do_not_depend_on_the_last_interpretation():
             assert is_answer_set_dn(p, interp) == is_answer_set_dn(Program(p.table, p.rules), interp)
 
 
-def test_answer_set_check_compiles_once_per_interpretation(monkeypatch):
+def test_answer_set_check_compiles_once_per_program(monkeypatch):
     compiled = []
     compile_elimination = dualhorn.compile_elimination
     monkeypatch.setattr(
         dualhorn, "compile_elimination", lambda rules: compiled.append(len(rules)) or compile_elimination(rules)
     )
     p = parse_program("a | b.\nc :- a.\nd | e :- c.\nf :- not b.")
+    assert not is_answer_set_dn(p, ids_of(p, "a"))  # not a model: nothing to compile
+    assert compiled == []
     answer = ids_of(p, "a c d f")
     assert is_answer_set_dn(p, answer)
-    assert compiled == [4]  # the four reduct rules, shared by the four witnesses; b and e seed C0
-    assert is_answer_set_dn(p, frozenset(answer))  # an equal M: nothing to compile
+    assert compiled == [4]  # the four proper rules, shared by every M's witnesses; b and e seed C0
+    assert is_answer_set_dn(p, frozenset(answer))  # an equal M: the same closure
+    assert not is_answer_set_dn(p, ids_of(p, "a b c d f"))  # another M, which disables f :- not b
+    assert not is_answer_set_dn(p, ids_of(p, "b c d f"))
+    assert is_answer_set_dn(p, ids_of(p, "b"))
     assert len(compiled) == 1
-    assert not is_answer_set_dn(p, ids_of(p, "a b c d f"))
-    assert len(compiled) == 2
     # a witness's run, behind every trace field but t_eliminated, comes from
     # one fresh compile of its rules, on first read
     witness = pmm(p, answer, p.table.id_of("a"))
     trace = elimination_fixpoint(witness)
-    assert trace.t_eliminated and len(compiled) == 3
-    assert trace.to_dict(p.table)["t_eliminated"] and trace.bounds and len(compiled) == 4
+    assert trace.t_eliminated and len(compiled) == 1
+    assert trace.to_dict(p.table)["t_eliminated"] and trace.bounds and len(compiled) == 2
     # a plain program's trace holds the run of its one compile
     plain = elimination_fixpoint(Program(p.table, witness.rules))
-    assert len(compiled) == 5
+    assert len(compiled) == 3
     assert trace_fields(plain, p.table) == trace_fields(trace, p.table) and plain.levels == trace.levels
-    assert len(compiled) == 5
+    assert len(compiled) == 3
+    # another program, even with the same rules, compiles its own
+    assert is_answer_set_dn(Program(p.table, p.rules), answer)
+    assert len(compiled) == 4
 
 
 def test_answer_set_check_builds_no_witness_rules(monkeypatch):
@@ -443,6 +449,102 @@ def test_is_answer_set_dn_agrees_with_oracle():
         for mask in range(1 << len(atoms)):
             m = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
             assert is_answer_set_dn(p, m) == (m in expected)
+
+
+def with_twins(rng, p):
+    """``p`` plus, for about half its proper rules, a copy that differs from
+    the rule only in its negative body."""
+    atoms = sorted(p.atom_ids)
+    twins = [
+        Rule.of(r.head, r.body_pos, rng.sample(atoms, rng.randint(0, min(2, len(atoms)))))
+        for r in p.rules
+        if r.head and rng.random() < 0.5
+    ]
+    return p.with_rules(p.rules + tuple(twins))
+
+
+def test_answer_set_check_matches_the_oracle_on_every_interpretation():
+    # every interpretation's reduct shares one compile of the program, so a
+    # rule that P^M drops must be disabled: left enabled, ``a :- not b.``
+    # would eliminate t from {b, c}, which is no answer set; rules that
+    # differ only in their negative bodies are kept or dropped one by one
+    rng = random.Random(35)
+    programs = [
+        parse_program("a :- not b.\nb | c."),
+        parse_program("a :- not b.\na :- not c.\nb | c."),
+        parse_program("a | b :- c, not d.\na | b :- c, not e.\nc | d.\ne :- not d."),
+    ]
+    programs += [p for p, _, _ in planted_corpus()]
+    programs += [with_twins(rng, random_dual_normal_program(rng, rng.randint(1, 6), 8)) for _ in range(200)]
+    for p in programs:
+        atoms = sorted(p.atom_ids)
+        for mask in range(1 << len(atoms)):
+            m = mask_to_set(atoms, mask)
+            assert is_answer_set_dn(p, m) == is_answer_set(p, m)
+    b, c = ids_of(programs[0], "b"), ids_of(programs[0], "b c")
+    assert is_answer_set_dn(programs[0], b) and not is_answer_set_dn(programs[0], c)
+
+
+def test_witness_rules_are_the_reduct_of_the_proper_part():
+    rng = random.Random(36)
+    for _ in range(200):
+        p = with_twins(rng, random_program(rng, rng.randint(1, 5), 8))
+        atoms = sorted(p.atom_ids)
+        for mask in range(1, 1 << len(atoms)):
+            interp = mask_to_set(atoms, mask)
+            proper = tuple(r for r in reduct(p, interp).rules if r.head)
+            forbidden = tuple(Rule.of((), (a,)) for a in atoms if a not in interp)
+            for m in sorted(interp):
+                assert pmm(p, interp, m).rules == (*proper, *forbidden, Rule.of((), (m,)))
+
+
+def test_not_dual_horn_error_names_the_first_wide_rule_kept():
+    # a witness names the first rule of P^M with two positive body atoms,
+    # the rule its rule tuple holds first; a plain program its first rule
+    # that is not dual-Horn
+    rng = random.Random(37)
+    named = 0
+    for _ in range(150):
+        p = with_twins(rng, random_program(rng, rng.randint(2, 5), 6))
+        atoms = sorted(p.atom_ids)
+        first = next((r for r in p.rules if not r.is_dual_horn), None)
+        if first is None:
+            elimination_fixpoint(p)
+        else:
+            with pytest.raises(ProgramClassError) as plain:
+                elimination_fixpoint(p)
+            assert str(plain.value).startswith(f"rule '{render_rule(first, p.table)}' is not dual-Horn")
+        for mask in range(1, 1 << len(atoms)):
+            interp = mask_to_set(atoms, mask)
+            wide = [r for r in reduct(p, interp).rules if r.head and len(r.body_pos) > 1]
+            for m in sorted(interp):
+                witness = pmm(p, interp, m)
+                if not wide:
+                    elimination_fixpoint(witness)
+                    continue
+                with pytest.raises(ProgramClassError) as error:
+                    elimination_fixpoint(witness)
+                assert str(error.value) == (
+                    f"rule '{render_rule(wide[0], p.table)}' is not dual-Horn (needs |body_pos| <= 1 and no negation)"
+                )
+                named += 1
+    assert named > 1000
+
+
+def test_model_test_reads_the_same_once_the_program_holds_its_view():
+    rng = random.Random(38)
+    for _ in range(300):
+        p = random_program(rng, rng.randint(1, 6), 8)
+        atoms = sorted(p.atom_ids)
+        interps = [mask_to_set(atoms, mask) for mask in range(1 << len(atoms))]
+        expected = [all(satisfies(i, r) for r in p.rules) for i in interps]
+        assert [is_model(i, p) for i in interps] == expected
+        assert "reduct_view" not in vars(p)
+        dualhorn.reduct_closure(p, frozenset(atoms))
+        assert vars(p)["reduct_view"].compiled is not None
+        assert [is_model(i, p) for i in interps] == expected
+        assert [is_model(set(i), p) for i in interps] == expected
+        assert "model_test" in vars(vars(p)["reduct_view"])
 
 
 def test_dn_routes_on_planted_answer_sets_of_four_or_more_atoms():

@@ -726,6 +726,35 @@ def test_tseitin_indexes_exactly_the_variables_left_after_folding():
             assert (true_idx in models) == eval_formula(f, assignment)
 
 
+def test_tseitin_marks_its_literals_in_range(monkeypatch):
+    # the enumerator skips the literal scan for an instance tseitin_cnf made,
+    # whose literals are in range by construction, and scans every other
+    rng = random.Random(35)
+    leaves = [FVar(base_var(a)) for a in range(4)] + [FConst(True), FConst(False)]
+    cnfs = [tseitin_cnf(_random_formula(rng, leaves, 3)) for _ in range(300)]
+    cnfs += [program_cnf(random_dual_normal_program(rng, rng.randint(1, 5), 6)) for _ in range(100)]
+    for cnf in cnfs:
+        assert cnf.in_range
+        assert all(0 < abs(lit) <= cnf.num_vars for clause in cnf.clauses for lit in clause)
+    scanned = []
+    chain = satenc.chain
+
+    class Spy:
+        @staticmethod
+        def from_iterable(clauses):
+            scanned.append(len(clauses))
+            return chain.from_iterable(clauses)
+
+    monkeypatch.setattr(satenc, "chain", Spy)
+    p = parse_program("a | b.\nc :- a.")
+    assert len(answer_sets_via_sat(p)) == 2
+    assert scanned == []
+    hand = satenc.CnfInstance(2, [(1, 2), (-1,)], {})
+    assert not hand.in_range
+    assert enumerate_models(hand, [1, 2]) == [frozenset({2})]
+    assert scanned == [2]
+
+
 def _without_formula(cnf):
     from dualnorm.satenc import CnfInstance
 
